@@ -26,6 +26,7 @@ from .terms import (
     daimon,
     funapp,
     fun_names,
+    map_children,
     project,
     record,
     sum_of,
@@ -178,23 +179,9 @@ def _blind(t: Term) -> Term:
         if not t.args:
             return daimon(Unknown())
         return daimon(sum_of(_blind(a) for a in t.args))
-    if isinstance(t, (Param, Unknown)):
-        return t
-    if isinstance(t, Sum):
-        return sum_of(_blind(p) for p in t.parts)
-    if isinstance(t, Constr):
-        return constr(t.name, t.priority, _blind(t.arg))
-    if isinstance(t, Record):
-        return record([(n, _blind(v)) for n, v in t.fields], t.priority)
-    if isinstance(t, ConstrDual):
-        return constr_dual(t.name, t.priority, _blind(t.arg))
-    if isinstance(t, Project):
-        return project(t.name, t.priority, _blind(t.arg))
-    if isinstance(t, Daimon):
-        return daimon(_blind(t.arg))
     if isinstance(t, Approx):
         raise InternalError("approximation before call extraction")
-    raise InternalError("unknown term node %r" % (t,))
+    return map_children(t, _blind)
 
 
 def extract_calls(t: Term, group: set) -> list:

@@ -16,14 +16,7 @@ from .surface import (
     validate_restrictions,
 )
 from .terms import InternalError
-from .typecheck import (
-    ABCall,
-    ABConstr,
-    ABProj,
-    ABRecord,
-    DeclEnv,
-    annotate_group,
-)
+from .typecheck import ABCall, DeclEnv, annotate_group, clause_nodes
 
 TOTAL = "total"
 UNKNOWN = "unknown"
@@ -35,10 +28,6 @@ class Config:
     bound_b: int = 2
     bound_d: int = 2
     subsumption: bool = False
-    dump_priorities: bool = False
-    dump_callgraph: bool = False
-    dump_closure: bool = False
-    json: bool = False
 
 
 @dataclass
@@ -76,23 +65,9 @@ class Report:
 
 def _called_names(adef) -> list:
     out: list = []
-
-    def walk(node) -> None:
-        if isinstance(node, ABCall):
-            if node.fname not in out:
-                out.append(node.fname)
-            for a in node.args:
-                walk(a)
-        elif isinstance(node, (ABConstr,)):
-            walk(node.arg)
-        elif isinstance(node, ABRecord):
-            for _, sub in node.fields:
-                walk(sub)
-        elif isinstance(node, ABProj):
-            walk(node.sub)
-
-    for cl in adef.clauses:
-        walk(cl.body)
+    for node in clause_nodes([adef]):
+        if isinstance(node, ABCall) and node.fname not in out:
+            out.append(node.fname)
     return out
 
 
@@ -167,8 +142,11 @@ def analyze_source(src: str, config: Config = None) -> Report:
     config = config or Config()
     try:
         program = parse_program(src)
+        return analyze_program(program, config)
     except SourceError as err:
-        report = Report()
-        report.errors = [str(err)]
-        return report
-    return analyze_program(program, config)
+        message = str(err)
+    except RecursionError:
+        message = "input nests too deeply to analyze"
+    report = Report()
+    report.errors = [message]
+    return report

@@ -9,7 +9,7 @@ import sys
 from .checker import Config, Report, analyze_source
 
 
-def _render_text(report: Report, config: Config) -> str:
+def _render_text(report: Report, args: argparse.Namespace) -> str:
     lines = []
     for err in report.errors:
         lines.append("error: %s" % err)
@@ -24,19 +24,19 @@ def _render_text(report: Report, config: Config) -> str:
         if v.depends_on_unknown:
             line += " [depends on unknown: %s]" % ", ".join(v.depends_on_unknown)
         lines.append(line)
-    if config.dump_priorities:
+    if args.dump_priorities:
         for g in report.groups:
             lines.append("-- priorities for %s" % ", ".join(g.names))
             for inst, prio in sorted(g.priorities.items(),
                                      key=lambda kv: (kv[1], kv[0])):
                 lines.append("%s ↦ %d" % (inst, prio))
-    if config.dump_callgraph:
+    if args.dump_callgraph:
         for g in report.groups:
             lines.append("-- call graph for %s (B=%d, D=%d)"
                          % (", ".join(g.names), g.bounds[0], g.bounds[1]))
             for edge in sorted(str(e) for e in g.callgraph):
                 lines.append(edge)
-    if config.dump_closure:
+    if args.dump_closure:
         for g in report.groups:
             lines.append("-- closure for %s (B=%d, D=%d)"
                          % (", ".join(g.names), g.bounds[0], g.bounds[1]))
@@ -107,10 +107,6 @@ def main(argv=None) -> int:
         bound_b=args.bound_b,
         bound_d=args.bound_d,
         subsumption=False,
-        dump_priorities=args.dump_priorities,
-        dump_callgraph=args.dump_callgraph,
-        dump_closure=args.dump_closure,
-        json=args.json,
     )
 
     worst = 0
@@ -125,17 +121,17 @@ def main(argv=None) -> int:
             continue
         report = analyze_source(src, config)
         worst = max(worst, report.exit_code())
-        if config.json:
+        if args.json:
             doc = _render_json(report)
             doc["file"] = path
             documents.append(doc)
         else:
             if len(args.files) > 1:
                 print("-- %s" % path)
-            text = _render_text(report, config)
+            text = _render_text(report, args)
             if text:
                 print(text)
-    if config.json:
+    if args.json:
         payload = documents[0] if len(documents) == 1 else documents
         print(json.dumps(payload, indent=2, sort_keys=True))
     return worst

@@ -27,11 +27,11 @@ from .terms import (
     ZEROW,
     approx,
     constr,
-    constr_dual,
     daimon,
     funapp,
-    project,
+    map_children,
     record,
+    rewrap,
     sum_of,
     weight,
 )
@@ -53,27 +53,13 @@ def collapse_weights(bound_b: int, t: Term) -> Term:
     """Clamp every stored weight component into the B band."""
     if bound_b < 1:
         raise ValueError("weight bound must be at least 1")
-    if isinstance(t, (Param, Unknown)):
-        return t
-    if isinstance(t, Sum):
-        return sum_of(collapse_weights(bound_b, p) for p in t.parts)
-    if isinstance(t, Constr):
-        return constr(t.name, t.priority, collapse_weights(bound_b, t.arg))
-    if isinstance(t, Record):
-        return record(
-            [(n, collapse_weights(bound_b, v)) for n, v in t.fields], t.priority
-        )
-    if isinstance(t, ConstrDual):
-        return constr_dual(t.name, t.priority, collapse_weights(bound_b, t.arg))
-    if isinstance(t, Project):
-        return project(t.name, t.priority, collapse_weights(bound_b, t.arg))
-    if isinstance(t, FunApp):
-        return funapp(t.fname, [collapse_weights(bound_b, a) for a in t.args])
-    if isinstance(t, Daimon):
-        return daimon(collapse_weights(bound_b, t.arg))
-    if isinstance(t, Approx):
-        return approx(clamp_weight(bound_b, t.wt), collapse_weights(bound_b, t.arg))
-    raise InternalError("unknown term node %r" % (t,))
+
+    def go(s: Term) -> Term:
+        if isinstance(s, Approx):
+            return approx(clamp_weight(bound_b, s.wt), go(s.arg))
+        return map_children(s, go)
+
+    return go(t)
 
 
 def collapse_depth(bound_d: int, t: Term) -> Term:
@@ -123,16 +109,10 @@ def _spine(t: Term, bound_d: int) -> Term:
     else:
         raise InternalError("malformed spine at %r" % (t,))
 
-    out = end
     cut = max(0, len(items) - bound_d)
-    kept = items[cut:]
-    absorbed = items[:cut]
-    for node in reversed(kept):
-        out = _reapply(node, out)
-    if absorbed:
-        out = approx(ZEROW, out)
-        for node in reversed(absorbed):
-            out = _reapply(node, out)
+    out = rewrap(items[cut:], end)
+    if cut:
+        out = rewrap(items[:cut], approx(ZEROW, out))
 
     if isinstance(prefix, Daimon):
         return daimon(out)
@@ -140,8 +120,3 @@ def _spine(t: Term, bound_d: int) -> Term:
         return approx(prefix.wt, out)
     return out
 
-
-def _reapply(node: Term, arg: Term) -> Term:
-    if isinstance(node, ConstrDual):
-        return constr_dual(node.name, node.priority, arg)
-    return project(node.name, node.priority, arg)

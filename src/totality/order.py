@@ -23,6 +23,7 @@ from .terms import (
     approx,
     coef_leq,
     daimon,
+    rewrap,
     summands,
     weight,
     weight_add,
@@ -160,7 +161,7 @@ def _sleq(s: Term, t: Term) -> bool:
     if isinstance(s, Approx):
         if isinstance(t, Approx):
             for delta, tail in _dtor_splits(t.arg):
-                lifted = approx(t.wt, _rewrap(delta, approx(ZEROW, tail)))
+                lifted = approx(t.wt, rewrap(delta, approx(ZEROW, tail)))
                 if (isinstance(lifted, Approx) and lifted.arg == tail
                         and coef_leq(s.wt, lifted.wt) and sleq(s.arg, tail)):
                     return True
@@ -189,37 +190,12 @@ def _dtor_splits(t: Term):
             yield (t,) + delta, tail
 
 
-def _rewrap(delta, inner: Term) -> Term:
-    from .terms import constr_dual, project
-
-    out = inner
-    for node in reversed(delta):
-        if isinstance(node, ConstrDual):
-            out = constr_dual(node.name, node.priority, out)
-        else:
-            out = project(node.name, node.priority, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # weak coherence
-
-_SQCOH_CACHE: dict = {}
-
 
 def sqcoh(u: Term, v: Term) -> bool:
     """Weak compatibility of two normal forms; loops whose self-composition
     is compatible with the loop must satisfy the size-change conditions."""
-    key = (u, v)
-    hit = _SQCOH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = _sqcoh(u, v)
-    _SQCOH_CACHE[key] = result
-    return result
-
-
-def _sqcoh(u: Term, v: Term) -> bool:
     if isinstance(u, Sum) or isinstance(v, Sum):
         return any(sqcoh(a, b) for a in summands(u) for b in summands(v))
     if isinstance(u, Daimon) and isinstance(v, Daimon):

@@ -750,7 +750,7 @@ def validate_restrictions(program: Program):
                 decl.line, decl.col))
         for item, ty in decl.items:
             pool = field_names if decl.is_codata else ctor_names
-            if item in ctor_names | field_names:
+            if item in ctor_names or item in field_names:
                 violations.append(Violation(
                     "duplicate constructor or destructor name %r" % item,
                     decl.line, decl.col))

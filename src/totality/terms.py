@@ -21,7 +21,6 @@ have been consumed".
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -94,14 +93,6 @@ def coef_leq(a: Weight, b: Weight) -> bool:
     """
     for p in set(a.priorities()) | set(b.priorities()):
         if not a.get(p) >= b.get(p):
-            return False
-    return True
-
-
-def zi_leq(a: Weight, b: Weight) -> bool:
-    """Pointwise natural order with v <= INF for every v."""
-    for p in set(a.priorities()) | set(b.priorities()):
-        if not a.get(p) <= b.get(p):
             return False
     return True
 
@@ -212,7 +203,6 @@ def summands(t: Term) -> tuple[Term, ...]:
     return t.parts if isinstance(t, Sum) else (t,)
 
 
-@functools.lru_cache(maxsize=None)
 def contains_funapp(t: Term) -> bool:
     if isinstance(t, FunApp):
         return True
@@ -345,28 +335,35 @@ def approx(wt: Weight, arg: Term) -> Term:
     return Approx(wt, arg)
 
 
-def rebuild(t: Term) -> Term:
-    """Re-run the smart constructors over a raw term, yielding its
-    canonical form."""
-    if isinstance(t, (Param, Unknown)):
-        return t
-    if isinstance(t, Sum):
-        return sum_of(rebuild(p) for p in t.parts)
-    if isinstance(t, Constr):
-        return constr(t.name, t.priority, rebuild(t.arg))
-    if isinstance(t, Record):
-        return record([(n, rebuild(v)) for n, v in t.fields], t.priority)
-    if isinstance(t, ConstrDual):
-        return constr_dual(t.name, t.priority, rebuild(t.arg))
-    if isinstance(t, Project):
-        return project(t.name, t.priority, rebuild(t.arg))
-    if isinstance(t, FunApp):
-        return funapp(t.fname, [rebuild(a) for a in t.args])
-    if isinstance(t, Daimon):
-        return daimon(rebuild(t.arg))
-    if isinstance(t, Approx):
-        return approx(t.wt, rebuild(t.arg))
-    raise InternalError("unknown term node %r" % (t,))
+def map_children(t: Term, f) -> Term:
+    """Rebuild `t` through the smart constructors with `f` applied to each
+    direct subterm; leaves come back unchanged."""
+    build = _MAP_CHILDREN.get(type(t))
+    if build is None:
+        raise InternalError("unknown term node %r" % (t,))
+    return build(t, f)
+
+
+_MAP_CHILDREN = {
+    Param: lambda t, f: t,
+    Unknown: lambda t, f: t,
+    Constr: lambda t, f: constr(t.name, t.priority, f(t.arg)),
+    Record: lambda t, f: record([(n, f(v)) for n, v in t.fields], t.priority),
+    ConstrDual: lambda t, f: constr_dual(t.name, t.priority, f(t.arg)),
+    Project: lambda t, f: project(t.name, t.priority, f(t.arg)),
+    FunApp: lambda t, f: funapp(t.fname, [f(a) for a in t.args]),
+    Daimon: lambda t, f: daimon(f(t.arg)),
+    Approx: lambda t, f: approx(t.wt, f(t.arg)),
+    Sum: lambda t, f: sum_of(f(p) for p in t.parts),
+}
+
+
+def rewrap(dtors, inner: Term) -> Term:
+    """Apply the destructor nodes `dtors`, outermost first, around `inner`."""
+    for node in reversed(dtors):
+        wrap = constr_dual if isinstance(node, ConstrDual) else project
+        inner = wrap(node.name, node.priority, inner)
+    return inner
 
 
 def nf(t: Term) -> Term:
@@ -375,7 +372,7 @@ def nf(t: Term) -> Term:
     Canonical terms are already normal, so this simply rebuilds; it is the
     entry point for terms coming from the parser or constructed raw.
     """
-    return rebuild(t)
+    return map_children(t, nf)
 
 
 def is_normal(t: Term, top: bool = True) -> bool:
@@ -411,27 +408,12 @@ def is_normal(t: Term, top: bool = True) -> bool:
 
 def substitute(t: Term, bindings: dict) -> Term:
     """Simultaneous substitution of parameters; result is canonical."""
-    if isinstance(t, Param):
-        return bindings.get(t.index, t)
-    if isinstance(t, Unknown):
-        return t
-    if isinstance(t, Sum):
-        return sum_of(substitute(p, bindings) for p in t.parts)
-    if isinstance(t, Constr):
-        return constr(t.name, t.priority, substitute(t.arg, bindings))
-    if isinstance(t, Record):
-        return record([(n, substitute(v, bindings)) for n, v in t.fields], t.priority)
-    if isinstance(t, ConstrDual):
-        return constr_dual(t.name, t.priority, substitute(t.arg, bindings))
-    if isinstance(t, Project):
-        return project(t.name, t.priority, substitute(t.arg, bindings))
-    if isinstance(t, FunApp):
-        return funapp(t.fname, [substitute(a, bindings) for a in t.args])
-    if isinstance(t, Daimon):
-        return daimon(substitute(t.arg, bindings))
-    if isinstance(t, Approx):
-        return approx(t.wt, substitute(t.arg, bindings))
-    raise InternalError("unknown term node %r" % (t,))
+    def go(s: Term) -> Term:
+        if isinstance(s, Param):
+            return bindings.get(s.index, s)
+        return map_children(s, go)
+
+    return go(t)
 
 
 def compose(t1: Term, t2: Term, fname: str) -> Term:
@@ -440,32 +422,12 @@ def compose(t1: Term, t2: Term, fname: str) -> Term:
     An application fname(a1, ..., an) is replaced by t2 with its parameter
     xj substituted by (aj composed with t2); every other node commutes.
     """
-    if isinstance(t1, (Param, Unknown)):
-        return t1
-    if isinstance(t1, Sum):
-        return sum_of(compose(p, t2, fname) for p in t1.parts)
-    if isinstance(t1, FunApp):
-        if t1.fname == fname:
-            bindings = {
-                j + 1: compose(a, t2, fname) for j, a in enumerate(t1.args)
-            }
-            return substitute(t2, bindings)
-        return funapp(t1.fname, [compose(a, t2, fname) for a in t1.args])
-    if isinstance(t1, Constr):
-        return constr(t1.name, t1.priority, compose(t1.arg, t2, fname))
-    if isinstance(t1, Record):
-        return record(
-            [(n, compose(v, t2, fname)) for n, v in t1.fields], t1.priority
-        )
-    if isinstance(t1, ConstrDual):
-        return constr_dual(t1.name, t1.priority, compose(t1.arg, t2, fname))
-    if isinstance(t1, Project):
-        return project(t1.name, t1.priority, compose(t1.arg, t2, fname))
-    if isinstance(t1, Daimon):
-        return daimon(compose(t1.arg, t2, fname))
-    if isinstance(t1, Approx):
-        return approx(t1.wt, compose(t1.arg, t2, fname))
-    raise InternalError("unknown term node %r" % (t1,))
+    def go(t: Term) -> Term:
+        if isinstance(t, FunApp) and t.fname == fname:
+            return substitute(t2, {j + 1: go(a) for j, a in enumerate(t.args)})
+        return map_children(t, go)
+
+    return go(t1)
 
 
 # ---------------------------------------------------------------------------

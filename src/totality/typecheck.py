@@ -13,10 +13,9 @@ cycle boundary of the deconstruction graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .surface import (
-    Clause,
     Definition,
     EApp,
     EConstr,
@@ -100,6 +99,29 @@ class ABProj:
 class ABCall:
     fname: str
     args: tuple
+
+
+_INSTANCE_NODES = (APConstr, ABConstr, APRecord, ABRecord, ABProj)
+
+
+def clause_nodes(adefs):
+    """Pre-order walk over every node of the clauses of `adefs`, patterns
+    first and then the body.  A node is yielded before its children are
+    read, so the caller may update it on the way down."""
+    for adef in adefs:
+        for cl in adef.clauses:
+            stack = [cl.body, *reversed(cl.patterns)]
+            while stack:
+                node = stack.pop()
+                yield node
+                if isinstance(node, (APConstr, ABConstr)):
+                    stack.append(node.arg)
+                elif isinstance(node, (APRecord, ABRecord)):
+                    stack.extend(sub for _, sub in reversed(node.fields))
+                elif isinstance(node, ABProj):
+                    stack.append(node.sub)
+                elif isinstance(node, ABCall):
+                    stack.extend(reversed(node.args))
 
 
 @dataclass
@@ -575,36 +597,10 @@ def _canonical_names(used: list) -> dict:
 
 def _resolve_instances(adefs, u: Unifier):
     order: list = []
-
-    def note(t):
-        seen: list = []
-        type_vars(t, seen)
-        for v in seen:
-            if v not in order:
-                order.append(v)
-        return t
-
-    def walk_any(node):
-        if isinstance(node, (APConstr, ABConstr)):
-            node.instance = note(u.deep(node.instance))
-            walk_any(node.arg)
-        elif isinstance(node, (APRecord, ABRecord)):
-            node.instance = note(u.deep(node.instance))
-            for _, sub in node.fields:
-                walk_any(sub)
-        elif isinstance(node, ABProj):
-            node.instance = note(u.deep(node.instance))
-            walk_any(node.sub)
-        elif isinstance(node, ABCall):
-            for sub in node.args:
-                walk_any(sub)
-        # variables carry no instance
-
-    for adef in adefs:
-        for cl in adef.clauses:
-            for p in cl.patterns:
-                walk_any(p)
-            walk_any(cl.body)
+    for node in clause_nodes(adefs):
+        if isinstance(node, _INSTANCE_NODES):
+            node.instance = u.deep(node.instance)
+            type_vars(node.instance, order)
 
     rename = _canonical_names(order)
     if not rename:
@@ -617,54 +613,18 @@ def _resolve_instances(adefs, u: Unifier):
             return TApp(t.name, tuple(apply(a) for a in t.args))
         return TArrow(apply(t.dom), apply(t.cod))
 
-    def rewalk(node):
-        if isinstance(node, (APConstr, ABConstr, APRecord, ABRecord, ABProj)):
+    for node in clause_nodes(adefs):
+        if isinstance(node, _INSTANCE_NODES):
             node.instance = apply(node.instance)
-        if isinstance(node, (APConstr, ABConstr)):
-            rewalk(node.arg)
-        elif isinstance(node, (APRecord, ABRecord)):
-            for _, sub in node.fields:
-                rewalk(sub)
-        elif isinstance(node, ABProj):
-            rewalk(node.sub)
-        elif isinstance(node, ABCall):
-            for sub in node.args:
-                rewalk(sub)
-
-    for adef in adefs:
-        for cl in adef.clauses:
-            for p in cl.patterns:
-                rewalk(p)
-            rewalk(cl.body)
 
 
 def _collect_instances(adefs) -> list:
     out: list = []
-
-    def add(t):
-        if isinstance(t, TApp) and t not in out:
-            out.append(t)
-
-    def walk(node):
-        if isinstance(node, (APConstr, ABConstr)):
-            add(node.instance)
-            walk(node.arg)
-        elif isinstance(node, (APRecord, ABRecord)):
-            add(node.instance)
-            for _, sub in node.fields:
-                walk(sub)
-        elif isinstance(node, ABProj):
-            add(node.instance)
-            walk(node.sub)
-        elif isinstance(node, ABCall):
-            for sub in node.args:
-                walk(sub)
-
-    for adef in adefs:
-        for cl in adef.clauses:
-            for p in cl.patterns:
-                walk(p)
-            walk(cl.body)
+    for node in clause_nodes(adefs):
+        if (isinstance(node, _INSTANCE_NODES)
+                and isinstance(node.instance, TApp)
+                and node.instance not in out):
+            out.append(node.instance)
     return out
 
 
@@ -800,28 +760,12 @@ def _scc_index(nodes, edges) -> dict:
 
 
 def annotate_priorities(adefs, priorities: dict) -> None:
-    def walk(node):
-        if isinstance(node, (APConstr, ABConstr, APRecord, ABRecord, ABProj)):
+    for node in clause_nodes(adefs):
+        if isinstance(node, _INSTANCE_NODES):
             if node.instance not in priorities:
                 raise PriorityError(
                     "no priority for instance %s" % type_str(node.instance))
             node.prio = priorities[node.instance]
-        if isinstance(node, (APConstr, ABConstr)):
-            walk(node.arg)
-        elif isinstance(node, (APRecord, ABRecord)):
-            for _, sub in node.fields:
-                walk(sub)
-        elif isinstance(node, ABProj):
-            walk(node.sub)
-        elif isinstance(node, ABCall):
-            for sub in node.args:
-                walk(sub)
-
-    for adef in adefs:
-        for cl in adef.clauses:
-            for p in cl.patterns:
-                walk(p)
-            walk(cl.body)
 
 
 def annotate_group(env: DeclEnv, schemes: dict, defs,

@@ -53,6 +53,20 @@ class TestExitCodes:
         assert code == 2
         assert "ERROR f" in out
 
+    @pytest.mark.parametrize("body", [
+        "600",
+        "(" * 3000 + "x" + ")" * 3000,
+    ], ids=["numeral", "parentheses"])
+    def test_deep_input_gives_two(self, tmp_path, capsys, body):
+        deep = tmp_path / "deep.ch"
+        deep.write_text("data nat where Zero : nat | Succ : nat -> nat\n"
+                        "val f : nat -> nat | f x = %s\n" % body)
+        code = main(["check", str(deep)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: input nests too deeply" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_multiple_files_take_worst(self, capsys):
         code, out = run_cli(capsys, "check", str(CORPUS / "nats.ch"),
                             str(CORPUS / "bad_s.ch"))
@@ -78,6 +92,27 @@ class TestReports:
         assert "stream(nat) ↦ 0" in out
         assert "nat ↦ 1" in out
         assert "unit ↦ 2" in out
+
+    def test_inferred_type_variables_named_in_clause_order(self, tmp_path,
+                                                          capsys):
+        # leftover type variables are named a, b, ... in the order the
+        # clause walk meets them: patterns before the body
+        src = tmp_path / "inferred.ch"
+        src.write_text("data list('x) where Nil : list('x)"
+                       " | Cons : 'x -> list('x) -> list('x)\n"
+                       "val f Nil = Nil\n"
+                       "  | f (Cons _ l) = Cons Nil (f l)\n")
+        code, out = run_cli(capsys, "check", str(src), "--dump-priorities")
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "pair('a, list('a)) ↦ 0",
+            "pair('b, list('b)) ↦ 0",
+            "pair(list('b), list(list('b))) ↦ 0",
+            "list('a) ↦ 1",
+            "list(list('b)) ↦ 1",
+            "list('b) ↦ 3",
+            "unit ↦ 4",
+        ]
 
     def test_dump_closure_sorted(self, capsys):
         code, out = run_cli(capsys, "check", str(CORPUS / "nats.ch"),

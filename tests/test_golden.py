@@ -12,12 +12,14 @@ unchanged; a change that is meant to alter the output regenerates them with
 the same commands.
 """
 
+import pathlib
+
 import pytest
 
 from conftest import CORPUS
 from totality.cli import main
 
-GOLDEN = CORPUS.parent / "tests" / "golden"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 NAMES = sorted(p.stem for p in CORPUS.glob("*.ch"))
 
 
