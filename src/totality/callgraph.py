@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from .collapse import collapse_depth, collapse_weights
@@ -23,12 +25,14 @@ from .terms import (
     compose,
     constr,
     constr_dual,
+    contains_funapp,
     daimon,
     funapp,
     fun_names,
     map_children,
     project,
     record,
+    substitute,
     sum_of,
     summands,
     term_str,
@@ -49,77 +53,78 @@ from .typecheck import (
 @dataclass(frozen=True)
 class Call:
     """One edge of the call graph: a normal form with a single occurrence
-    of the callee, applied to argument summaries."""
+    of the callee, applied to argument summaries.
+
+    `spine` lists the items above the callee occurrence, outermost first,
+    and `args` are its arguments; `call_of_term` splits the term once and
+    stores both."""
 
     caller: str
     callee: str
     term: Term
-
-    def split(self):
-        """Spine items above the callee occurrence, and the occurrence."""
-        items = []
-        t = self.term
-        while not isinstance(t, FunApp):
-            if isinstance(t, Constr):
-                items.append(("c", t.name, t.priority))
-                t = t.arg
-            elif isinstance(t, Record):
-                carrying = [(n, v) for n, v in t.fields if fun_names(v)]
-                if len(t.fields) != 1 or len(carrying) != 1:
-                    raise InternalError("call spine through a forked record")
-                name, value = t.fields[0]
-                items.append(("r", name, t.priority))
-                t = value
-            elif isinstance(t, ConstrDual):
-                items.append(("d", t.name, t.priority))
-                t = t.arg
-            elif isinstance(t, Project):
-                items.append(("j", t.name, t.priority))
-                t = t.arg
-            elif isinstance(t, Daimon):
-                items.append(("daimon",))
-                t = t.arg
-            elif isinstance(t, Approx):
-                items.append(("w", t.wt))
-                t = t.arg
-            else:
-                raise InternalError(
-                    "malformed call term %s" % term_str(self.term))
-        return items, t
-
-    @property
-    def spine(self):
-        return self.split()[0]
-
-    @property
-    def args(self):
-        return self.split()[1].args
+    spine: list = field(compare=False, repr=False)
+    args: tuple = field(compare=False, repr=False)
 
     def spine_branch(self):
         """The spine as a branch, or None when it runs through a Daimon."""
-        items = self.spine
-        if any(item[0] == "daimon" for item in items):
+        if any(item[0] == "daimon" for item in self.spine):
             return None
-        return Branch(tuple(items))
+        return Branch(tuple(self.spine))
 
     def __str__(self) -> str:
         return "%s -> %s: %s" % (self.caller, self.callee, term_str(self.term))
 
 
+_SPINE_ITEMS = {
+    Constr: lambda t: ("c", t.name, t.priority),
+    ConstrDual: lambda t: ("d", t.name, t.priority),
+    Project: lambda t: ("j", t.name, t.priority),
+    Daimon: lambda t: ("daimon",),
+    Approx: lambda t: ("w", t.wt),
+}
+
+
 def call_of_term(caller: str, t: Term, group: set) -> Call:
-    names = fun_names(t)
-    if len(names) != 1:
-        raise InternalError(
-            "call term must mention exactly one function: %s" % term_str(t))
-    callee = names.pop()
-    if callee not in group:
-        raise InternalError("call to %r escapes the group" % callee)
-    c = Call(caller, callee, t)
-    spine, head = c.split()
-    for a in head.args:
-        if fun_names(a):
-            raise InternalError("call argument contains a function name")
-    return c
+    """The call `t` of `caller`, split into spine and arguments.
+
+    One walk down the spine checks the invariants.  A bad term is reported
+    by the first fault in this order: not exactly one function name, a
+    callee outside the group, a forked record or other malformed spine, a
+    function name inside an argument."""
+    items = []
+    node = t
+    fault = None
+    while not isinstance(node, FunApp):
+        if isinstance(node, Record):
+            if len(node.fields) != 1:
+                fault = "call spine through a forked record"
+                break
+            (name, value), = node.fields
+            items.append(("r", name, node.priority))
+            node = value
+            continue
+        item = _SPINE_ITEMS.get(type(node))
+        if item is None:
+            fault = "malformed call term %s" % term_str(t)
+            break
+        items.append(item(node))
+        node = node.arg
+    else:
+        if any(contains_funapp(a) for a in node.args):
+            fault = "call argument contains a function name"
+    if fault is not None:
+        names = fun_names(t)
+        if len(names) != 1:
+            raise InternalError(
+                "call term must mention exactly one function: %s"
+                % term_str(t))
+        callee = names.pop()
+        if callee not in group:
+            raise InternalError("call to %r escapes the group" % callee)
+        raise InternalError(fault)
+    if node.fname not in group:
+        raise InternalError("call to %r escapes the group" % node.fname)
+    return Call(caller, node.fname, t, items, node.args)
 
 
 # ---------------------------------------------------------------------------
@@ -269,43 +274,190 @@ def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
     return CallGraph(tuple(sorted(group)), tuple(edges), bound_b, bound_d)
 
 
+# The hole that stands for the callee occurrence in a spine; no function
+# of a program has the empty name.
+HOLE = funapp("", ())
+
+
+class CallTables:
+    """Tables for composing calls piecewise, as a spine and its arguments.
+
+    The spine of a call is its term with the callee occurrence replaced by
+    HOLE; its arguments are that occurrence's arguments.  Spines and
+    arguments get small integer ids, and so do argument tuples.  Spine id 0
+    stands for the zero composite.
+
+    Composing piecewise is exact.  A spine holds no parameter, so
+    substituting the caller's arguments only reaches the callee's arguments.
+    The smart constructors above the occurrence only test whether it is a
+    function application, never what it applies.  Depth collapse keeps the
+    spine's budget apart and collapses every argument at full depth D, and
+    weight clamping acts on each node alone.  Collapsing a whole composite
+    therefore equals plugging the collapsed spine composite with the
+    collapsed arguments, and the product of the arguments' sorted summands
+    comes out in the sorted order of the whole composite's summands.
+
+    One instance serves one closure and is dropped with it."""
+
+    def __init__(self, bound_b: int, bound_d: int):
+        self.bound_b = bound_b
+        self.bound_d = bound_d
+        self.spines: list[Term] = [ZERO]
+        self.spine_ids: dict = {}
+        # spine_comp[ia][ib]: id of collapse(compose(Sa, Sb)), None until
+        # first needed
+        self.spine_comp: list[list] = [[]]
+        self.args: list[Term] = []
+        self.arg_ids: dict = {}
+        self.tuples: list[tuple] = []
+        self.tuple_ids: dict = {}
+        # subst[it][ib]: ids of the summands of collapse(b[x := args of it])
+        self.subst: list[list] = []
+
+    def _spine_id(self, spine: Term) -> int:
+        sid = self.spine_ids.get(spine)
+        if sid is None:
+            sid = self.spine_ids[spine] = len(self.spines)
+            self.spines.append(spine)
+            self.spine_comp.append([])
+        return sid
+
+    def _arg_id(self, arg: Term) -> int:
+        aid = self.arg_ids.get(arg)
+        if aid is None:
+            aid = self.arg_ids[arg] = len(self.args)
+            self.args.append(arg)
+        return aid
+
+    def tuple_id(self, ids: tuple) -> int:
+        tid = self.tuple_ids.get(ids)
+        if tid is None:
+            tid = self.tuple_ids[ids] = len(self.tuples)
+            self.tuples.append(ids)
+            self.subst.append([])
+        return tid
+
+    def split(self, call: Call) -> tuple:
+        """Spine id and argument tuple id of a call."""
+        spine = compose(call.term, HOLE, call.callee)
+        ids = tuple(self._arg_id(a) for a in call.args)
+        return self._spine_id(spine), self.tuple_id(ids)
+
+    def combine(self, first: tuple, second: tuple):
+        """Spine id of the collapsed composite of two split calls, and the
+        summand ids of each of its arguments.  The candidates are that
+        spine with each `itertools.product` of the argument choices, in
+        the order `compose_calls` gives them; there are none when the spine
+        id is 0."""
+        ia, ta = first
+        ib, tb = second
+        row = self.spine_comp[ia]
+        if ib >= len(row):
+            row.extend([None] * (ib + 1 - len(row)))
+        sid = row[ib]
+        if sid is None:
+            sid = row[ib] = self._compose_spines(ia, ib)
+        if not sid:
+            return 0, ()
+        row = self.subst[ta]
+        choices = []
+        for b in self.tuples[tb]:
+            if b >= len(row):
+                row.extend([None] * (b + 1 - len(row)))
+            ids = row[b]
+            if ids is None:
+                ids = row[b] = self._substitute(ta, b)
+            choices.append(ids)
+        return sid, choices
+
+    def plug(self, sid: int, callee: str, ids: tuple) -> Term:
+        """The term of a candidate: the spine applied to the callee."""
+        occurrence = funapp(callee, [self.args[a] for a in ids])
+        return compose(self.spines[sid], occurrence, HOLE.fname)
+
+    def _compose_spines(self, ia: int, ib: int) -> int:
+        raw = compose(self.spines[ia], self.spines[ib], HOLE.fname)
+        parts = summands(
+            collapse_call_term(raw, self.bound_b, self.bound_d))
+        if not parts:
+            return 0
+        if len(parts) != 1:
+            raise InternalError("spine composite splits into a sum")
+        return self._spine_id(parts[0])
+
+    def _substitute(self, ta: int, b: int) -> tuple:
+        bindings = {j: self.args[a]
+                    for j, a in enumerate(self.tuples[ta], start=1)}
+        collapsed = collapse_call_term(substitute(self.args[b], bindings),
+                                       self.bound_b, self.bound_d)
+        return tuple(self._arg_id(p) for p in summands(collapsed))
+
+
 def transitive_closure(graph: CallGraph, subsumption: bool = False,
                        max_edges: int = 20000,
                        max_compositions: int = 2000000) -> CallGraph:
     """Saturate the graph under collapsed composition.
 
+    Every ordered pair of edges that meet is composed once, in the order
+    the edges were found, and composites are added in the order
+    `compose_calls` gives them.  Calls are composed piecewise through
+    `CallTables`; a candidate is known by its endpoints, spine id and
+    argument ids, and only a new one is built as a term.
+
     With ``subsumption`` a candidate is dropped when an existing edge with
     the same endpoints is below it; the collapsed space is finite either
     way, the caps only guard against bugs.
     """
+    tables = CallTables(graph.bound_b, graph.bound_d)
     edges: list[Call] = list(graph.edges)
-    seen = set(edges)
+    parts = [tables.split(e) for e in edges]
+    seen = {(e.caller, e.callee, sid, tables.tuples[tid])
+            for e, (sid, tid) in zip(edges, parts)}
     compositions = 0
     pruned = 0
-    pairs = [(a, b) for a in edges for b in edges if a.callee == b.caller]
-    cursor = 0
-    while cursor < len(pairs):
-        alpha, beta = pairs[cursor]
-        cursor += 1
+
+    def pairs_with(k: int):
+        """Pairs the k-th edge forms with itself and the edges before it."""
+        new = edges[k]
+        for i in range(k + 1):
+            e = edges[i]
+            if e.callee == new.caller:
+                yield i, k
+            if i != k and new.callee == e.caller:
+                yield k, i
+
+    first = len(edges)
+    work = deque([((i, j) for i in range(first) for j in range(first)
+                   if edges[i].callee == edges[j].caller)])
+    while work:
+        pair = next(work[0], None)
+        if pair is None:
+            work.popleft()
+            continue
+        i, j = pair
         compositions += 1
         if compositions > max_compositions:
             raise InternalError("call graph closure did not stabilize")
-        for cand in compose_calls(alpha, beta, graph.bound_b, graph.bound_d):
-            if cand in seen:
+        sid, choices = tables.combine(parts[i], parts[j])
+        if not sid:
+            continue
+        caller, callee = edges[i].caller, edges[j].callee
+        for ids in itertools.product(*choices):
+            key = (caller, callee, sid, ids)
+            if key in seen:
                 continue
+            cand = call_of_term(caller, tables.plug(sid, callee, ids),
+                                {caller, callee})
             if subsumption and any(
-                e.caller == cand.caller and e.callee == cand.callee
+                e.caller == caller and e.callee == callee
                 and sleq(e.term, cand.term) for e in edges
             ):
                 pruned += 1
                 continue
-            seen.add(cand)
+            seen.add(key)
             edges.append(cand)
-            for e in edges:
-                if e.callee == cand.caller:
-                    pairs.append((e, cand))
-                if e is not cand and cand.callee == e.caller:
-                    pairs.append((cand, e))
+            parts.append((sid, tables.tuple_id(ids)))
+            work.append(pairs_with(len(edges) - 1))
             if len(edges) > max_edges:
                 raise InternalError("call graph closure exceeded edge cap")
     stats = {

@@ -105,21 +105,8 @@ def branch_weight(branch: Branch, dual: bool = False) -> Weight:
 # ---------------------------------------------------------------------------
 # syntax-directed order on normal forms
 
-_SLEQ_CACHE: dict = {}
-
-
 def sleq(s: Term, t: Term) -> bool:
     """Decide s <= t for normal forms s, t."""
-    key = (s, t)
-    hit = _SLEQ_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = _sleq(s, t)
-    _SLEQ_CACHE[key] = result
-    return result
-
-
-def _sleq(s: Term, t: Term) -> bool:
     if s == t:
         return True
     # sums: every summand of t is bounded by some summand of s

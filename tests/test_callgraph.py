@@ -1,17 +1,34 @@
 """Clause interpretation, call extraction and closure."""
 
-from conftest import annotated_groups
+import itertools
+import random
+
+import pytest
+
+from conftest import CORPUS, annotated_groups
 from totality.callgraph import (
-    Call,
+    CallGraph,
+    CallTables,
     build_callgraph,
     call_of_term,
+    collapse_call_term,
+    compose_calls,
     definition_term,
     extract_calls,
     pattern_bindings,
     transitive_closure,
 )
 from totality.order import sleq
-from totality.terms import parse_term, term_str
+from totality.terms import (
+    InternalError,
+    Param,
+    compose,
+    funapp,
+    parse_term,
+    summands,
+    term_str,
+)
+from totality.testkit import gen_call
 
 
 def t(text):
@@ -186,3 +203,95 @@ class TestCallParsing:
     def test_daimon_on_spine(self):
         call = call_of_term("f", t("? f(x1)"), {"f"})
         assert call.spine_branch() is None
+
+    @pytest.mark.parametrize("text, group, message", [
+        ("x1", {"f"}, "call term must mention exactly one function: x1"),
+        ("f(g(x1))", {"f", "g"},
+         "call term must mention exactly one function: f(g(x1))"),
+        ("f(x1)", {"g"}, "call to 'f' escapes the group"),
+        ("{A@0 = g(x1); B@0 = x1}", {"f"}, "call to 'g' escapes the group"),
+        ("{A@0 = f(x1); B@0 = f(x2)}", {"f"},
+         "call spine through a forked record"),
+        ("f(x1) + x1", {"f"}, "malformed call term x1 + f(x1)"),
+        ("f(f(x1))", {"f"}, "call argument contains a function name"),
+    ])
+    def test_bad_terms(self, text, group, message):
+        with pytest.raises(InternalError) as info:
+            call_of_term("f", t(text), group)
+        assert str(info.value) == message
+
+
+def reference_closure(graph):
+    """Edge set of the closure by plain fixpoint iteration over
+    `compose_calls`, and the number of pairs composed, each once."""
+    edges = set(graph.edges)
+    composed = set()
+    while True:
+        new = set()
+        for a in edges:
+            for b in edges:
+                if a.callee == b.caller and (a, b) not in composed:
+                    composed.add((a, b))
+                    new.update(compose_calls(a, b, graph.bound_b,
+                                             graph.bound_d))
+        new -= edges
+        if not new:
+            return edges, len(composed)
+        edges |= new
+
+
+def random_graph(rng, vertices, bound_b, bound_d):
+    """A call graph over `vertices` whose edges are random calls of one
+    argument, renamed to random callees and collapsed."""
+    edges = []
+    for _ in range(rng.randint(1, 3)):
+        caller, callee = rng.choice(vertices), rng.choice(vertices)
+        call = gen_call(rng, caller)
+        renamed = compose(call.term, funapp(callee, [Param(1)]), caller)
+        collapsed = collapse_call_term(renamed, bound_b, bound_d)
+        for s in summands(collapsed):
+            edge = call_of_term(caller, s, set(vertices))
+            if edge not in edges:
+                edges.append(edge)
+    return CallGraph(tuple(vertices), tuple(edges), bound_b, bound_d)
+
+
+class TestPiecewiseClosure:
+    """The closure composes spines and arguments apart; these compare it
+    with composing whole terms."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_candidates_match_compose_calls(self, name, bound):
+        for analyzed, _ in annotated_groups(name):
+            closure = transitive_closure(
+                build_callgraph(analyzed.defs, bound, bound))
+            tables = CallTables(bound, bound)
+            parts = {e: tables.split(e) for e in closure.edges}
+            pairs = 0
+            for a in closure.edges:
+                for b in closure.edges:
+                    if a.callee != b.caller:
+                        continue
+                    pairs += 1
+                    sid, choices = tables.combine(parts[a], parts[b])
+                    got = [tables.plug(sid, b.callee, ids)
+                           for ids in itertools.product(*choices)
+                           ] if sid else []
+                    want = compose_calls(a, b, bound, bound)
+                    assert got == [c.term for c in want], (name, a, b)
+            assert pairs == closure.stats["compositions"], name
+
+    @pytest.mark.parametrize("bound_d", [1, 2, 3])
+    @pytest.mark.parametrize("bound_b", [1, 2, 3])
+    def test_random_graphs_match_reference_fixpoint(self, bound_b, bound_d):
+        rng = random.Random(1000 * bound_b + bound_d)
+        for n in (1, 2, 3, 1, 2, 3):
+            vertices = ["f%d" % i for i in range(n)]
+            graph = random_graph(rng, vertices, bound_b, bound_d)
+            closure = transitive_closure(graph)
+            edges, compositions = reference_closure(graph)
+            assert set(closure.edges) == edges
+            assert len(closure.edges) == len(edges)
+            assert closure.stats["compositions"] == compositions
