@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .collapse import collapse_depth, collapse_weights
-from .order import Branch, sleq
+from .order import BRANCH_ITEMS, Branch
 from .terms import (
     Approx,
     Constr,
@@ -75,15 +75,6 @@ class Call:
         return "%s -> %s: %s" % (self.caller, self.callee, term_str(self.term))
 
 
-_SPINE_ITEMS = {
-    Constr: lambda t: ("c", t.name, t.priority),
-    ConstrDual: lambda t: ("d", t.name, t.priority),
-    Project: lambda t: ("j", t.name, t.priority),
-    Daimon: lambda t: ("daimon",),
-    Approx: lambda t: ("w", t.wt),
-}
-
-
 def call_of_term(caller: str, t: Term, group: set) -> Call:
     """The call `t` of `caller`, split into spine and arguments.
 
@@ -103,11 +94,14 @@ def call_of_term(caller: str, t: Term, group: set) -> Call:
             items.append(("r", name, node.priority))
             node = value
             continue
-        item = _SPINE_ITEMS.get(type(node))
-        if item is None:
+        item = BRANCH_ITEMS.get(type(node))
+        if item is not None:
+            items.append(item(node))
+        elif isinstance(node, Daimon):
+            items.append(("daimon",))
+        else:
             fault = "malformed call term %s" % term_str(t)
             break
-        items.append(item(node))
         node = node.arg
     else:
         if any(contains_funapp(a) for a in node.args):
@@ -274,6 +268,10 @@ def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
     return CallGraph(tuple(sorted(group)), tuple(edges), bound_b, bound_d)
 
 
+# Caps on the closure; reaching one raises InternalError.
+MAX_EDGES = 20000
+MAX_COMPOSITIONS = 2000000
+
 # The hole that stands for the callee occurrence in a spine; no function
 # of a program has the empty name.
 HOLE = funapp("", ())
@@ -393,20 +391,15 @@ class CallTables:
         return tuple(self._arg_id(p) for p in summands(collapsed))
 
 
-def transitive_closure(graph: CallGraph, subsumption: bool = False,
-                       max_edges: int = 20000,
-                       max_compositions: int = 2000000) -> CallGraph:
+def transitive_closure(graph: CallGraph) -> CallGraph:
     """Saturate the graph under collapsed composition.
 
     Every ordered pair of edges that meet is composed once, in the order
     the edges were found, and composites are added in the order
     `compose_calls` gives them.  Calls are composed piecewise through
     `CallTables`; a candidate is known by its endpoints, spine id and
-    argument ids, and only a new one is built as a term.
-
-    With ``subsumption`` a candidate is dropped when an existing edge with
-    the same endpoints is below it; the collapsed space is finite either
-    way, the caps only guard against bugs.
+    argument ids, and only a new one is built as a term.  The collapsed
+    space is finite, so the caps only guard against bugs.
     """
     tables = CallTables(graph.bound_b, graph.bound_d)
     edges: list[Call] = list(graph.edges)
@@ -414,7 +407,6 @@ def transitive_closure(graph: CallGraph, subsumption: bool = False,
     seen = {(e.caller, e.callee, sid, tables.tuples[tid])
             for e, (sid, tid) in zip(edges, parts)}
     compositions = 0
-    pruned = 0
 
     def pairs_with(k: int):
         """Pairs the k-th edge forms with itself and the edges before it."""
@@ -436,8 +428,9 @@ def transitive_closure(graph: CallGraph, subsumption: bool = False,
             continue
         i, j = pair
         compositions += 1
-        if compositions > max_compositions:
-            raise InternalError("call graph closure did not stabilize")
+        if compositions > MAX_COMPOSITIONS:
+            raise InternalError("call graph closure exceeded its composition "
+                                "cap (%d)" % MAX_COMPOSITIONS)
         sid, choices = tables.combine(parts[i], parts[j])
         if not sid:
             continue
@@ -448,22 +441,13 @@ def transitive_closure(graph: CallGraph, subsumption: bool = False,
                 continue
             cand = call_of_term(caller, tables.plug(sid, callee, ids),
                                 {caller, callee})
-            if subsumption and any(
-                e.caller == caller and e.callee == callee
-                and sleq(e.term, cand.term) for e in edges
-            ):
-                pruned += 1
-                continue
             seen.add(key)
             edges.append(cand)
             parts.append((sid, tables.tuple_id(ids)))
             work.append(pairs_with(len(edges) - 1))
-            if len(edges) > max_edges:
-                raise InternalError("call graph closure exceeded edge cap")
-    stats = {
-        "edges": len(edges),
-        "compositions": compositions,
-        "pruned": pruned,
-    }
+            if len(edges) > MAX_EDGES:
+                raise InternalError("call graph closure exceeded its edge cap "
+                                    "(%d)" % MAX_EDGES)
+    stats = {"edges": len(edges), "compositions": compositions}
     return CallGraph(graph.vertices, tuple(edges), graph.bound_b,
                      graph.bound_d, stats)

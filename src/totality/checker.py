@@ -27,7 +27,6 @@ ERROR = "error"
 class Config:
     bound_b: int = 2
     bound_d: int = 2
-    subsumption: bool = False
 
 
 @dataclass
@@ -104,20 +103,15 @@ def analyze_program(program: Program, config: Config) -> Report:
             }
             graph = build_callgraph(analyzed.defs, *bounds)
             greport.callgraph = graph.edges
-            closure = transitive_closure(graph, subsumption=config.subsumption)
+            closure = transitive_closure(graph)
             greport.closure = closure.edges
             greport.stats = closure.stats
             outcome = scp.check_loops(closure)
-        except SourceError as err:
+        except (SourceError, InternalError, RecursionError) as err:
+            reason = (str(err) if isinstance(err, SourceError)
+                      else "internal error: %s" % err)
             for d in group.defs:
-                verdict = Verdict(d.fname, ERROR, bounds, [str(err)])
-                results[d.fname] = verdict
-                report.verdicts.append(verdict)
-            continue
-        except (InternalError, RecursionError) as err:
-            for d in group.defs:
-                verdict = Verdict(d.fname, ERROR, bounds,
-                                  ["internal error: %s" % err])
+                verdict = Verdict(d.fname, ERROR, bounds, [reason])
                 results[d.fname] = verdict
                 report.verdicts.append(verdict)
             continue

@@ -89,9 +89,6 @@ def main(argv=None) -> int:
     check.add_argument("--dump-priorities", action="store_true")
     check.add_argument("--dump-callgraph", action="store_true")
     check.add_argument("--dump-closure", action="store_true")
-    check.add_argument("--no-subsumption", action="store_true",
-                       help="never prune subsumed calls while closing "
-                            "the call graph")
     args = parser.parse_args(argv)
 
     if args.bound_b < 1:
@@ -101,13 +98,7 @@ def main(argv=None) -> int:
         print("error: --bound-d must be nonnegative", file=sys.stderr)
         return 2
 
-    # the closure keeps every composite by default; --no-subsumption pins
-    # that behaviour explicitly (pruning is available through the library)
-    config = Config(
-        bound_b=args.bound_b,
-        bound_d=args.bound_d,
-        subsumption=False,
-    )
+    config = Config(bound_b=args.bound_b, bound_d=args.bound_d)
 
     worst = 0
     documents = []

@@ -33,6 +33,14 @@ from .terms import (
 # ("d", name, p) constructor-destructor, ("j", name, p) projection,
 # ("w", Weight) approximation, ("x", i) parameter end, ("daimon",)
 
+# the item of each single-child node, keyed by node type
+BRANCH_ITEMS = {
+    Constr: lambda t: ("c", t.name, t.priority),
+    ConstrDual: lambda t: ("d", t.name, t.priority),
+    Project: lambda t: ("j", t.name, t.priority),
+    Approx: lambda t: ("w", t.wt),
+}
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -60,21 +68,13 @@ def _walk(t: Term, acc: tuple, out: list) -> None:
         return
     if isinstance(t, (Unknown, Daimon)):
         return
-    if isinstance(t, Constr):
-        _walk(t.arg, acc + (("c", t.name, t.priority),), out)
-        return
     if isinstance(t, Record):
         for name, value in t.fields:
             _walk(value, acc + (("r", name, t.priority),), out)
         return
-    if isinstance(t, ConstrDual):
-        _walk(t.arg, acc + (("d", t.name, t.priority),), out)
-        return
-    if isinstance(t, Project):
-        _walk(t.arg, acc + (("j", t.name, t.priority),), out)
-        return
-    if isinstance(t, Approx):
-        _walk(t.arg, acc + (("w", t.wt),), out)
+    item = BRANCH_ITEMS.get(type(t))
+    if item is not None:
+        _walk(t.arg, acc + (item(t),), out)
         return
     if isinstance(t, FunApp):
         raise InternalError("branches of a term containing a call")

@@ -51,9 +51,6 @@ class Weight:
     def priorities(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.items)
 
-    def is_zero(self) -> bool:
-        return not self.items
-
     def __str__(self) -> str:
         body = ",".join(
             "%d:%s" % (p, "inf" if v == INF else str(v)) for p, v in self.items

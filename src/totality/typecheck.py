@@ -368,42 +368,6 @@ class Unifier:
             % (type_str(self.deep(a)), type_str(self.deep(b))), line, col)
 
 
-def unify(t1, t2) -> dict:
-    """Most general unifier of two type expressions, as a binding map.
-
-    All variables are treated as flexible here; occurs check enforced.
-    """
-    u = Unifier()
-    mapping: dict[str, object] = {}
-
-    def flex(t):
-        if isinstance(t, TVar):
-            if t.name not in mapping:
-                mapping[t.name] = u.fresh()
-            return mapping[t.name]
-        if isinstance(t, TApp):
-            return TApp(t.name, tuple(flex(a) for a in t.args))
-        if isinstance(t, TArrow):
-            return TArrow(flex(t.dom), flex(t.cod))
-        raise TypeCheckError("bad type %r" % (t,))
-
-    u.unify(flex(t1), flex(t2))
-    back = {v.name: k for k, v in mapping.items()}
-
-    def unflex(t):
-        t = u.deep(t)
-        if isinstance(t, TVar):
-            return TVar(back.get(t.name, t.name))
-        if isinstance(t, TApp):
-            return TApp(t.name, tuple(unflex(a) for a in t.args))
-        return TArrow(unflex(t.dom), unflex(t.cod))
-
-    return {
-        back[name]: unflex(bound)
-        for name, bound in u.bindings.items() if name in back
-    }
-
-
 # ---------------------------------------------------------------------------
 # checking definition groups
 

@@ -13,11 +13,9 @@ def corpus_source(name: str) -> str:
     return (CORPUS / name).read_text()
 
 
-def analyze_corpus(name: str, bound_b: int, bound_d: int, **kw):
+def analyze_corpus(name: str, bound_b: int, bound_d: int):
     return analyze_source(
-        corpus_source(name),
-        Config(bound_b=bound_b, bound_d=bound_d, **kw),
-    )
+        corpus_source(name), Config(bound_b=bound_b, bound_d=bound_d))
 
 
 def annotated_groups(name: str):

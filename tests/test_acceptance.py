@@ -31,13 +31,13 @@ def t(text):
     return parse_term(text)
 
 
-def closure_of(name, bound_b, bound_d, index=None, subsumption=False):
+def closure_of(name, bound_b, bound_d, index=None):
     groups = annotated_groups(name)
     if index is None:
         index = len(groups) - 1
     analyzed, _ = groups[index]
     graph = build_callgraph(analyzed.defs, bound_b, bound_d)
-    return transitive_closure(graph, subsumption=subsumption)
+    return transitive_closure(graph)
 
 
 def verdicts(name, bound_b, bound_d):

@@ -18,7 +18,6 @@ from totality.callgraph import (
     pattern_bindings,
     transitive_closure,
 )
-from totality.order import sleq
 from totality.terms import (
     InternalError,
     Param,
@@ -162,36 +161,6 @@ class TestClosure:
                 graph = build_callgraph(analyzed.defs, 2, 2)
                 closure = transitive_closure(graph)
                 assert len(closure.edges) <= cap, (name, len(closure.edges))
-
-    def test_pruning_preserves_corpus_verdicts(self):
-        from conftest import corpus_source
-        from totality.checker import Config, analyze_source
-
-        cases = [("nats.ch", 1, 1), ("length.ch", 1, 0), ("bad_s.ch", 1, 1),
-                 ("sums.ch", 1, 1), ("c1c2.ch", 1, 1), ("swap.ch", 1, 1),
-                 ("s1s2.ch", 2, 0), ("half.ch", 2, 2),
-                 ("nats_list.ch", 1, 1), ("magic.ch", 2, 2)]
-        for name, bound_b, bound_d in cases:
-            src = corpus_source(name)
-            plain = analyze_source(src, Config(bound_b, bound_d))
-            pruned = analyze_source(src, Config(bound_b, bound_d,
-                                                subsumption=True))
-            assert [(v.fname, v.result) for v in plain.verdicts] == \
-                [(v.fname, v.result) for v in pruned.verdicts], name
-
-    def test_pruned_closure_below_full(self):
-        for name, bounds in (("bad_s.ch", (1, 1)), ("sums.ch", (1, 1)),
-                             ("s1s2.ch", (2, 0)), ("half.ch", (2, 2))):
-            graph = graph_for(name, *bounds)
-            full = transitive_closure(graph, subsumption=False)
-            pruned = transitive_closure(graph, subsumption=True)
-            assert set(pruned.edges) <= set(full.edges), name
-            for edge in full.edges:
-                assert any(
-                    p.caller == edge.caller and p.callee == edge.callee
-                    and sleq(p.term, edge.term)
-                    for p in pruned.edges
-                ), (name, edge)
 
 
 class TestCallParsing:

@@ -1,10 +1,12 @@
 """Driver behaviour: exit codes, reports, dumps, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
 from conftest import CORPUS, corpus_source
+from totality import callgraph
 from totality.checker import Config, analyze_source
 from totality.cli import main
 
@@ -132,12 +134,6 @@ class TestReports:
         code, out = run_cli(capsys, "check", str(CORPUS / "magic.ch"))
         assert "TOTAL magic [depends on unknown: bad_s]" in out
 
-    def test_no_subsumption_flag_accepted(self, capsys):
-        code, out = run_cli(capsys, "check", str(CORPUS / "nats.ch"),
-                            "--no-subsumption", "--bound-b", "1",
-                            "--bound-d", "1")
-        assert code == 0
-
 
 class TestPragma:
     def test_pragma_overrides_cli_bounds(self, tmp_path, capsys):
@@ -158,6 +154,10 @@ class TestPragma:
 
 
 class TestLibraryConfig:
+    def test_config_holds_only_the_bounds(self):
+        assert [f.name for f in dataclasses.fields(Config)] == \
+            ["bound_b", "bound_d"]
+
     def test_defaults(self):
         report = analyze_source(corpus_source("half.ch"), Config())
         assert [v.result for v in report.verdicts] == ["total", "total"]
@@ -180,3 +180,42 @@ class TestLibraryConfig:
             assert all(v.result == "total" for v in report.verdicts)
         else:
             assert any(v.result == "unknown" for v in report.verdicts)
+
+
+@pytest.mark.parametrize("cap,value,phrase", [
+    ("MAX_EDGES", 10, "edge cap (10)"),
+    ("MAX_COMPOSITIONS", 100, "composition cap (100)"),
+])
+class TestClosureCaps:
+    """Reaching a closure cap gives ERROR for the group, never TOTAL.
+
+    `sums.ch` at B=D=2 closes to 30 edges in 900 compositions, so both
+    caps below are reached; `add` has no calls and stays TOTAL."""
+
+    def test_library(self, monkeypatch, cap, value, phrase):
+        monkeypatch.setattr(callgraph, cap, value)
+        report = analyze_source(corpus_source("sums.ch"), Config(2, 2))
+        verdicts = {v.fname: v for v in report.verdicts}
+        assert verdicts["add"].result == "total"
+        assert verdicts["sums"].result == "error"
+        (reason,) = verdicts["sums"].reasons
+        assert phrase in reason
+        assert report.exit_code() == 2
+
+    def test_cli(self, monkeypatch, capsys, cap, value, phrase):
+        monkeypatch.setattr(callgraph, cap, value)
+        path = str(CORPUS / "sums.ch")
+        code = main(["check", path, "--bound-b", "2", "--bound-d", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == [
+            "TOTAL add",
+            "ERROR sums: internal error: call graph closure exceeded its "
+            + phrase,
+        ]
+        assert "Traceback" not in captured.out + captured.err
+        code = main(["check", path, "--bound-b", "2", "--bound-d", "2",
+                     "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert [d["result"] for d in doc["definitions"]] == ["total", "error"]

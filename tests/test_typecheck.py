@@ -10,8 +10,8 @@ from totality.typecheck import (
     APConstr,
     APRecord,
     TypeCheckError,
+    Unifier,
     dominance,
-    unify,
 )
 
 
@@ -21,19 +21,27 @@ def tapp(name, *args):
 
 class TestUnify:
     def test_head_match(self):
-        subst = unify(tapp("list", TVar("a")), tapp("list", tapp("nat")))
-        assert subst == {"a": tapp("nat")}
+        u = Unifier()
+        a = u.fresh()
+        u.unify(tapp("list", a), tapp("list", tapp("nat")))
+        assert u.deep(a) == tapp("nat")
+        assert u.deep(tapp("list", a)) == tapp("list", tapp("nat"))
 
     def test_identity(self):
-        assert unify(TVar("a"), TVar("a")) == {}
+        u = Unifier()
+        a = u.fresh()
+        u.unify(a, a)
+        assert u.bindings == {}
 
     def test_clash(self):
         with pytest.raises(TypeCheckError):
-            unify(tapp("nat"), tapp("stream", tapp("nat")))
+            Unifier().unify(tapp("nat"), tapp("stream", tapp("nat")))
 
     def test_occurs_check(self):
+        u = Unifier()
+        a = u.fresh()
         with pytest.raises(TypeCheckError):
-            unify(TVar("a"), tapp("list", TVar("a")))
+            u.unify(a, tapp("list", a))
 
 
 def priorities_of(name, index=0):
