@@ -6,8 +6,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .collapse import collapse_depth, collapse_weights
-from .order import BRANCH_ITEMS, Branch
+from .collapse import clamp, collapse_depth, collapse_weights
+from .order import BRANCH_ITEMS, ITEM_NODES, Branch
 from .terms import (
     Approx,
     Constr,
@@ -22,6 +22,7 @@ from .terms import (
     Term,
     Unknown,
     ZERO,
+    ZEROW,
     compose,
     constr,
     constr_dual,
@@ -30,12 +31,14 @@ from .terms import (
     funapp,
     fun_names,
     map_children,
+    param_indices,
     project,
     record,
     substitute,
     sum_of,
     summands,
     term_str,
+    weight,
 )
 from .typecheck import (
     ABCall,
@@ -50,26 +53,30 @@ from .typecheck import (
 )
 
 
+# the spine item of a Daimon
+DAIMON = ("daimon",)
+
+
 @dataclass(frozen=True)
 class Call:
     """One edge of the call graph: a normal form with a single occurrence
     of the callee, applied to argument summaries.
 
-    `spine` lists the items above the callee occurrence, outermost first,
-    and `args` are its arguments; `call_of_term` splits the term once and
-    stores both."""
+    `spine` is the tuple of items above the callee occurrence, outermost
+    first, and `args` are its arguments; `call_of_term` splits the term once
+    and stores both."""
 
     caller: str
     callee: str
     term: Term
-    spine: list = field(compare=False, repr=False)
+    spine: tuple = field(compare=False, repr=False)
     args: tuple = field(compare=False, repr=False)
 
     def spine_branch(self):
         """The spine as a branch, or None when it runs through a Daimon."""
-        if any(item[0] == "daimon" for item in self.spine):
+        if DAIMON in self.spine:
             return None
-        return Branch(tuple(self.spine))
+        return Branch(self.spine)
 
     def __str__(self) -> str:
         return "%s -> %s: %s" % (self.caller, self.callee, term_str(self.term))
@@ -98,7 +105,7 @@ def call_of_term(caller: str, t: Term, group: set) -> Call:
         if item is not None:
             items.append(item(node))
         elif isinstance(node, Daimon):
-            items.append(("daimon",))
+            items.append(DAIMON)
         else:
             fault = "malformed call term %s" % term_str(t)
             break
@@ -118,7 +125,7 @@ def call_of_term(caller: str, t: Term, group: set) -> Call:
         raise InternalError(fault)
     if node.fname not in group:
         raise InternalError("call to %r escapes the group" % node.fname)
-    return Call(caller, node.fname, t, items, node.args)
+    return Call(caller, node.fname, t, tuple(items), node.args)
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +275,106 @@ def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
     return CallGraph(tuple(sorted(group)), tuple(edges), bound_b, bound_d)
 
 
-# Caps on the closure; reaching one raises InternalError.
+# Caps on the closure; reaching one raises ClosureCapError.
 MAX_EDGES = 20000
 MAX_COMPOSITIONS = 2000000
 
-# The hole that stands for the callee occurrence in a spine; no function
-# of a program has the empty name.
-HOLE = funapp("", ())
+
+class ClosureCapError(Exception):
+    """The closure reached `MAX_EDGES` or `MAX_COMPOSITIONS`."""
+
+
+def spine_parts(spine: tuple) -> tuple:
+    """A normal-form spine as its constructors (items "c" and "r"), its
+    middle item (a weight, the Daimon, or None) and its destructors."""
+    k = 0
+    while k < len(spine) and spine[k][0] in "cr":
+        k += 1
+    if k < len(spine) and spine[k][0] in ("w", "daimon"):
+        return spine[:k], spine[k], spine[k + 1:]
+    return spine[:k], None, spine[k:]
+
+
+# the constructor item each destructor item cancels
+_CANCELS = {"d": "c", "j": "r"}
+
+# what an item adds at its priority when absorbed into a spine's weight
+_ABSORBED = {"c": -1, "r": -1, "d": 1, "j": 1}
+
+_ZERO_WEIGHT = ("w", ZEROW)
+
+
+def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int):
+    """The collapsed composite of spine `b` plugged into spine `a`, both
+    given by `spine_parts`, as a spine; None when it is zero.
+
+    Write a = Ca Ma Da and b = Cb Mb Db: constructors, the optional middle
+    item and destructors.  Every item of a spine sits above the callee
+    occurrence, so the absorption signs of `terms` are fixed there: a
+    destructor absorbed into a weight counts +1 and a constructor -1.
+    Building `a` over `b` through the smart constructors only rewrites at
+    the junction, and these rewrites are their head reductions.  Da cancels
+    against Cb, inner end against outer end: "d" cancels "c" and "j"
+    cancels "r" of the same name, as `constr_dual` and `project` match on
+    the name only; any other pair is zero.  Leftover destructors stay below
+    Ma when there is no Mb, and leftover constructors stay above Mb when
+    there is no Ma.  Otherwise Ma, the leftovers and Mb become one middle
+    item M: the Daimon absorbs everything, else the weights add with the
+    leftovers folded in.
+
+    Collapsing then keeps the D outer constructors and the D inner
+    destructors and folds the rest into M, starting from a zero weight, as
+    `collapse_depth` does to a call spine; `collapse_weights` clamps the
+    weight of M into [-B, B)."""
+    ca, ma, da = a
+    cb, mb, db = b
+    i, j = len(da), 0
+    while i and j < len(cb):
+        d, c = da[i - 1], cb[j]
+        if _CANCELS[d[0]] != c[0] or d[1] != c[1]:
+            return None
+        i, j = i - 1, j + 1
+    if i and mb is None:
+        ctors, middles, folded, dtors = ca, (ma,), (), da[:i] + db
+    elif j < len(cb) and ma is None:
+        ctors, middles, folded, dtors = ca + cb[j:], (mb,), (), db
+    else:
+        ctors, middles, folded, dtors = ca, (ma, mb), da[:i] + cb[j:], db
+    cut = max(0, len(dtors) - bound_d)
+    if len(ctors) > bound_d or cut:
+        folded += ctors[bound_d:] + dtors[:cut]
+        middles += (_ZERO_WEIGHT,)
+        ctors, dtors = ctors[:bound_d], dtors[cut:]
+    middles = [m for m in middles if m is not None]
+    if not middles:
+        return ctors + dtors
+    if DAIMON in middles:
+        return ctors + (DAIMON,) + dtors
+    acc: dict = {}
+    for m in middles:
+        for p, v in m[1].items:
+            acc[p] = acc.get(p, 0) + v
+    for item in folded:
+        acc[item[2]] = acc.get(item[2], 0) + _ABSORBED[item[0]]
+    wt = weight({p: clamp(bound_b, v) for p, v in acc.items()})
+    return ctors + (("w", wt),) + dtors
+
+
+def plug(spine: tuple, occurrence: Term) -> Term:
+    """The term of `spine` applied to `occurrence`."""
+    for item in reversed(spine):
+        occurrence = ITEM_NODES[item[0]](item, occurrence)
+    return occurrence
 
 
 class CallTables:
     """Tables for composing calls piecewise, as a spine and its arguments.
 
-    The spine of a call is its term with the callee occurrence replaced by
-    HOLE; its arguments are that occurrence's arguments.  Spines and
-    arguments get small integer ids, and so do argument tuples.  Spine id 0
-    stands for the zero composite.
+    The spine of a call is the tuple of items above its callee occurrence
+    (`Call.spine`); its arguments are that occurrence's arguments.  Spines
+    and arguments get small integer ids; spine id 0 stands for the zero
+    composite.  Spines compose as item words (`compose_spines`), so no
+    spine is built as a term; only a new edge is, by `plug`.
 
     Composing piecewise is exact.  A spine holds no parameter, so
     substituting the caller's arguments only reaches the callee's arguments.
@@ -293,30 +384,37 @@ class CallTables:
     weight clamping acts on each node alone.  Collapsing a whole composite
     therefore equals plugging the collapsed spine composite with the
     collapsed arguments, and the product of the arguments' sorted summands
-    comes out in the sorted order of the whole composite's summands.
+    comes out in the sorted order of the whole composite's summands.  An
+    argument substitution depends only on the bindings of the parameters
+    the argument mentions, so it is memoised by the argument id and the ids
+    bound to those parameters.
 
     One instance serves one closure and is dropped with it."""
 
     def __init__(self, bound_b: int, bound_d: int):
         self.bound_b = bound_b
         self.bound_d = bound_d
-        self.spines: list[Term] = [ZERO]
+        self.spines: list = [None]
         self.spine_ids: dict = {}
-        # spine_comp[ia][ib]: id of collapse(compose(Sa, Sb)), None until
-        # first needed
+        # parts[i]: spine_parts of spine i
+        self.parts: list = [None]
+        # spine_comp[ia][ib]: id of the composite of spines ia and ib, None
+        # until first needed
         self.spine_comp: list[list] = [[]]
         self.args: list[Term] = []
         self.arg_ids: dict = {}
-        self.tuples: list[tuple] = []
-        self.tuple_ids: dict = {}
-        # subst[it][ib]: ids of the summands of collapse(b[x := args of it])
-        self.subst: list[list] = []
+        # params[a]: the 0-based indices of the parameters argument a
+        # mentions, in order
+        self.params: list[tuple] = []
+        # subst[(b, bound)]: ids of the summands of collapse(b[x := bound])
+        self.subst: dict = {}
 
-    def _spine_id(self, spine: Term) -> int:
+    def _spine_id(self, spine: tuple) -> int:
         sid = self.spine_ids.get(spine)
         if sid is None:
             sid = self.spine_ids[spine] = len(self.spines)
             self.spines.append(spine)
+            self.parts.append(spine_parts(spine))
             self.spine_comp.append([])
         return sid
 
@@ -325,21 +423,14 @@ class CallTables:
         if aid is None:
             aid = self.arg_ids[arg] = len(self.args)
             self.args.append(arg)
+            self.params.append(
+                tuple(sorted(j - 1 for j in param_indices(arg))))
         return aid
 
-    def tuple_id(self, ids: tuple) -> int:
-        tid = self.tuple_ids.get(ids)
-        if tid is None:
-            tid = self.tuple_ids[ids] = len(self.tuples)
-            self.tuples.append(ids)
-            self.subst.append([])
-        return tid
-
     def split(self, call: Call) -> tuple:
-        """Spine id and argument tuple id of a call."""
-        spine = compose(call.term, HOLE, call.callee)
-        ids = tuple(self._arg_id(a) for a in call.args)
-        return self._spine_id(spine), self.tuple_id(ids)
+        """Spine id and argument ids of a call."""
+        return (self._spine_id(call.spine),
+                tuple(self._arg_id(a) for a in call.args))
 
     def combine(self, first: tuple, second: tuple):
         """Spine id of the collapsed composite of two split calls, and the
@@ -347,45 +438,35 @@ class CallTables:
         spine with each `itertools.product` of the argument choices, in
         the order `compose_calls` gives them; there are none when the spine
         id is 0."""
-        ia, ta = first
-        ib, tb = second
+        ia, ids_a = first
+        ib, ids_b = second
         row = self.spine_comp[ia]
         if ib >= len(row):
             row.extend([None] * (ib + 1 - len(row)))
         sid = row[ib]
         if sid is None:
-            sid = row[ib] = self._compose_spines(ia, ib)
+            spine = compose_spines(self.parts[ia], self.parts[ib],
+                                   self.bound_b, self.bound_d)
+            sid = row[ib] = 0 if spine is None else self._spine_id(spine)
         if not sid:
             return 0, ()
-        row = self.subst[ta]
         choices = []
-        for b in self.tuples[tb]:
-            if b >= len(row):
-                row.extend([None] * (b + 1 - len(row)))
-            ids = row[b]
+        for b in ids_b:
+            key = (b, tuple([ids_a[j] for j in self.params[b]]))
+            ids = self.subst.get(key)
             if ids is None:
-                ids = row[b] = self._substitute(ta, b)
+                ids = self.subst[key] = self._substitute(*key)
             choices.append(ids)
         return sid, choices
 
     def plug(self, sid: int, callee: str, ids: tuple) -> Term:
         """The term of a candidate: the spine applied to the callee."""
-        occurrence = funapp(callee, [self.args[a] for a in ids])
-        return compose(self.spines[sid], occurrence, HOLE.fname)
+        return plug(self.spines[sid],
+                    funapp(callee, [self.args[a] for a in ids]))
 
-    def _compose_spines(self, ia: int, ib: int) -> int:
-        raw = compose(self.spines[ia], self.spines[ib], HOLE.fname)
-        parts = summands(
-            collapse_call_term(raw, self.bound_b, self.bound_d))
-        if not parts:
-            return 0
-        if len(parts) != 1:
-            raise InternalError("spine composite splits into a sum")
-        return self._spine_id(parts[0])
-
-    def _substitute(self, ta: int, b: int) -> tuple:
-        bindings = {j: self.args[a]
-                    for j, a in enumerate(self.tuples[ta], start=1)}
+    def _substitute(self, b: int, bound: tuple) -> tuple:
+        bindings = {j + 1: self.args[a]
+                    for j, a in zip(self.params[b], bound)}
         collapsed = collapse_call_term(substitute(self.args[b], bindings),
                                        self.bound_b, self.bound_d)
         return tuple(self._arg_id(p) for p in summands(collapsed))
@@ -404,8 +485,7 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
     tables = CallTables(graph.bound_b, graph.bound_d)
     edges: list[Call] = list(graph.edges)
     parts = [tables.split(e) for e in edges]
-    seen = {(e.caller, e.callee, sid, tables.tuples[tid])
-            for e, (sid, tid) in zip(edges, parts)}
+    seen = {(e.caller, e.callee) + part for e, part in zip(edges, parts)}
     compositions = 0
 
     def pairs_with(k: int):
@@ -429,8 +509,8 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
         i, j = pair
         compositions += 1
         if compositions > MAX_COMPOSITIONS:
-            raise InternalError("call graph closure exceeded its composition "
-                                "cap (%d)" % MAX_COMPOSITIONS)
+            raise ClosureCapError("call graph closure exceeded its "
+                                  "composition cap (%d)" % MAX_COMPOSITIONS)
         sid, choices = tables.combine(parts[i], parts[j])
         if not sid:
             continue
@@ -443,11 +523,11 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
                                 {caller, callee})
             seen.add(key)
             edges.append(cand)
-            parts.append((sid, tables.tuple_id(ids)))
+            parts.append((sid, ids))
             work.append(pairs_with(len(edges) - 1))
             if len(edges) > MAX_EDGES:
-                raise InternalError("call graph closure exceeded its edge cap "
-                                    "(%d)" % MAX_EDGES)
+                raise ClosureCapError("call graph closure exceeded its edge "
+                                      "cap (%d)" % MAX_EDGES)
     stats = {"edges": len(edges), "compositions": compositions}
     return CallGraph(graph.vertices, tuple(edges), graph.bound_b,
                      graph.bound_d, stats)

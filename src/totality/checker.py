@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import scp
-from .callgraph import build_callgraph, transitive_closure
+from .callgraph import ClosureCapError, build_callgraph, transitive_closure
 from .surface import (
     Program,
     SourceError,
@@ -107,9 +107,11 @@ def analyze_program(program: Program, config: Config) -> Report:
             greport.closure = closure.edges
             greport.stats = closure.stats
             outcome = scp.check_loops(closure)
-        except (SourceError, InternalError, RecursionError) as err:
-            reason = (str(err) if isinstance(err, SourceError)
-                      else "internal error: %s" % err)
+        except (SourceError, ClosureCapError, InternalError,
+                RecursionError) as err:
+            reason = str(err)
+            if isinstance(err, (InternalError, RecursionError)):
+                reason = "internal error: " + reason
             for d in group.defs:
                 verdict = Verdict(d.fname, ERROR, bounds, [reason])
                 results[d.fname] = verdict

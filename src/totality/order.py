@@ -22,7 +22,11 @@ from .terms import (
     ZEROW,
     approx,
     coef_leq,
+    constr,
+    constr_dual,
     daimon,
+    project,
+    record,
     rewrap,
     summands,
     weight,
@@ -39,6 +43,16 @@ BRANCH_ITEMS = {
     ConstrDual: lambda t: ("d", t.name, t.priority),
     Project: lambda t: ("j", t.name, t.priority),
     Approx: lambda t: ("w", t.wt),
+}
+
+# the node each item stands for, built around `t` by its smart constructor
+ITEM_NODES = {
+    "c": lambda item, t: constr(item[1], item[2], t),
+    "r": lambda item, t: record([(item[1], t)], item[2]),
+    "d": lambda item, t: constr_dual(item[1], item[2], t),
+    "j": lambda item, t: project(item[1], item[2], t),
+    "w": lambda item, t: approx(item[1], t),
+    "daimon": lambda item, t: daimon(t),
 }
 
 

@@ -227,6 +227,20 @@ def fun_names(t: Term) -> set:
     return set()
 
 
+def param_indices(t: Term) -> set:
+    if isinstance(t, Param):
+        return {t.index}
+    if isinstance(t, (Constr, ConstrDual, Project, Daimon, Approx)):
+        return param_indices(t.arg)
+    if isinstance(t, Record):
+        return set().union(set(), *(param_indices(v) for _, v in t.fields))
+    if isinstance(t, FunApp):
+        return set().union(set(), *(param_indices(a) for a in t.args))
+    if isinstance(t, Sum):
+        return set().union(set(), *(param_indices(p) for p in t.parts))
+    return set()
+
+
 # ---------------------------------------------------------------------------
 # smart constructors (the only way terms are built)
 

@@ -10,7 +10,7 @@ only to cross-check the syntax-directed `sleq` on normal-form pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .callgraph import Call, call_of_term
 from .order import sleq

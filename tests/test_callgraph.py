@@ -13,9 +13,12 @@ from totality.callgraph import (
     call_of_term,
     collapse_call_term,
     compose_calls,
+    compose_spines,
     definition_term,
     extract_calls,
     pattern_bindings,
+    plug,
+    spine_parts,
     transitive_closure,
 )
 from totality.terms import (
@@ -24,6 +27,7 @@ from totality.terms import (
     compose,
     funapp,
     parse_term,
+    project,
     summands,
     term_str,
 )
@@ -166,7 +170,7 @@ class TestClosure:
 class TestCallParsing:
     def test_spine_and_args(self):
         call = call_of_term("f", t("{Tail@0 = <{0:-1}> f(Succ@1 x1)}"), {"f"})
-        assert call.spine == [("r", "Tail", 0), ("w", t("<{0:-1}> x1").wt)]
+        assert call.spine == (("r", "Tail", 0), ("w", t("<{0:-1}> x1").wt))
         assert call.args == (t("Succ@1 x1"),)
 
     def test_daimon_on_spine(self):
@@ -264,3 +268,73 @@ class TestPiecewiseClosure:
             assert set(closure.edges) == edges
             assert len(closure.edges) == len(edges)
             assert closure.stats["compositions"] == compositions
+
+
+# the callee occurrence of a spine term; no function has the empty name
+HOLE = funapp("", ())
+
+
+def spine_term(spine):
+    return plug(spine, HOLE)
+
+
+def random_spine(rng):
+    """The spine of one to three random calls or projections composed,
+    uncollapsed."""
+    while True:
+        term = HOLE
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.25:
+                piece = project("D", 0, HOLE)
+            else:
+                call = gen_call(rng, "f", arity=rng.randint(1, 2))
+                piece = compose(call.term, HOLE, "f")
+            term = compose(term, piece, "")
+        if len(summands(term)) == 1:
+            return call_of_term("", term, {""}).spine
+
+
+class TestSpineWords:
+    """`compose_spines` rewrites item words; these compare it with
+    composing and collapsing the spine terms."""
+
+    @staticmethod
+    def check(a, b, bound_b, bound_d):
+        """Whether the composite is nonzero; fails unless the word
+        composite and the term composite agree."""
+        got = compose_spines(spine_parts(a), spine_parts(b), bound_b, bound_d)
+        raw = compose(spine_term(a), spine_term(b), "")
+        want = summands(collapse_call_term(raw, bound_b, bound_d))
+        if not want:
+            assert got is None, (a, b)
+            return False
+        (term,) = want
+        assert got is not None, (a, b)
+        assert spine_term(got) == term, (a, b, got)
+        assert got == call_of_term("", term, {""}).spine, (a, b, got)
+        return True
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_corpus_closure_spines(self, name, bound):
+        spines = {}
+        for analyzed, _ in annotated_groups(name):
+            closure = transitive_closure(
+                build_callgraph(analyzed.defs, bound, bound))
+            spines.update(dict.fromkeys(e.spine for e in closure.edges))
+        for a in spines:
+            for b in spines:
+                self.check(a, b, bound, bound)
+
+    def test_random_spines(self):
+        rng = random.Random(20261018)
+        pairs = nonzero = 0
+        for bound_b in (1, 2, 3, 4):
+            for bound_d in (0, 1, 2, 3, 4):
+                for _ in range(110):
+                    a, b = random_spine(rng), random_spine(rng)
+                    nonzero += self.check(a, b, bound_b, bound_d)
+                    pairs += 1
+        assert pairs >= 2000
+        assert 0 < nonzero < pairs

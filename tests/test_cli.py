@@ -210,8 +210,7 @@ class TestClosureCaps:
         assert code == 2
         assert captured.out.splitlines() == [
             "TOTAL add",
-            "ERROR sums: internal error: call graph closure exceeded its "
-            + phrase,
+            "ERROR sums: call graph closure exceeded its " + phrase,
         ]
         assert "Traceback" not in captured.out + captured.err
         code = main(["check", path, "--bound-b", "2", "--bound-d", "2",
