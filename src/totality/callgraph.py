@@ -23,7 +23,6 @@ from .terms import (
     Unknown,
     ZERO,
     ZEROW,
-    compose,
     constr,
     constr_dual,
     contains_funapp,
@@ -31,10 +30,9 @@ from .terms import (
     funapp,
     fun_names,
     map_children,
-    param_indices,
     project,
     record,
-    substitute,
+    sort_key,
     sum_of,
     summands,
     term_str,
@@ -234,6 +232,9 @@ class CallGraph:
     bound_b: int
     bound_d: int
     stats: dict = field(default_factory=dict)
+    # on a closure: loop index -> indices of the edges of its collapsed
+    # composite with itself, in order
+    self_composites: dict = field(default_factory=dict)
 
     def loops(self):
         return [e for e in self.edges if e.caller == e.callee]
@@ -241,20 +242,6 @@ class CallGraph:
 
 def collapse_call_term(t: Term, bound_b: int, bound_d: int) -> Term:
     return collapse_weights(bound_b, collapse_depth(bound_d, t))
-
-
-def compose_calls(alpha: Call, beta: Call, bound_b: int, bound_d: int):
-    """Collapsed composition of beta after alpha; empty when the
-    composition is an error."""
-    if alpha.callee != beta.caller:
-        raise InternalError("calls do not compose")
-    raw = compose(alpha.term, beta.term, alpha.callee)
-    collapsed = collapse_call_term(raw, bound_b, bound_d)
-    group = {alpha.caller, alpha.callee, beta.callee}
-    return [
-        call_of_term(alpha.caller, s, group)
-        for s in summands(collapsed) if s != ZERO
-    ]
 
 
 def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
@@ -298,7 +285,8 @@ def spine_parts(spine: tuple) -> tuple:
 # the constructor item each destructor item cancels
 _CANCELS = {"d": "c", "j": "r"}
 
-# what an item adds at its priority when absorbed into a spine's weight
+# what an item adds at its priority when absorbed into a spine's weight;
+# in an argument's weight it adds the opposite
 _ABSORBED = {"c": -1, "r": -1, "d": 1, "j": 1}
 
 _ZERO_WEIGHT = ("w", ZEROW)
@@ -350,14 +338,22 @@ def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int):
         return ctors + dtors
     if DAIMON in middles:
         return ctors + (DAIMON,) + dtors
+    return ctors + (_weigh(middles, folded, 1, bound_b),) + dtors
+
+
+def _weigh(middles, folded, sign: int, bound_b=None) -> tuple:
+    """The weight item that adds the weight items `middles` (None adds
+    nothing) and the items `folded`, absorbed with the signs of a spine
+    (`sign` 1) or of an argument (-1), clamped when `bound_b` is given."""
     acc: dict = {}
     for m in middles:
-        for p, v in m[1].items:
+        for p, v in m[1].items if m is not None else ():
             acc[p] = acc.get(p, 0) + v
     for item in folded:
-        acc[item[2]] = acc.get(item[2], 0) + _ABSORBED[item[0]]
-    wt = weight({p: clamp(bound_b, v) for p, v in acc.items()})
-    return ctors + (("w", wt),) + dtors
+        acc[item[2]] = acc.get(item[2], 0) + sign * _ABSORBED[item[0]]
+    if bound_b is not None:
+        acc = {p: clamp(bound_b, v) for p, v in acc.items()}
+    return ("w", weight(acc))
 
 
 def plug(spine: tuple, occurrence: Term) -> Term:
@@ -367,14 +363,142 @@ def plug(spine: tuple, occurrence: Term) -> Term:
     return occurrence
 
 
+# ---------------------------------------------------------------------------
+# argument trees
+#
+# A call argument as a tree of tuples: ("c", name, p, child) is a
+# constructor, ("r", p, ((name, child), ...)) a record with its fields
+# sorted by name, and ("x", middle, word, end) a leaf.  The middle is None,
+# a weight item ("w", Weight) or DAIMON, the word holds destructor items,
+# outermost first, and the end is a parameter index, or 0 for `_`.
+
+def arg_tree(t: Term) -> tuple:
+    """The tree of a call argument."""
+    if isinstance(t, Constr):
+        return ("c", t.name, t.priority, arg_tree(t.arg))
+    if isinstance(t, Record):
+        return ("r", t.priority, tuple((n, arg_tree(v)) for n, v in t.fields))
+    middle = None
+    if isinstance(t, (Approx, Daimon)):
+        middle, t = ("w", t.wt) if isinstance(t, Approx) else DAIMON, t.arg
+    word = []
+    while isinstance(t, (ConstrDual, Project)):
+        word.append(BRANCH_ITEMS[type(t)](t))
+        t = t.arg
+    if not isinstance(t, (Param, Unknown)):
+        raise InternalError("malformed call argument %s" % term_str(t))
+    return ("x", middle, tuple(word), getattr(t, "index", 0))
+
+
+def tree_term(tree: tuple) -> Term:
+    """The term of an argument tree."""
+    if tree[0] == "c":
+        return constr(tree[1], tree[2], tree_term(tree[3]))
+    if tree[0] == "r":
+        return record([(n, tree_term(v)) for n, v in tree[2]], tree[1])
+    _, middle, word, end = tree
+    return plug((middle,) + word if middle else word,
+                Param(end) if end else Unknown())
+
+
+def _rebuild(tree: tuple, f) -> list:
+    """The summands of a constructor or record whose children are replaced
+    by the summands `f` gives them; a record takes their product."""
+    if tree[0] == "c":
+        return [("c", tree[1], tree[2], s) for s in f(tree[3])]
+    choices = [[(n, s) for s in f(v)] for n, v in tree[2]]
+    return [("r", tree[1], fields) for fields in itertools.product(*choices)]
+
+
+def _daimons(tree: tuple) -> list:
+    """The Daimon over `tree`: a Daimon leaf for each leaf of the tree."""
+    if tree[0] == "c":
+        return _daimons(tree[3])
+    if tree[0] == "r":
+        return [leaf for _, v in tree[2] for leaf in _daimons(v)]
+    return [("x", DAIMON, tree[2], tree[3])]
+
+
+def _approx(middle: tuple, tree: tuple) -> list:
+    """The middle item `middle` over `tree`.  The Daimon gives the Daimons
+    of the tree's leaves.  A weight absorbs the constructors above a leaf
+    and the leaf's weight, vanishes under the leaf's Daimon, and over a
+    record gives the Daimons of the record."""
+    ctors = []
+    while tree[0] == "c":
+        ctors.append(tree)
+        tree = tree[3]
+    if middle == DAIMON or tree[0] == "r":
+        return _daimons(tree)
+    if tree[1] == DAIMON:
+        return [tree]
+    return [("x", _weigh((middle, tree[1]), ctors, -1), tree[2], tree[3])]
+
+
+def _subst(tree: tuple, bound: dict) -> list:
+    """The summands of `tree` with each parameter j that `bound` binds
+    replaced by the tree bound[j], uncollapsed."""
+    if tree[0] != "x":
+        return _rebuild(tree, lambda s: _subst(s, bound))
+    _, middle, word, end = tree
+    t = bound.get(end)
+    if t is None:
+        return [tree]
+    i = len(word)
+    while i and t[0] != "x":
+        kind, name = word[i - 1][:2]
+        if t[0] == "c":
+            t = t[3] if kind == "d" and name == t[1] else None
+        else:
+            t = next((v for n, v in t[2] if n == name and kind == "j"), None)
+        if t is None:
+            return []
+        i -= 1
+    if i and t[1] is None:
+        t = ("x", None, word[:i] + t[2], t[3])
+    elif i and t[1] != DAIMON:
+        t = ("x", _weigh((t[1],), word[:i], -1), t[2], t[3])
+    return [t] if middle is None else _approx(middle, t)
+
+
+def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int) -> list:
+    """The summands of `tree` collapsed as `collapse_call_term` collapses
+    its term, with `budget` constructor layers left: past them a zero
+    weight, then each leaf keeps its D innermost destructors, folds the
+    others into its weight and clamps the weight."""
+    if tree[0] != "x" and budget:
+        return _rebuild(
+            tree, lambda s: _collapse(s, budget - 1, bound_b, bound_d))
+    if tree[0] != "x":
+        return [c for s in _approx(_ZERO_WEIGHT, tree)
+                for c in _collapse(s, 0, bound_b, bound_d)]
+    _, middle, word, end = tree
+    cut = max(0, len(word) - bound_d)
+    if middle != DAIMON and (cut or middle is not None):
+        middle = _weigh((middle,), word[:cut], -1, bound_b)
+    return [("x", middle, word[cut:], end)]
+
+
+def substitute_tree(tree: tuple, bound: dict, bound_b: int,
+                    bound_d: int) -> list:
+    """The summands, in the order of their terms, of the collapsed `tree`
+    with each parameter j that `bound` binds replaced by the tree bound[j]."""
+    out = [c for s in _subst(tree, bound)
+           for c in _collapse(s, bound_d, bound_b, bound_d)]
+    if len(out) > 1:
+        out = sorted(set(out), key=lambda s: sort_key(tree_term(s)))
+    return out
+
+
 class CallTables:
     """Tables for composing calls piecewise, as a spine and its arguments.
 
     The spine of a call is the tuple of items above its callee occurrence
-    (`Call.spine`); its arguments are that occurrence's arguments.  Spines
-    and arguments get small integer ids; spine id 0 stands for the zero
-    composite.  Spines compose as item words (`compose_spines`), so no
-    spine is built as a term; only a new edge is, by `plug`.
+    (`Call.spine`); its arguments are that occurrence's arguments, kept as
+    trees (`arg_tree`).  Spines and argument trees get small integer ids;
+    spine id 0 stands for the zero composite.  Spines compose as item words
+    (`compose_spines`) and arguments substitute as trees
+    (`substitute_tree`), so only a new edge is built as a term, by `plug`.
 
     Composing piecewise is exact.  A spine holds no parameter, so
     substituting the caller's arguments only reaches the callee's arguments.
@@ -389,6 +513,14 @@ class CallTables:
     the argument mentions, so it is memoised by the argument id and the ids
     bound to those parameters.
 
+    Substituting on trees is exact too.  Above the leaves the smart
+    constructors only rebuild nodes, distributing over sums, so a record
+    takes the product of its fields' summands; they rewrite only where a
+    leaf meets the tree bound to its parameter, applying the leaf's
+    destructors, innermost first, and then its middle.  `_subst` applies
+    their head reductions with an argument's signs (it holds no call), and
+    `_collapse` does to a tree what `collapse_call_term` does to its term.
+
     One instance serves one closure and is dropped with it."""
 
     def __init__(self, bound_b: int, bound_d: int):
@@ -401,7 +533,7 @@ class CallTables:
         # spine_comp[ia][ib]: id of the composite of spines ia and ib, None
         # until first needed
         self.spine_comp: list[list] = [[]]
-        self.args: list[Term] = []
+        self.args: list[tuple] = []
         self.arg_ids: dict = {}
         # params[a]: the 0-based indices of the parameters argument a
         # mentions, in order
@@ -418,26 +550,26 @@ class CallTables:
             self.spine_comp.append([])
         return sid
 
-    def _arg_id(self, arg: Term) -> int:
-        aid = self.arg_ids.get(arg)
+    def _arg_id(self, tree: tuple) -> int:
+        aid = self.arg_ids.get(tree)
         if aid is None:
-            aid = self.arg_ids[arg] = len(self.args)
-            self.args.append(arg)
-            self.params.append(
-                tuple(sorted(j - 1 for j in param_indices(arg))))
+            aid = self.arg_ids[tree] = len(self.args)
+            self.args.append(tree)
+            self.params.append(tuple(sorted(
+                {leaf[3] - 1 for leaf in _daimons(tree) if leaf[3]})))
         return aid
 
     def split(self, call: Call) -> tuple:
         """Spine id and argument ids of a call."""
         return (self._spine_id(call.spine),
-                tuple(self._arg_id(a) for a in call.args))
+                tuple(self._arg_id(arg_tree(a)) for a in call.args))
 
     def combine(self, first: tuple, second: tuple):
         """Spine id of the collapsed composite of two split calls, and the
         summand ids of each of its arguments.  The candidates are that
         spine with each `itertools.product` of the argument choices, in
-        the order `compose_calls` gives them; there are none when the spine
-        id is 0."""
+        the order `testkit.compose_calls` gives them; there are none when
+        the spine id is 0."""
         ia, ids_a = first
         ib, ids_b = second
         row = self.spine_comp[ia]
@@ -462,14 +594,13 @@ class CallTables:
     def plug(self, sid: int, callee: str, ids: tuple) -> Term:
         """The term of a candidate: the spine applied to the callee."""
         return plug(self.spines[sid],
-                    funapp(callee, [self.args[a] for a in ids]))
+                    funapp(callee, [tree_term(self.args[a]) for a in ids]))
 
     def _substitute(self, b: int, bound: tuple) -> tuple:
         bindings = {j + 1: self.args[a]
                     for j, a in zip(self.params[b], bound)}
-        collapsed = collapse_call_term(substitute(self.args[b], bindings),
-                                       self.bound_b, self.bound_d)
-        return tuple(self._arg_id(p) for p in summands(collapsed))
+        return tuple(self._arg_id(s) for s in substitute_tree(
+            self.args[b], bindings, self.bound_b, self.bound_d))
 
 
 def transitive_closure(graph: CallGraph) -> CallGraph:
@@ -477,15 +608,19 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
 
     Every ordered pair of edges that meet is composed once, in the order
     the edges were found, and composites are added in the order
-    `compose_calls` gives them.  Calls are composed piecewise through
-    `CallTables`; a candidate is known by its endpoints, spine id and
-    argument ids, and only a new one is built as a term.  The collapsed
+    `testkit.compose_calls` gives them.  Calls are composed piecewise
+    through `CallTables`; a candidate is known by its endpoints, spine id
+    and argument ids, and only a new one is built as a term.  Each loop's
+    composites with itself are kept for the loop check.  The collapsed
     space is finite, so the caps only guard against bugs.
     """
     tables = CallTables(graph.bound_b, graph.bound_d)
     edges: list[Call] = list(graph.edges)
     parts = [tables.split(e) for e in edges]
-    seen = {(e.caller, e.callee) + part for e, part in zip(edges, parts)}
+    # candidate key -> index of its edge
+    seen = {(e.caller, e.callee) + part: k
+            for k, (e, part) in enumerate(zip(edges, parts))}
+    self_composites: dict = {}
     compositions = 0
 
     def pairs_with(k: int):
@@ -512,22 +647,23 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
             raise ClosureCapError("call graph closure exceeded its "
                                   "composition cap (%d)" % MAX_COMPOSITIONS)
         sid, choices = tables.combine(parts[i], parts[j])
-        if not sid:
-            continue
         caller, callee = edges[i].caller, edges[j].callee
-        for ids in itertools.product(*choices):
+        found = []
+        for ids in itertools.product(*choices) if sid else ():
             key = (caller, callee, sid, ids)
-            if key in seen:
-                continue
-            cand = call_of_term(caller, tables.plug(sid, callee, ids),
-                                {caller, callee})
-            seen.add(key)
-            edges.append(cand)
-            parts.append((sid, ids))
-            work.append(pairs_with(len(edges) - 1))
-            if len(edges) > MAX_EDGES:
-                raise ClosureCapError("call graph closure exceeded its edge "
-                                      "cap (%d)" % MAX_EDGES)
+            k = seen.get(key)
+            if k is None:
+                k = seen[key] = len(edges)
+                edges.append(call_of_term(
+                    caller, tables.plug(sid, callee, ids), {caller, callee}))
+                parts.append((sid, ids))
+                work.append(pairs_with(k))
+                if len(edges) > MAX_EDGES:
+                    raise ClosureCapError("call graph closure exceeded its "
+                                          "edge cap (%d)" % MAX_EDGES)
+            found.append(k)
+        if i == j:
+            self_composites[i] = tuple(found)
     stats = {"edges": len(edges), "compositions": compositions}
     return CallGraph(graph.vertices, tuple(edges), graph.bound_b,
-                     graph.bound_d, stats)
+                     graph.bound_d, stats, self_composites)

@@ -1,17 +1,17 @@
 """Size-change verdicts for the loops of a closed call graph.
 
-A self-loop only needs checking when its self-composition is compatible
-with it (otherwise the loop cannot repeat forever).  A checked loop must
-either produce output at some even priority that dominates everything the
-loop does above it, or consume one of its own arguments at a dominating
-odd priority.
+A self-loop only needs checking when its self-composition, which the
+closure records, is compatible with it (otherwise the loop cannot repeat
+forever).  A checked loop must either produce output at some even priority
+that dominates everything the loop does above it, or consume one of its
+own arguments at a dominating odd priority.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .callgraph import Call, CallGraph, compose_calls
+from .callgraph import Call, CallGraph
 from .order import branch_weight, branches, sqcoh
 from .terms import term_str
 
@@ -75,17 +75,16 @@ def check_condition2(call: Call):
     return None
 
 
-def is_checked_loop(call: Call, bound_b: int, bound_d: int) -> bool:
-    """A loop is checked when its self-composition is compatible with it;
-    a loop whose self-composition errors out cannot repeat."""
-    candidates = compose_calls(call, call, bound_b, bound_d)
-    return any(sqcoh(call.term, c.term) for c in candidates)
-
-
 def check_loops(closure: CallGraph) -> GroupOutcome:
+    """Check every loop of a closure whose self-composition is compatible
+    with it; a loop whose self-composition errors out cannot repeat."""
     outcome = GroupOutcome(total=True)
-    for loop in closure.loops():
-        if not is_checked_loop(loop, closure.bound_b, closure.bound_d):
+    edges = closure.edges
+    for k, loop in enumerate(edges):
+        if loop.caller != loop.callee:
+            continue
+        if not any(sqcoh(loop.term, edges[c].term)
+                   for c in closure.self_composites[k]):
             continue
         outcome.checked_loops += 1
         if check_condition1(loop) is not None:

@@ -65,6 +65,9 @@ def weight(entries=()) -> Weight:
     """Build a Weight from a mapping or iterable of (priority, value) pairs."""
     if isinstance(entries, Weight):
         return entries
+    if type(entries) is dict:  # distinct keys
+        return Weight(tuple(sorted(
+            (int(p), v) for p, v in entries.items() if v != 0)))
     if hasattr(entries, "items"):
         entries = entries.items()
     kept = sorted((int(p), v) for p, v in entries if v != 0)
@@ -224,20 +227,6 @@ def fun_names(t: Term) -> set:
         return set().union(set(), *(fun_names(v) for _, v in t.fields))
     if isinstance(t, Sum):
         return set().union(set(), *(fun_names(p) for p in t.parts))
-    return set()
-
-
-def param_indices(t: Term) -> set:
-    if isinstance(t, Param):
-        return {t.index}
-    if isinstance(t, (Constr, ConstrDual, Project, Daimon, Approx)):
-        return param_indices(t.arg)
-    if isinstance(t, Record):
-        return set().union(set(), *(param_indices(v) for _, v in t.fields))
-    if isinstance(t, FunApp):
-        return set().union(set(), *(param_indices(a) for a in t.args))
-    if isinstance(t, Sum):
-        return set().union(set(), *(param_indices(p) for p in t.parts))
     return set()
 
 

@@ -5,6 +5,10 @@ reducible ones), seeds it with the generating inequalities of the term
 order, closes under single-step rewriting, contextuality and
 transitivity, and answers comparisons by graph reachability.  It is used
 only to cross-check the syntax-directed `sleq` on normal-form pairs.
+
+`compose_calls` and `is_checked_loop` are the term path: they compose and
+collapse whole terms, and the tests compare the closure's piecewise
+composition and its recorded self-composites with them.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .callgraph import Call, call_of_term
-from .order import sleq
+from .callgraph import Call, call_of_term, collapse_call_term
+from .order import sleq, sqcoh
 from .terms import (
     INF,
     Approx,
@@ -21,6 +25,7 @@ from .terms import (
     ConstrDual,
     Daimon,
     FunApp,
+    InternalError,
     Param,
     Project,
     Record,
@@ -31,6 +36,7 @@ from .terms import (
     ZEROW,
     approx,
     coef_leq,
+    compose,
     constr,
     constr_dual,
     contains_funapp,
@@ -42,9 +48,35 @@ from .terms import (
     record,
     sort_key,
     sum_of,
+    summands,
     weight,
     weight_add,
 )
+
+# ---------------------------------------------------------------------------
+# the term path
+
+
+def compose_calls(alpha: Call, beta: Call, bound_b: int, bound_d: int):
+    """Collapsed composition of beta after alpha; empty when the
+    composition is an error."""
+    if alpha.callee != beta.caller:
+        raise InternalError("calls do not compose")
+    raw = compose(alpha.term, beta.term, alpha.callee)
+    collapsed = collapse_call_term(raw, bound_b, bound_d)
+    group = {alpha.caller, alpha.callee, beta.callee}
+    return [
+        call_of_term(alpha.caller, s, group)
+        for s in summands(collapsed) if s != ZERO
+    ]
+
+
+def is_checked_loop(call: Call, bound_b: int, bound_d: int) -> bool:
+    """A loop is checked when its self-composition is compatible with it;
+    a loop whose self-composition errors out cannot repeat."""
+    candidates = compose_calls(call, call, bound_b, bound_d)
+    return any(sqcoh(call.term, c.term) for c in candidates)
+
 
 # ---------------------------------------------------------------------------
 # term universe and order oracle
@@ -457,7 +489,6 @@ def run_property_suite(seed: int = 20240917, quick: bool = False) -> dict:
     """Execute the randomized property checks; returns a report mapping
     property name -> (runs, failures, first counterexample)."""
     from .collapse import collapse_depth, collapse_weights
-    from .terms import compose
 
     rng = random.Random(seed)
     report: dict[str, tuple] = {}
@@ -550,7 +581,6 @@ def run_property_suite(seed: int = 20240917, quick: bool = False) -> dict:
         v = gen_term(rng.randint(1, 5), rng=rng)
         if t == ZERO:
             return True, None
-        from .order import sqcoh
         if sleq(u, t) and sleq(v, t) and not sqcoh(u, v):
             return False, (u, v, t)
         return True, None

@@ -6,32 +6,37 @@ import random
 import pytest
 
 from conftest import CORPUS, annotated_groups
+from totality import callgraph
 from totality.callgraph import (
     CallGraph,
     CallTables,
+    arg_tree,
     build_callgraph,
     call_of_term,
     collapse_call_term,
-    compose_calls,
     compose_spines,
     definition_term,
     extract_calls,
     pattern_bindings,
     plug,
     spine_parts,
+    substitute_tree,
     transitive_closure,
+    tree_term,
 )
 from totality.terms import (
     InternalError,
     Param,
+    Sum,
     compose,
     funapp,
     parse_term,
     project,
+    substitute,
     summands,
     term_str,
 )
-from totality.testkit import gen_call
+from totality.testkit import GenConfig, compose_calls, gen_call, gen_term
 
 
 def t(text):
@@ -338,3 +343,73 @@ class TestSpineWords:
                     pairs += 1
         assert pairs >= 2000
         assert 0 < nonzero < pairs
+
+
+class TestArgumentTrees:
+    """`substitute_tree` substitutes parameters and collapses on argument
+    trees; these compare it with `collapse_call_term(substitute(...))` on
+    the terms, in value and in summand order."""
+
+    @staticmethod
+    def check(arg, bindings, got, bound_b, bound_d):
+        """The number of summands; fails unless the trees `got` are the
+        summands of the collapsed term substitution, in order."""
+        want = summands(collapse_call_term(substitute(arg, bindings),
+                                           bound_b, bound_d))
+        assert [tree_term(s) for s in got] == list(want), (arg, bindings)
+        assert got == [arg_tree(s) for s in want], (arg, bindings)
+        return len(want)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_corpus_substitutions(self, name, bound, monkeypatch):
+        """Every substitution the closures of a corpus file make."""
+        made = []
+
+        class Recorded(CallTables):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(callgraph, "CallTables", Recorded)
+        for analyzed, _ in annotated_groups(name):
+            transitive_closure(build_callgraph(analyzed.defs, bound, bound))
+        for tables in made:
+            for (b, bound_ids), ids in tables.subst.items():
+                bindings = {j + 1: tree_term(tables.args[a])
+                            for j, a in zip(tables.params[b], bound_ids)}
+                got = [tables.args[i] for i in ids]
+                self.check(tree_term(tables.args[b]), bindings, got,
+                           bound, bound)
+
+    def test_random_substitutions(self):
+        """Random arguments over two parameters bound to random
+        arguments; about 2% of the results have several summands."""
+        rng = random.Random(20261018)
+        cfg = GenConfig(n_params=2, allow_funapp=False, allow_sum=False)
+
+        def arg(size):
+            while True:
+                term = gen_term(size, rng=rng, cfg=cfg)
+                if not isinstance(term, Sum):
+                    return term
+
+        pairs = nonzero = several = 0
+        for bound_b in (1, 2, 3, 4):
+            for bound_d in (0, 1, 2, 3, 4):
+                for _ in range(400):
+                    b = arg(rng.randint(1, 8))
+                    bindings = {1: arg(rng.randint(3, 10)),
+                                2: arg(rng.randint(3, 10))}
+                    got = substitute_tree(
+                        arg_tree(b),
+                        {j: arg_tree(v) for j, v in bindings.items()},
+                        bound_b, bound_d)
+                    n = self.check(b, bindings, got, bound_b, bound_d)
+                    pairs += 1
+                    nonzero += n > 0
+                    several += n > 1
+        assert pairs >= 2000
+        assert nonzero > pairs // 2
+        assert several >= 100

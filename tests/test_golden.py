@@ -13,10 +13,12 @@ the same commands.
 """
 
 import pathlib
+import sys
 
 import pytest
 
 from conftest import CORPUS
+from totality import terms
 from totality.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -46,3 +48,28 @@ def test_json_matches_golden(name, capsys, monkeypatch):
     out = cli_output(capsys, monkeypatch, "corpus/%s.ch" % name, "--json")
     expected = (GOLDEN / ("%s.json" % name)).read_text(encoding="utf-8")
     assert out == expected
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_dumps_need_no_term_path(name, capsys, monkeypatch):
+    """The checker composes spines as words and substitutes arguments as
+    trees: with `terms.compose` and `terms.substitute` raising wherever
+    they are bound, every dump still matches its golden file."""
+    def refuse(*args):
+        raise AssertionError("the checker used the term path")
+
+    originals = [terms.compose, terms.substitute]
+    for module in list(sys.modules.values()):
+        if module is None or not module.__name__.startswith("totality"):
+            continue
+        for attr, fn in list(vars(module).items()):
+            if any(fn is f for f in originals):
+                monkeypatch.setattr(module, attr, refuse)
+    for bound in (1, 2, 3, 4):
+        out = cli_output(capsys, monkeypatch, "corpus/%s.ch" % name,
+                         "--dump-priorities", "--dump-callgraph",
+                         "--dump-closure", "--bound-b", str(bound),
+                         "--bound-d", str(bound))
+        expected = (GOLDEN / ("%s.bd%d.txt" % (name, bound))).read_text(
+            encoding="utf-8")
+        assert out == expected

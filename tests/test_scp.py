@@ -1,6 +1,8 @@
 """Size-change conditions and loop selection."""
 
-from conftest import annotated_groups
+import pytest
+
+from conftest import CORPUS, annotated_groups
 from totality.callgraph import (
     build_callgraph,
     call_of_term,
@@ -10,9 +12,9 @@ from totality.scp import (
     check_condition1,
     check_condition2,
     check_loops,
-    is_checked_loop,
 )
 from totality.terms import parse_term
+from totality.testkit import compose_calls, is_checked_loop
 
 
 def t(text):
@@ -123,3 +125,34 @@ class TestCheckedLoops:
     def test_total_group(self):
         outcome = check_loops(closure_for("nats.ch", 1, 1))
         assert outcome.total and outcome.checked_loops >= 1
+
+
+class TestRecordedSelfComposites:
+    """The closure records the composites of each loop with itself, and
+    `check_loops` reads them; these compare both with the term path."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_match_term_path(self, name, bound):
+        for analyzed, _ in annotated_groups(name):
+            closure = transitive_closure(
+                build_callgraph(analyzed.defs, bound, bound))
+            edges = closure.edges
+            loops = [k for k, e in enumerate(edges) if e.caller == e.callee]
+            assert sorted(closure.self_composites) == loops
+            checked, failures = 0, []
+            for k in loops:
+                loop = edges[k]
+                recorded = [edges[c] for c in closure.self_composites[k]]
+                assert recorded == compose_calls(loop, loop, bound, bound)
+                if not is_checked_loop(loop, bound, bound):
+                    continue
+                checked += 1
+                if (check_condition1(loop) is None
+                        and check_condition2(loop) is None):
+                    failures.append(loop)
+            outcome = check_loops(closure)
+            assert outcome.checked_loops == checked
+            assert [f.loop for f in outcome.failures] == failures
+            assert outcome.total == (not failures)
