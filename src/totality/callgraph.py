@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .collapse import clamp, collapse_depth, collapse_weights
@@ -61,8 +62,8 @@ class Call:
     of the callee, applied to argument summaries.
 
     `spine` is the tuple of items above the callee occurrence, outermost
-    first, and `args` are its arguments; `call_of_term` splits the term once
-    and stores both."""
+    first, and `args` are its arguments.  `call_of_term` splits a term into
+    both; the closure builds each new edge from both (`CallTables.call`)."""
 
     caller: str
     callee: str
@@ -292,7 +293,23 @@ _ABSORBED = {"c": -1, "r": -1, "d": 1, "j": 1}
 _ZERO_WEIGHT = ("w", ZEROW)
 
 
-def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int):
+def _weigh(middles, folded, sign: int, bound_b=None) -> tuple:
+    """The weight item that adds the weight items `middles` (None adds
+    nothing) and the items `folded`, absorbed with the signs of a spine
+    (`sign` 1) or of an argument (-1), clamped when `bound_b` is given."""
+    acc: dict = {}
+    for m in middles:
+        for p, v in m[1].items if m is not None else ():
+            acc[p] = acc.get(p, 0) + v
+    for item in folded:
+        acc[item[2]] = acc.get(item[2], 0) + sign * _ABSORBED[item[0]]
+    if bound_b is not None:
+        acc = {p: clamp(bound_b, v) for p, v in acc.items()}
+    return ("w", weight(acc))
+
+
+def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int,
+                   weigh=_weigh):
     """The collapsed composite of spine `b` plugged into spine `a`, both
     given by `spine_parts`, as a spine; None when it is zero.
 
@@ -313,7 +330,8 @@ def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int):
     Collapsing then keeps the D outer constructors and the D inner
     destructors and folds the rest into M, starting from a zero weight, as
     `collapse_depth` does to a call spine; `collapse_weights` clamps the
-    weight of M into [-B, B)."""
+    weight of M into [-B, B).  `weigh` computes that weight as `_weigh`
+    does."""
     ca, ma, da = a
     cb, mb, db = b
     i, j = len(da), 0
@@ -338,22 +356,7 @@ def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int):
         return ctors + dtors
     if DAIMON in middles:
         return ctors + (DAIMON,) + dtors
-    return ctors + (_weigh(middles, folded, 1, bound_b),) + dtors
-
-
-def _weigh(middles, folded, sign: int, bound_b=None) -> tuple:
-    """The weight item that adds the weight items `middles` (None adds
-    nothing) and the items `folded`, absorbed with the signs of a spine
-    (`sign` 1) or of an argument (-1), clamped when `bound_b` is given."""
-    acc: dict = {}
-    for m in middles:
-        for p, v in m[1].items if m is not None else ():
-            acc[p] = acc.get(p, 0) + v
-    for item in folded:
-        acc[item[2]] = acc.get(item[2], 0) + sign * _ABSORBED[item[0]]
-    if bound_b is not None:
-        acc = {p: clamp(bound_b, v) for p, v in acc.items()}
-    return ("w", weight(acc))
+    return ctors + (weigh(middles, folded, 1, bound_b),) + dtors
 
 
 def plug(spine: tuple, occurrence: Term) -> Term:
@@ -419,27 +422,27 @@ def _daimons(tree: tuple) -> list:
     return [("x", DAIMON, tree[2], tree[3])]
 
 
-def _approx(middle: tuple, tree: tuple) -> list:
+def _approx(middle: tuple, tree: tuple, weigh) -> list:
     """The middle item `middle` over `tree`.  The Daimon gives the Daimons
     of the tree's leaves.  A weight absorbs the constructors above a leaf
     and the leaf's weight, vanishes under the leaf's Daimon, and over a
     record gives the Daimons of the record."""
-    ctors = []
+    ctors = []  # their items only: a weight key holds no subtree
     while tree[0] == "c":
-        ctors.append(tree)
+        ctors.append(tree[:3])
         tree = tree[3]
     if middle == DAIMON or tree[0] == "r":
         return _daimons(tree)
     if tree[1] == DAIMON:
         return [tree]
-    return [("x", _weigh((middle, tree[1]), ctors, -1), tree[2], tree[3])]
+    return [("x", weigh((middle, tree[1]), ctors, -1), tree[2], tree[3])]
 
 
-def _subst(tree: tuple, bound: dict) -> list:
+def _subst(tree: tuple, bound: dict, weigh) -> list:
     """The summands of `tree` with each parameter j that `bound` binds
     replaced by the tree bound[j], uncollapsed."""
     if tree[0] != "x":
-        return _rebuild(tree, lambda s: _subst(s, bound))
+        return _rebuild(tree, lambda s: _subst(s, bound, weigh))
     _, middle, word, end = tree
     t = bound.get(end)
     if t is None:
@@ -457,34 +460,36 @@ def _subst(tree: tuple, bound: dict) -> list:
     if i and t[1] is None:
         t = ("x", None, word[:i] + t[2], t[3])
     elif i and t[1] != DAIMON:
-        t = ("x", _weigh((t[1],), word[:i], -1), t[2], t[3])
-    return [t] if middle is None else _approx(middle, t)
+        t = ("x", weigh((t[1],), word[:i], -1), t[2], t[3])
+    return [t] if middle is None else _approx(middle, t, weigh)
 
 
-def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int) -> list:
+def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int,
+              weigh) -> list:
     """The summands of `tree` collapsed as `collapse_call_term` collapses
     its term, with `budget` constructor layers left: past them a zero
     weight, then each leaf keeps its D innermost destructors, folds the
     others into its weight and clamps the weight."""
     if tree[0] != "x" and budget:
         return _rebuild(
-            tree, lambda s: _collapse(s, budget - 1, bound_b, bound_d))
+            tree, lambda s: _collapse(s, budget - 1, bound_b, bound_d, weigh))
     if tree[0] != "x":
-        return [c for s in _approx(_ZERO_WEIGHT, tree)
-                for c in _collapse(s, 0, bound_b, bound_d)]
+        return [c for s in _approx(_ZERO_WEIGHT, tree, weigh)
+                for c in _collapse(s, 0, bound_b, bound_d, weigh)]
     _, middle, word, end = tree
     cut = max(0, len(word) - bound_d)
     if middle != DAIMON and (cut or middle is not None):
-        middle = _weigh((middle,), word[:cut], -1, bound_b)
+        middle = weigh((middle,), word[:cut], -1, bound_b)
     return [("x", middle, word[cut:], end)]
 
 
-def substitute_tree(tree: tuple, bound: dict, bound_b: int,
-                    bound_d: int) -> list:
+def substitute_tree(tree: tuple, bound: dict, bound_b: int, bound_d: int,
+                    weigh=_weigh) -> list:
     """The summands, in the order of their terms, of the collapsed `tree`
-    with each parameter j that `bound` binds replaced by the tree bound[j]."""
-    out = [c for s in _subst(tree, bound)
-           for c in _collapse(s, bound_d, bound_b, bound_d)]
+    with each parameter j that `bound` binds replaced by the tree bound[j];
+    `weigh` computes weights as `_weigh` does."""
+    out = [c for s in _subst(tree, bound, weigh)
+           for c in _collapse(s, bound_d, bound_b, bound_d, weigh)]
     if len(out) > 1:
         out = sorted(set(out), key=lambda s: sort_key(tree_term(s)))
     return out
@@ -498,7 +503,8 @@ class CallTables:
     trees (`arg_tree`).  Spines and argument trees get small integer ids;
     spine id 0 stands for the zero composite.  Spines compose as item words
     (`compose_spines`) and arguments substitute as trees
-    (`substitute_tree`), so only a new edge is built as a term, by `plug`.
+    (`substitute_tree`), so only a new edge is built, as a `Call` from its
+    spine and argument trees (`call`).
 
     Composing piecewise is exact.  A spine holds no parameter, so
     substituting the caller's arguments only reaches the callee's arguments.
@@ -511,7 +517,8 @@ class CallTables:
     comes out in the sorted order of the whole composite's summands.  An
     argument substitution depends only on the bindings of the parameters
     the argument mentions, so it is memoised by the argument id and the ids
-    bound to those parameters.
+    bound to those parameters.  The weights both compute are memoised too
+    (`_weigh`): the same ones recur across the pairs of a closure.
 
     Substituting on trees is exact too.  Above the leaves the smart
     constructors only rebuild nodes, distributing over sums, so a record
@@ -540,6 +547,9 @@ class CallTables:
         self.params: list[tuple] = []
         # subst[(b, bound)]: ids of the summands of collapse(b[x := bound])
         self.subst: dict = {}
+        # weights[(sign, bound_b, *middles, *folded)]: _weigh's item for
+        # them; each item also maps to itself, so equal items are shared
+        self.weights: dict = {}
 
     def _spine_id(self, spine: tuple) -> int:
         sid = self.spine_ids.get(spine)
@@ -578,7 +588,7 @@ class CallTables:
         sid = row[ib]
         if sid is None:
             spine = compose_spines(self.parts[ia], self.parts[ib],
-                                   self.bound_b, self.bound_d)
+                                   self.bound_b, self.bound_d, self._weigh)
             sid = row[ib] = 0 if spine is None else self._spine_id(spine)
         if not sid:
             return 0, ()
@@ -591,26 +601,44 @@ class CallTables:
             choices.append(ids)
         return sid, choices
 
+    def call(self, caller: str, sid: int, callee: str, ids: tuple) -> Call:
+        """The edge of a candidate, with its spine and arguments."""
+        spine = self.spines[sid]
+        args = tuple(tree_term(self.args[a]) for a in ids)
+        return Call(caller, callee, plug(spine, funapp(callee, args)),
+                    spine, args)
+
     def plug(self, sid: int, callee: str, ids: tuple) -> Term:
-        """The term of a candidate: the spine applied to the callee."""
-        return plug(self.spines[sid],
-                    funapp(callee, [tree_term(self.args[a]) for a in ids]))
+        """The term of a candidate."""
+        return self.call("", sid, callee, ids).term
 
     def _substitute(self, b: int, bound: tuple) -> tuple:
         bindings = {j + 1: self.args[a]
                     for j, a in zip(self.params[b], bound)}
         return tuple(self._arg_id(s) for s in substitute_tree(
-            self.args[b], bindings, self.bound_b, self.bound_d))
+            self.args[b], bindings, self.bound_b, self.bound_d, self._weigh))
+
+    def _weigh(self, middles, folded, sign: int, bound_b=None) -> tuple:
+        """The module's `_weigh`, memoised."""
+        key = (sign, bound_b, *middles, *folded)
+        item = self.weights.get(key)
+        if item is None:
+            item = _weigh(middles, folded, sign, bound_b)
+            item = self.weights[key] = self.weights.setdefault(item, item)
+        return item
 
 
 def transitive_closure(graph: CallGraph) -> CallGraph:
     """Saturate the graph under collapsed composition.
 
-    Every ordered pair of edges that meet is composed once, in the order
-    the edges were found, and composites are added in the order
-    `testkit.compose_calls` gives them.  Calls are composed piecewise
-    through `CallTables`; a candidate is known by its endpoints, spine id
-    and argument ids, and only a new one is built as a term.  Each loop's
+    Every ordered pair of edges that meet is composed once: first the
+    initial edges pairwise, in order, then each edge k, in the order the
+    edges were found, with itself and the edges before it, by increasing
+    partner i, (i, k) before (k, i).  The edges into and out of each vertex
+    are indexed, so only pairs that meet are visited.  Composites are added
+    in the order `testkit.compose_calls` gives them.  Calls are composed
+    piecewise through `CallTables`; a candidate is known by its endpoints,
+    spine id and argument ids, and only a new one is built.  Each loop's
     composites with itself are kept for the loop check.  The collapsed
     space is finite, so the caps only guard against bugs.
     """
@@ -620,50 +648,46 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
     # candidate key -> index of its edge
     seen = {(e.caller, e.callee) + part: k
             for k, (e, part) in enumerate(zip(edges, parts))}
+    # vertex -> indices of the edges into it and out of it, increasing
+    into, out = defaultdict(list), defaultdict(list)
+    for k, e in enumerate(edges):
+        into[e.callee].append(k)
+        out[e.caller].append(k)
     self_composites: dict = {}
     compositions = 0
-
-    def pairs_with(k: int):
-        """Pairs the k-th edge forms with itself and the edges before it."""
-        new = edges[k]
-        for i in range(k + 1):
-            e = edges[i]
-            if e.callee == new.caller:
-                yield i, k
-            if i != k and new.callee == e.caller:
-                yield k, i
-
-    first = len(edges)
-    work = deque([((i, j) for i in range(first) for j in range(first)
-                   if edges[i].callee == edges[j].caller)])
-    while work:
-        pair = next(work[0], None)
-        if pair is None:
-            work.popleft()
-            continue
-        i, j = pair
-        compositions += 1
+    k = len(edges)
+    # the pairs (i, j) to compose next, each led by its ordering index
+    pairs = [(i, i, j) for i in range(k) for j in out[edges[i].callee]]
+    while True:
+        compositions += len(pairs)
         if compositions > MAX_COMPOSITIONS:
             raise ClosureCapError("call graph closure exceeded its "
                                   "composition cap (%d)" % MAX_COMPOSITIONS)
-        sid, choices = tables.combine(parts[i], parts[j])
-        caller, callee = edges[i].caller, edges[j].callee
-        found = []
-        for ids in itertools.product(*choices) if sid else ():
-            key = (caller, callee, sid, ids)
-            k = seen.get(key)
-            if k is None:
-                k = seen[key] = len(edges)
-                edges.append(call_of_term(
-                    caller, tables.plug(sid, callee, ids), {caller, callee}))
-                parts.append((sid, ids))
-                work.append(pairs_with(k))
-                if len(edges) > MAX_EDGES:
-                    raise ClosureCapError("call graph closure exceeded its "
-                                          "edge cap (%d)" % MAX_EDGES)
-            found.append(k)
-        if i == j:
-            self_composites[i] = tuple(found)
+        for _, i, j in pairs:
+            sid, choices = tables.combine(parts[i], parts[j])
+            caller, callee = edges[i].caller, edges[j].callee
+            found = []
+            for ids in itertools.product(*choices) if sid else ():
+                key = (caller, callee, sid, ids)
+                n = seen.get(key)
+                if n is None:
+                    n = seen[key] = len(edges)
+                    edges.append(tables.call(caller, sid, callee, ids))
+                    parts.append((sid, ids))
+                    into[callee].append(n)
+                    out[caller].append(n)
+                    if len(edges) > MAX_EDGES:
+                        raise ClosureCapError("call graph closure exceeded "
+                                              "its edge cap (%d)" % MAX_EDGES)
+                found.append(n)
+            if i == j:
+                self_composites[i] = tuple(found)
+        if k == len(edges):
+            break
+        ins, outs = into[edges[k].caller], out[edges[k].callee]
+        pairs = sorted([(i, i, k) for i in ins[:bisect_right(ins, k)]]
+                       + [(i, k, i) for i in outs[:bisect_left(outs, k)]])
+        k += 1
     stats = {"edges": len(edges), "compositions": compositions}
     return CallGraph(graph.vertices, tuple(edges), graph.bound_b,
                      graph.bound_d, stats, self_composites)

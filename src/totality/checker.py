@@ -10,6 +10,7 @@ from .callgraph import ClosureCapError, build_callgraph, transitive_closure
 from .surface import (
     Program,
     SourceError,
+    TOO_DEEP,
     desugar,
     parse_program,
     type_str,
@@ -142,7 +143,7 @@ def analyze_source(src: str, config: Config = None) -> Report:
     except SourceError as err:
         message = str(err)
     except RecursionError:
-        message = "input nests too deeply to analyze"
+        message = TOO_DEEP
     report = Report()
     report.errors = [message]
     return report

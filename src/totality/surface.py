@@ -551,8 +551,16 @@ class _Parser:
         return ERecord(tuple(fields))
 
 
+TOO_DEEP = "input nests too deeply to analyze"
+
+
 def parse_program(src: str) -> Program:
-    return _Parser(src).program()
+    parser = _Parser(src)
+    try:
+        return parser.program()
+    except RecursionError:
+        tok = parser.peek()
+        raise SourceError(TOO_DEEP, tok.line, tok.col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +703,12 @@ def desugar(program: Program) -> Program:
         raise SourceError("unknown expression %r" % (e,))
 
     def do_clause(cl: Clause) -> Clause:
+        try:
+            return expand_clause(cl)
+        except RecursionError:
+            raise SourceError(TOO_DEEP, cl.line, cl.col) from None
+
+    def expand_clause(cl: Clause) -> Clause:
         existing: list = []
         for p in cl.patterns:
             _pattern_vars(p, existing)

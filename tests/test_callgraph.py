@@ -24,6 +24,7 @@ from totality.callgraph import (
     transitive_closure,
     tree_term,
 )
+from totality.checker import Config, analyze_source
 from totality.terms import (
     InternalError,
     Param,
@@ -218,11 +219,12 @@ def reference_closure(graph):
         edges |= new
 
 
-def random_graph(rng, vertices, bound_b, bound_d):
-    """A call graph over `vertices` whose edges are random calls of one
-    argument, renamed to random callees and collapsed."""
+def random_graph(rng, vertices, bound_b, bound_d, calls=None):
+    """A call graph over `vertices` whose edges are `calls` random calls of
+    one argument (one to three by default), renamed to random callees and
+    collapsed."""
     edges = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, 3) if calls is None else calls):
         caller, callee = rng.choice(vertices), rng.choice(vertices)
         call = gen_call(rng, caller)
         renamed = compose(call.term, funapp(callee, [Param(1)]), caller)
@@ -273,6 +275,116 @@ class TestPiecewiseClosure:
             assert set(closure.edges) == edges
             assert len(closure.edges) == len(edges)
             assert closure.stats["compositions"] == compositions
+
+
+def ordered_reference_closure(graph):
+    """The closure in its pair order, found by scanning: the initial edges
+    pairwise, then each edge k, in the order the edges were found, with
+    every edge i <= k that meets it, (i, k) before (k, i).  Composites come
+    from `compose_calls`, in order.  Returns the edge list, the loops'
+    self-composites and the number of pairs composed."""
+    edges = list(graph.edges)
+    index = {e: k for k, e in enumerate(edges)}
+    k = len(edges)
+    pairs = [(i, j) for i in range(k) for j in range(k)
+             if edges[i].callee == edges[j].caller]
+    self_composites = {}
+    compositions = 0
+    while True:
+        for i, j in pairs:
+            compositions += 1
+            found = []
+            for c in compose_calls(edges[i], edges[j], graph.bound_b,
+                                   graph.bound_d):
+                if c not in index:
+                    index[c] = len(edges)
+                    edges.append(c)
+                found.append(index[c])
+            if i == j:
+                self_composites[i] = tuple(found)
+        if k == len(edges):
+            return edges, self_composites, compositions
+        pairs = []
+        for i in range(k + 1):
+            if edges[i].callee == edges[k].caller:
+                pairs.append((i, k))
+            if i != k and edges[k].callee == edges[i].caller:
+                pairs.append((k, i))
+        k += 1
+
+
+STREAM_DECLS = """data nat where Zero : nat | Succ : nat -> nat
+codata st where hd : st -> nat | Tail : st -> st
+"""
+
+
+def stream_ring(rng, members):
+    """A ring of mutually recursive streams: each member is a producer
+    `{ hd = Zero ; Tail = next }` or a consumer `next.Tail`, where next is
+    the following member, with the members named in a random order."""
+    names = ["s%d" % k for k in rng.sample(range(members), members)]
+    lines = []
+    for i, name in enumerate(names):
+        succ = names[(i + 1) % members]
+        body = ("%s.Tail" % succ if rng.random() < 0.3
+                else "{ hd = Zero ; Tail = %s }" % succ)
+        lines.append("%s %s = %s" % ("and" if lines else "val", name, body))
+    return STREAM_DECLS + "\n".join(lines) + "\n"
+
+
+class TestClosureOrder:
+    """The closure visits only the pairs that meet, through an index of
+    each vertex's edges; these pin its edge order, self-composites and
+    composition count to the scanning reference on graphs with several
+    vertices."""
+
+    @staticmethod
+    def check(graph):
+        closure = transitive_closure(graph)
+        edges, self_composites, compositions = ordered_reference_closure(
+            graph)
+        assert list(closure.edges) == edges
+        assert closure.self_composites == self_composites
+        assert closure.stats["compositions"] == compositions
+        return len(edges)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_random_graphs(self, bound):
+        rng = random.Random(7000 + bound)
+        sizes = []
+        for n in (4, 5, 6, 7, 8, 4, 6, 8):
+            vertices = ["f%d" % i for i in range(n)]
+            graph = random_graph(rng, vertices, bound, bound, calls=n + 2)
+            sizes.append(self.check(graph) - len(graph.edges))
+        assert sum(sizes) >= 50, sizes
+
+    def test_stream_rings(self):
+        rng = random.Random(8000)
+        for members in (8, 12, 16):
+            report = analyze_source(stream_ring(rng, members), Config(2, 2))
+            (group,) = report.groups
+            graph = CallGraph(tuple(sorted(group.names)), group.callgraph,
+                              *group.bounds)
+            assert len(group.names) == members
+            assert self.check(graph) > members
+
+
+class TestBuiltEdges:
+    """The closure builds each new edge from its spine and argument trees;
+    `spine` and `args` do not take part in equality, so compare them with
+    splitting the edge's term."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_spine_and_args_match_call_of_term(self, name, bound):
+        for analyzed, _ in annotated_groups(name):
+            graph = build_callgraph(analyzed.defs, bound, bound)
+            group = set(graph.vertices)
+            for edge in transitive_closure(graph).edges:
+                split = call_of_term(edge.caller, edge.term, group)
+                assert edge.spine == split.spine, (name, edge)
+                assert edge.args == split.args, (name, edge)
 
 
 # the callee occurrence of a spine term; no function has the empty name

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -55,18 +56,23 @@ class TestExitCodes:
         assert code == 2
         assert "ERROR f" in out
 
-    @pytest.mark.parametrize("body", [
-        "600",
-        "(" * 3000 + "x" + ")" * 3000,
+    @pytest.mark.parametrize("body, first, last", [
+        # desugaring expands the numeral: located at the clause
+        ("600", 20, 20),
+        # parsing recurses into the parentheses: located at a token in them
+        ("(" * 3000 + "x" + ")" * 3000, 28, 28 + 3000),
     ], ids=["numeral", "parentheses"])
-    def test_deep_input_gives_two(self, tmp_path, capsys, body):
+    def test_deep_input_gives_two(self, tmp_path, capsys, body, first, last):
         deep = tmp_path / "deep.ch"
         deep.write_text("data nat where Zero : nat | Succ : nat -> nat\n"
                         "val f : nat -> nat | f x = %s\n" % body)
         code = main(["check", str(deep)])
         captured = capsys.readouterr()
         assert code == 2
-        assert "error: input nests too deeply" in captured.out
+        match = re.search(r"error: 2:(\d+): input nests too deeply to "
+                          r"analyze", captured.out)
+        assert match, captured.out
+        assert first <= int(match.group(1)) <= last
         assert "Traceback" not in captured.out + captured.err
 
     def test_multiple_files_take_worst(self, capsys):
