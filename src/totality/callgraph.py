@@ -6,9 +6,9 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .collapse import clamp, collapse_depth, collapse_weights
-from .order import BRANCH_ITEMS, ITEM_NODES, Branch
 from .terms import (
     Approx,
     Constr,
@@ -24,6 +24,7 @@ from .terms import (
     Unknown,
     ZERO,
     ZEROW,
+    approx,
     constr,
     constr_dual,
     contains_funapp,
@@ -52,8 +53,28 @@ from .typecheck import (
 )
 
 
-# the spine item of a Daimon
+# items: ("c", name, p) constructor, ("r", name, p) record field,
+# ("d", name, p) constructor-destructor, ("j", name, p) projection,
+# ("w", Weight) approximation, and the Daimon's item:
 DAIMON = ("daimon",)
+
+# the item of each single-child node, keyed by node type
+BRANCH_ITEMS = {
+    Constr: lambda t: ("c", t.name, t.priority),
+    ConstrDual: lambda t: ("d", t.name, t.priority),
+    Project: lambda t: ("j", t.name, t.priority),
+    Approx: lambda t: ("w", t.wt),
+}
+
+# the node each item stands for, built around `t` by its smart constructor
+ITEM_NODES = {
+    "c": lambda item, t: constr(item[1], item[2], t),
+    "r": lambda item, t: record([(item[1], t)], item[2]),
+    "d": lambda item, t: constr_dual(item[1], item[2], t),
+    "j": lambda item, t: project(item[1], item[2], t),
+    "w": lambda item, t: approx(item[1], t),
+    "daimon": lambda item, t: daimon(t),
+}
 
 
 @dataclass(frozen=True)
@@ -61,28 +82,27 @@ class Call:
     """One edge of the call graph: a normal form with a single occurrence
     of the callee, applied to argument summaries.
 
-    `spine` is the tuple of items above the callee occurrence, outermost
-    first, and `args` are its arguments.  `call_of_term` splits a term into
-    both; the closure builds each new edge from both (`CallTables.call`)."""
+    `spine` is the word of items above the callee occurrence, outermost
+    first, and `args` are the occurrence's arguments as trees (`arg_tree`).
+    The four fields determine the term, which is built, once, only to print
+    the call and to compare loops by `sqcoh`."""
 
     caller: str
     callee: str
-    term: Term
-    spine: tuple = field(compare=False, repr=False)
-    args: tuple = field(compare=False, repr=False)
+    spine: tuple
+    args: tuple
 
-    def spine_branch(self):
-        """The spine as a branch, or None when it runs through a Daimon."""
-        if DAIMON in self.spine:
-            return None
-        return Branch(self.spine)
+    @cached_property
+    def term(self) -> Term:
+        return plug(self.spine,
+                    funapp(self.callee, [tree_term(a) for a in self.args]))
 
     def __str__(self) -> str:
         return "%s -> %s: %s" % (self.caller, self.callee, term_str(self.term))
 
 
 def call_of_term(caller: str, t: Term, group: set) -> Call:
-    """The call `t` of `caller`, split into spine and arguments.
+    """The call `t` of `caller`, split into its spine and argument trees.
 
     One walk down the spine checks the invariants.  A bad term is reported
     by the first fault in this order: not exactly one function name, a
@@ -124,7 +144,8 @@ def call_of_term(caller: str, t: Term, group: set) -> Call:
         raise InternalError(fault)
     if node.fname not in group:
         raise InternalError("call to %r escapes the group" % node.fname)
-    return Call(caller, node.fname, t, tuple(items), node.args)
+    return Call(caller, node.fname, tuple(items),
+                tuple(arg_tree(a) for a in node.args))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +314,7 @@ _ABSORBED = {"c": -1, "r": -1, "d": 1, "j": 1}
 _ZERO_WEIGHT = ("w", ZEROW)
 
 
-def _weigh(middles, folded, sign: int, bound_b=None) -> tuple:
+def weigh(middles, folded, sign: int, bound_b=None) -> tuple:
     """The weight item that adds the weight items `middles` (None adds
     nothing) and the items `folded`, absorbed with the signs of a spine
     (`sign` 1) or of an argument (-1), clamped when `bound_b` is given."""
@@ -309,7 +330,7 @@ def _weigh(middles, folded, sign: int, bound_b=None) -> tuple:
 
 
 def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int,
-                   weigh=_weigh):
+                   weigh=weigh):
     """The collapsed composite of spine `b` plugged into spine `a`, both
     given by `spine_parts`, as a spine; None when it is zero.
 
@@ -330,8 +351,8 @@ def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int,
     Collapsing then keeps the D outer constructors and the D inner
     destructors and folds the rest into M, starting from a zero weight, as
     `collapse_depth` does to a call spine; `collapse_weights` clamps the
-    weight of M into [-B, B).  `weigh` computes that weight as `_weigh`
-    does."""
+    weight of M into [-B, B).  `weigh` computes that weight as the module's
+    `weigh` does."""
     ca, ma, da = a
     cb, mb, db = b
     i, j = len(da), 0
@@ -413,26 +434,29 @@ def _rebuild(tree: tuple, f) -> list:
     return [("r", tree[1], fields) for fields in itertools.product(*choices)]
 
 
-def _daimons(tree: tuple) -> list:
-    """The Daimon over `tree`: a Daimon leaf for each leaf of the tree."""
+def leaf_paths(tree: tuple, above: tuple = ()) -> list:
+    """The path to each leaf of `tree`, in order: the constructor items
+    ("c", name, p) and field items ("r", name, p) above the leaf, outermost
+    first, then the leaf."""
     if tree[0] == "c":
-        return _daimons(tree[3])
+        return leaf_paths(tree[3], above + (tree[:3],))
     if tree[0] == "r":
-        return [leaf for _, v in tree[2] for leaf in _daimons(v)]
-    return [("x", DAIMON, tree[2], tree[3])]
+        return [path for n, v in tree[2]
+                for path in leaf_paths(v, above + (("r", n, tree[1]),))]
+    return [above + (tree,)]
 
 
 def _approx(middle: tuple, tree: tuple, weigh) -> list:
-    """The middle item `middle` over `tree`.  The Daimon gives the Daimons
-    of the tree's leaves.  A weight absorbs the constructors above a leaf
-    and the leaf's weight, vanishes under the leaf's Daimon, and over a
-    record gives the Daimons of the record."""
+    """The middle item `middle` over `tree`.  The Daimon gives a Daimon
+    leaf for each leaf of the tree.  A weight absorbs the constructors
+    above a leaf and the leaf's weight, vanishes under the leaf's Daimon,
+    and over a record gives the Daimons of the record's leaves."""
     ctors = []  # their items only: a weight key holds no subtree
     while tree[0] == "c":
         ctors.append(tree[:3])
         tree = tree[3]
     if middle == DAIMON or tree[0] == "r":
-        return _daimons(tree)
+        return [("x", DAIMON) + path[-1][2:] for path in leaf_paths(tree)]
     if tree[1] == DAIMON:
         return [tree]
     return [("x", weigh((middle, tree[1]), ctors, -1), tree[2], tree[3])]
@@ -484,10 +508,10 @@ def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int,
 
 
 def substitute_tree(tree: tuple, bound: dict, bound_b: int, bound_d: int,
-                    weigh=_weigh) -> list:
+                    weigh=weigh) -> list:
     """The summands, in the order of their terms, of the collapsed `tree`
     with each parameter j that `bound` binds replaced by the tree bound[j];
-    `weigh` computes weights as `_weigh` does."""
+    `weigh` computes weights as the module's `weigh` does."""
     out = [c for s in _subst(tree, bound, weigh)
            for c in _collapse(s, bound_d, bound_b, bound_d, weigh)]
     if len(out) > 1:
@@ -518,7 +542,7 @@ class CallTables:
     argument substitution depends only on the bindings of the parameters
     the argument mentions, so it is memoised by the argument id and the ids
     bound to those parameters.  The weights both compute are memoised too
-    (`_weigh`): the same ones recur across the pairs of a closure.
+    (`weigh`): the same ones recur across the pairs of a closure.
 
     Substituting on trees is exact too.  Above the leaves the smart
     constructors only rebuild nodes, distributing over sums, so a record
@@ -547,7 +571,7 @@ class CallTables:
         self.params: list[tuple] = []
         # subst[(b, bound)]: ids of the summands of collapse(b[x := bound])
         self.subst: dict = {}
-        # weights[(sign, bound_b, *middles, *folded)]: _weigh's item for
+        # weights[(sign, bound_b, *middles, *folded)]: weigh's item for
         # them; each item also maps to itself, so equal items are shared
         self.weights: dict = {}
 
@@ -566,13 +590,14 @@ class CallTables:
             aid = self.arg_ids[tree] = len(self.args)
             self.args.append(tree)
             self.params.append(tuple(sorted(
-                {leaf[3] - 1 for leaf in _daimons(tree) if leaf[3]})))
+                {path[-1][3] - 1 for path in leaf_paths(tree)
+                 if path[-1][3]})))
         return aid
 
     def split(self, call: Call) -> tuple:
         """Spine id and argument ids of a call."""
         return (self._spine_id(call.spine),
-                tuple(self._arg_id(arg_tree(a)) for a in call.args))
+                tuple(self._arg_id(a) for a in call.args))
 
     def combine(self, first: tuple, second: tuple):
         """Spine id of the collapsed composite of two split calls, and the
@@ -602,15 +627,9 @@ class CallTables:
         return sid, choices
 
     def call(self, caller: str, sid: int, callee: str, ids: tuple) -> Call:
-        """The edge of a candidate, with its spine and arguments."""
-        spine = self.spines[sid]
-        args = tuple(tree_term(self.args[a]) for a in ids)
-        return Call(caller, callee, plug(spine, funapp(callee, args)),
-                    spine, args)
-
-    def plug(self, sid: int, callee: str, ids: tuple) -> Term:
-        """The term of a candidate."""
-        return self.call("", sid, callee, ids).term
+        """The edge of a candidate."""
+        return Call(caller, callee, self.spines[sid],
+                    tuple(self.args[a] for a in ids))
 
     def _substitute(self, b: int, bound: tuple) -> tuple:
         bindings = {j + 1: self.args[a]
@@ -619,11 +638,11 @@ class CallTables:
             self.args[b], bindings, self.bound_b, self.bound_d, self._weigh))
 
     def _weigh(self, middles, folded, sign: int, bound_b=None) -> tuple:
-        """The module's `_weigh`, memoised."""
+        """The module's `weigh`, memoised."""
         key = (sign, bound_b, *middles, *folded)
         item = self.weights.get(key)
         if item is None:
-            item = _weigh(middles, folded, sign, bound_b)
+            item = weigh(middles, folded, sign, bound_b)
             item = self.weights[key] = self.weights.setdefault(item, item)
         return item
 

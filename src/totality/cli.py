@@ -106,8 +106,9 @@ def main(argv=None) -> int:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 src = handle.read()
-        except OSError as err:
-            print("error: %s" % err, file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as err:
+            reason = getattr(err, "strerror", None) or err
+            print("error: %s: %s" % (path, reason), file=sys.stderr)
             worst = max(worst, 2)
             continue
         report = analyze_source(src, config)

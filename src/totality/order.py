@@ -1,9 +1,8 @@
-"""Branch weights, the syntax-directed order on normal forms, and the
-weak-coherence check used to select which loops must be analysed."""
+"""The syntax-directed order on normal forms, and the weak-coherence check
+used to select which loops must be analysed.  Both work on terms; the loop
+conditions read their weights off a call's items (`scp`)."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .terms import (
     Approx,
@@ -18,102 +17,13 @@ from .terms import (
     Sum,
     Term,
     Unknown,
-    Weight,
     ZEROW,
     approx,
     coef_leq,
-    constr,
-    constr_dual,
     daimon,
-    project,
-    record,
     rewrap,
     summands,
-    weight,
-    weight_add,
 )
-
-# branch items: ("c", name, p) constructor, ("r", name, p) record field,
-# ("d", name, p) constructor-destructor, ("j", name, p) projection,
-# ("w", Weight) approximation, ("x", i) parameter end, ("daimon",)
-
-# the item of each single-child node, keyed by node type
-BRANCH_ITEMS = {
-    Constr: lambda t: ("c", t.name, t.priority),
-    ConstrDual: lambda t: ("d", t.name, t.priority),
-    Project: lambda t: ("j", t.name, t.priority),
-    Approx: lambda t: ("w", t.wt),
-}
-
-# the node each item stands for, built around `t` by its smart constructor
-ITEM_NODES = {
-    "c": lambda item, t: constr(item[1], item[2], t),
-    "r": lambda item, t: record([(item[1], t)], item[2]),
-    "d": lambda item, t: constr_dual(item[1], item[2], t),
-    "j": lambda item, t: project(item[1], item[2], t),
-    "w": lambda item, t: approx(item[1], t),
-    "daimon": lambda item, t: daimon(t),
-}
-
-
-@dataclass(frozen=True)
-class Branch:
-    items: tuple
-
-
-def branches(t: Term) -> list[Branch]:
-    """All root-to-parameter paths of a call-free normal form.
-
-    Paths that run into a Daimon or the unknown leaf carry no usable size
-    information and are dropped.
-    """
-    out: list[Branch] = []
-    _walk(t, (), out)
-    return out
-
-
-def _walk(t: Term, acc: tuple, out: list) -> None:
-    if isinstance(t, Sum):
-        for p in t.parts:
-            _walk(p, acc, out)
-        return
-    if isinstance(t, Param):
-        out.append(Branch(acc + (("x", t.index),)))
-        return
-    if isinstance(t, (Unknown, Daimon)):
-        return
-    if isinstance(t, Record):
-        for name, value in t.fields:
-            _walk(value, acc + (("r", name, t.priority),), out)
-        return
-    item = BRANCH_ITEMS.get(type(t))
-    if item is not None:
-        _walk(t.arg, acc + (item(t),), out)
-        return
-    if isinstance(t, FunApp):
-        raise InternalError("branches of a term containing a call")
-    raise InternalError("unknown term node %r" % (t,))
-
-
-def branch_weight(branch: Branch, dual: bool = False) -> Weight:
-    """Net weight of a branch.
-
-    Constructors and record fields count +1 at their priority, destructors
-    and projections -1, stored approximations add their weight; with
-    ``dual`` the structural signs flip (used on call spines, whose stored
-    weights already follow the flipped convention).
-    """
-    sign = -1 if dual else 1
-    total = ZEROW
-    for item in branch.items:
-        kind = item[0]
-        if kind in ("c", "r"):
-            total = weight_add(total, weight({item[2]: sign}))
-        elif kind in ("d", "j"):
-            total = weight_add(total, weight({item[2]: -sign}))
-        elif kind == "w":
-            total = weight_add(total, item[1])
-    return total
 
 
 # ---------------------------------------------------------------------------

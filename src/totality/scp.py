@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .callgraph import Call, CallGraph
-from .order import branch_weight, branches, sqcoh
+from .callgraph import DAIMON, Call, CallGraph, leaf_paths, spine_parts, weigh
+from .order import sqcoh
 from .terms import term_str
 
 
@@ -50,28 +50,31 @@ def _dominant(weight, parity: int):
 def check_condition1(call: Call):
     """Even priority at which the loop spine guarantees output, or None.
 
-    A Daimon on the spine destroys any output guarantee.
+    The spine word is weighed with a spine's signs (`weigh`).  A Daimon on
+    the spine destroys any output guarantee.
     """
-    spine = call.spine_branch()
-    if spine is None:
+    ctors, middle, dtors = spine_parts(call.spine)
+    if middle == DAIMON:
         return None
-    return _dominant(branch_weight(spine, dual=True), 0)
+    return _dominant(weigh((middle,), ctors + dtors, 1)[1], 0)
 
 
 def check_condition2(call: Call):
-    """(argument index, branch, odd priority) for a self-decreasing
+    """(argument index, leaf path, odd priority) for a self-decreasing
     argument, or None.
 
-    Only branches feeding an argument from the same parameter index count:
-    those are the ones that stack up when the loop repeats.
+    Only the leaf paths (`leaf_paths`) feeding an argument from the same
+    parameter index count: those are the ones that stack up when the loop
+    repeats.  A path is weighed with an argument's signs (`weigh`); a path
+    into a Daimon carries no usable size information.
     """
     for index, arg in enumerate(call.args, start=1):
-        for br in branches(arg):
-            if br.items[-1] != ("x", index):
-                continue
-            p = _dominant(branch_weight(br), 1)
-            if p is not None:
-                return index, br, p
+        for path in leaf_paths(arg):
+            *above, (_, middle, word, end) = path
+            if end == index and middle != DAIMON:
+                p = _dominant(weigh((middle,), (*above, *word), -1)[1], 1)
+                if p is not None:
+                    return index, path, p
     return None
 
 

@@ -274,6 +274,9 @@ def _pragmas(src: str) -> dict:
     out = {}
     for number, text in enumerate(src.splitlines(), start=1):
         m = _PRAGMA.match(text)
+        if m and int(m.group(1)) < 1:
+            raise SourceError("pragma bound B must be at least 1", number,
+                              m.start(1) + 1)
         if m:
             out[number] = (int(m.group(1)), int(m.group(2)))
     return out

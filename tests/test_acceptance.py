@@ -9,13 +9,18 @@ import random
 import pytest
 
 from conftest import analyze_corpus, annotated_groups
-from totality.callgraph import build_callgraph, transitive_closure
+from totality.callgraph import (
+    DAIMON,
+    build_callgraph,
+    leaf_paths,
+    spine_parts,
+    transitive_closure,
+    weigh,
+)
 from totality.collapse import collapse_depth, collapse_weights
-from totality.order import branch_weight, branches, sleq
+from totality.order import sleq
 from totality.scp import check_condition1, check_condition2
 from totality.terms import (
-    Constr,
-    Daimon,
     Sum,
     ZERO,
     compose,
@@ -93,6 +98,15 @@ def test_criterion_03_bad_s():
        "at (1,1) has exactly 5 edges; diagnostics name a failing composite")
 
 
+def spine_weight(call):
+    """The net weight of a call's spine word, as condition 1 reads it; None
+    when the spine runs through a Daimon."""
+    ctors, middle, dtors = spine_parts(call.spine)
+    if middle == DAIMON:
+        return None
+    return weigh((middle,), ctors + dtors, 1)[1]
+
+
 def test_criterion_04_sums():
     assert verdicts("sums.ch", 1, 1)["sums"].result == "total"
     assert verdicts("sums.ch", 1, 0)["sums"].result == "unknown"
@@ -100,14 +114,10 @@ def test_criterion_04_sums():
     closure = closure_of("sums.ch", 1, 1)
     loops = closure.loops()
 
-    def spine_weight(call):
-        branch = call.spine_branch()
-        return branch_weight(branch, dual=True) if branch else None
-
     # rho1: two output layers guaranteed, accumulator restarted from Zero
     rho1 = [c for c in loops
             if spine_weight(c) == weight({0: -2})
-            and isinstance(c.args[0], Constr) and c.args[0].name == "Zero"]
+            and c.args[0][:2] == ("c", "Zero")]
     assert rho1 and all(check_condition1(c) == 0 for c in rho1)
 
     # rho2: no output guarantee, head of the stream argument shrinks
@@ -121,7 +131,7 @@ def test_criterion_04_sums():
     # rho3: mixed composition, unknown accumulator, still productive
     rho3 = [c for c in loops
             if spine_weight(c) == weight({0: -2})
-            and isinstance(c.args[0], Daimon)]
+            and c.args[0][:2] == ("x", DAIMON)]
     assert rho3 and all(check_condition1(c) == 0 for c in rho3)
     ok("criterion 4: sums total at (1,1), unknown at (1,0); closure holds "
        "loops of the three expected shapes with the right conditions")
@@ -152,12 +162,12 @@ def test_criterion_08_nats_list():
     assert verdicts("nats_list.ch", 1, 1)["nats_list"].result == "unknown"
     closure = closure_of("nats_list.ch", 1, 1)
     composed = [c for c in closure.loops()
-                if c.spine_branch() is not None
-                and branch_weight(c.spine_branch(), dual=True)
-                == weight({0: -1, 1: -2})]
+                if spine_weight(c) == weight({0: -1, 1: -2})]
     assert composed
     loop = composed[0]
-    arg_weights = [branch_weight(b) for b in branches(loop.args[0])]
+    arg_weights = [weigh((leaf[1],), (*above, *leaf[2]), -1)[1]
+                   for *above, leaf in leaf_paths(loop.args[0])
+                   if leaf[1] != DAIMON and leaf[3]]
     assert weight({3: float("inf")}) in arg_weights
     assert check_condition1(loop) is None
     assert check_condition2(loop) is None

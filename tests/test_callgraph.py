@@ -177,11 +177,11 @@ class TestCallParsing:
     def test_spine_and_args(self):
         call = call_of_term("f", t("{Tail@0 = <{0:-1}> f(Succ@1 x1)}"), {"f"})
         assert call.spine == (("r", "Tail", 0), ("w", t("<{0:-1}> x1").wt))
-        assert call.args == (t("Succ@1 x1"),)
+        assert call.args == (("c", "Succ", 1, ("x", None, (), 1)),)
 
     def test_daimon_on_spine(self):
         call = call_of_term("f", t("? f(x1)"), {"f"})
-        assert call.spine_branch() is None
+        assert call.spine == (callgraph.DAIMON,)
 
     @pytest.mark.parametrize("text, group, message", [
         ("x1", {"f"}, "call term must mention exactly one function: x1"),
@@ -256,11 +256,11 @@ class TestPiecewiseClosure:
                         continue
                     pairs += 1
                     sid, choices = tables.combine(parts[a], parts[b])
-                    got = [tables.plug(sid, b.callee, ids)
+                    got = [tables.call(a.caller, sid, b.callee, ids)
                            for ids in itertools.product(*choices)
                            ] if sid else []
                     want = compose_calls(a, b, bound, bound)
-                    assert got == [c.term for c in want], (name, a, b)
+                    assert got == want, (name, a, b)
             assert pairs == closure.stats["compositions"], name
 
     @pytest.mark.parametrize("bound_d", [1, 2, 3])
@@ -371,8 +371,7 @@ class TestClosureOrder:
 
 class TestBuiltEdges:
     """The closure builds each new edge from its spine and argument trees;
-    `spine` and `args` do not take part in equality, so compare them with
-    splitting the edge's term."""
+    splitting the term they stand for must give the same call back."""
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     @pytest.mark.parametrize(
@@ -382,9 +381,8 @@ class TestBuiltEdges:
             graph = build_callgraph(analyzed.defs, bound, bound)
             group = set(graph.vertices)
             for edge in transitive_closure(graph).edges:
-                split = call_of_term(edge.caller, edge.term, group)
-                assert edge.spine == split.spine, (name, edge)
-                assert edge.args == split.args, (name, edge)
+                assert call_of_term(edge.caller, edge.term, group) == edge, \
+                    (name, edge)
 
 
 # the callee occurrence of a spine term; no function has the empty name

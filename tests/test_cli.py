@@ -47,6 +47,17 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "check", str(CORPUS / "missing.ch"))
         assert code == 2
 
+    def test_undecodable_file_gives_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.ch"
+        bad.write_bytes("-- caf\u00e9\n".encode("latin-1"))
+        code = main(["check", str(bad), str(CORPUS / "nats.ch")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: %s: 'utf-8' codec" % bad)
+        assert "Traceback" not in captured.err
+        # the other files are still checked
+        assert "TOTAL nats" in captured.out
+
     def test_type_error_gives_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.ch"
         bad.write_text("data nat where Zero : nat | Succ : nat -> nat\n"
@@ -157,6 +168,20 @@ class TestPragma:
     def test_bounds_validated(self, capsys):
         code = main(["check", str(CORPUS / "nats.ch"), "--bound-b", "0"])
         assert code == 2
+
+    def test_zero_weight_bound_is_located(self, tmp_path, capsys):
+        source = corpus_source("c1c2.ch").replace(
+            "val f : thing -> nat",
+            "-- totality: B=0, D=1\nval f : thing -> nat")
+        line = source.splitlines().index("-- totality: B=0, D=1") + 1
+        path = tmp_path / "pragma.ch"
+        path.write_text(source)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == (
+            "error: %d:16: pragma bound B must be at least 1\n" % line)
+        assert "Traceback" not in captured.err
 
 
 class TestLibraryConfig:

@@ -1,8 +1,17 @@
-"""Branches, branch weights, the syntax-directed order and weak coherence."""
+"""Leaf paths and the weight sum that the loop conditions read, the
+syntax-directed order and weak coherence."""
 
 import random
 
-from totality.order import Branch, branch_weight, branches, sleq, sqcoh
+from totality.callgraph import (
+    DAIMON,
+    arg_tree,
+    call_of_term,
+    leaf_paths,
+    weigh,
+)
+from totality.order import sleq, sqcoh
+from totality.scp import check_condition2
 from totality.terms import INF, ZERO, daimon, parse_term, weight
 from totality.testkit import gen_term
 
@@ -12,34 +21,47 @@ def t(text):
 
 
 class TestBranches:
+    """The leaf paths of an argument tree, which condition 2 weighs."""
+
     def test_record_opens_one_branch_per_field(self):
-        out = branches(t("{Fst@0 = x1; Snd@0 = C-@1 x1}"))
+        out = leaf_paths(arg_tree(t("{Fst@0 = x1; Snd@0 = C-@1 x1}")))
         assert out == [
-            Branch((("r", "Fst", 0), ("x", 1))),
-            Branch((("r", "Snd", 0), ("d", "C", 1), ("x", 1))),
+            (("r", "Fst", 0), ("x", None, (), 1)),
+            (("r", "Snd", 0), ("x", None, (("d", "C", 1),), 1)),
         ]
 
     def test_parameter_is_its_own_branch(self):
-        assert branches(t("x1")) == [Branch((("x", 1),))]
+        assert leaf_paths(arg_tree(t("x1"))) == [(("x", None, (), 1),)]
 
     def test_daimon_paths_are_dropped(self):
-        assert branches(t("? x1")) == []
-        assert branches(t("{D@0 = ? x1; E@0 = x2}")) == \
-            [Branch((("r", "E", 0), ("x", 2)))]
+        # a path into a Daimon ends in a Daimon leaf
+        assert leaf_paths(arg_tree(t("? x1"))) == [(("x", DAIMON, (), 1),)]
+        assert leaf_paths(arg_tree(t("{D@0 = ? x1; E@0 = x2}"))) == [
+            (("r", "D", 0), ("x", DAIMON, (), 1)),
+            (("r", "E", 0), ("x", None, (), 2)),
+        ]
+        # and condition 2 drops it, though its destructor would witness
+        call = call_of_term("f", t("f(? C-@1 x1)"), {"f"})
+        assert call.args == (("x", DAIMON, (("d", "C", 1),), 1),)
+        assert check_condition2(call) is None
 
 
 class TestBranchWeight:
+    """The weight sum the loop conditions read: `weigh` with an argument's
+    signs (-1) or a spine's (1)."""
+
     def test_standard_signs(self):
-        br = Branch((("j", "Snd", 0), ("d", "Cons", 1), ("x", 1)))
-        assert branch_weight(br) == weight({0: -1, 1: -1})
+        word = (("j", "Snd", 0), ("d", "Cons", 1))
+        assert weigh((None,), word, -1) == ("w", weight({0: -1, 1: -1}))
 
     def test_stored_weight_contributes(self):
-        br = Branch((("w", weight({1: -1})), ("x", 1)))
-        assert branch_weight(br) == weight({1: -1})
+        stored = ("w", weight({1: -1}))
+        assert weigh((stored,), (), -1) == stored
 
     def test_dual_signs_for_spines(self):
-        br = Branch((("r", "Tail", 0), ("w", weight({0: -1}))))
-        assert branch_weight(br, dual=True) == weight({0: -2})
+        stored = ("w", weight({0: -1}))
+        assert weigh((stored,), (("r", "Tail", 0),), 1) == \
+            ("w", weight({0: -2}))
 
 
 class TestSleq:

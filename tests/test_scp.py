@@ -1,20 +1,42 @@
 """Size-change conditions and loop selection."""
 
+import random
+
 import pytest
 
 from conftest import CORPUS, annotated_groups
 from totality.callgraph import (
+    DAIMON,
     build_callgraph,
     call_of_term,
+    leaf_paths,
+    spine_parts,
     transitive_closure,
+    weigh,
 )
 from totality.scp import (
+    _dominant,
     check_condition1,
     check_condition2,
     check_loops,
 )
-from totality.terms import parse_term
-from totality.testkit import compose_calls, is_checked_loop
+from totality.terms import (
+    Approx,
+    Constr,
+    ConstrDual,
+    Daimon,
+    FunApp,
+    Param,
+    Project,
+    Record,
+    Sum,
+    Unknown,
+    ZEROW,
+    parse_term,
+    weight,
+    weight_add,
+)
+from totality.testkit import compose_calls, gen_call, is_checked_loop
 
 
 def t(text):
@@ -156,3 +178,96 @@ class TestRecordedSelfComposites:
             assert outcome.checked_loops == checked
             assert [f.loop for f in outcome.failures] == failures
             assert outcome.total == (not failures)
+
+
+# the reference: the branch walk of a call's term that the loop conditions
+# read before they read the call's items
+
+def branches(t, above=()):
+    """Every root-to-end path of a normal form as items, ending in the
+    parameter or call it reaches; paths into a Daimon or `_` are dropped."""
+    if isinstance(t, Sum):
+        return [b for p in t.parts for b in branches(p, above)]
+    if isinstance(t, (Param, FunApp)):
+        return [above + (t,)]
+    if isinstance(t, (Daimon, Unknown)):
+        return []
+    if isinstance(t, Record):
+        return [b for n, v in t.fields
+                for b in branches(v, above + (("r", n, t.priority),))]
+    kind = {Constr: "c", ConstrDual: "d", Project: "j"}.get(type(t))
+    item = ("w", t.wt) if isinstance(t, Approx) else (kind, t.name, t.priority)
+    return branches(t.arg, above + (item,))
+
+
+def branch_weight(items, dual=False):
+    """Constructors and record fields count +1 at their priority,
+    destructors and projections -1, and stored weights add; `dual` flips
+    the structural signs, as on a call spine."""
+    sign = -1 if dual else 1
+    total = ZEROW
+    for item in items:
+        if item[0] == "w":
+            total = weight_add(total, item[1])
+        else:
+            total = weight_add(total, weight(
+                {item[2]: sign if item[0] in "cr" else -sign}))
+    return total
+
+
+def branch_weights(call):
+    """The spine's weight (None through a Daimon) and, per argument, the
+    weights of the branches that return to its own parameter, read off the
+    branch walk of the call's term."""
+    node = call.term
+    while not isinstance(node, FunApp):
+        node = node.fields[0][1] if isinstance(node, Record) else node.arg
+    spine = [b[:-1] for b in branches(call.term)]
+    args = [(i, branch_weight(b[:-1]))
+            for i, a in enumerate(node.args, start=1)
+            for b in branches(a) if b[-1] == Param(i)]
+    return (branch_weight(spine[0], dual=True) if spine else None), args
+
+
+def item_weights(call):
+    """The same weights as the loop conditions read them off the items."""
+    ctors, middle, dtors = spine_parts(call.spine)
+    spine = None if middle == DAIMON else weigh((middle,), ctors + dtors, 1)
+    args = [(i, weigh((leaf[1],), (*above, *leaf[2]), -1)[1])
+            for i, a in enumerate(call.args, start=1)
+            for *above, leaf in leaf_paths(a)
+            if leaf[3] == i and leaf[1] != DAIMON]
+    return (spine and spine[1]), args
+
+
+class TestItemWeights:
+    """The loop conditions read weights off a call's spine word and the
+    leaf paths of its argument trees; these compare them, and the verdicts
+    of both conditions, with the branch walk of the call's term."""
+
+    @staticmethod
+    def check(call):
+        want = branch_weights(call)
+        assert item_weights(call) == want, call
+        spine, args = want
+        assert check_condition1(call) == (
+            None if spine is None else _dominant(spine, 0)), call
+        first = next(((i, p) for i, w in args
+                      if (p := _dominant(w, 1)) is not None), None)
+        witness = check_condition2(call)
+        assert (witness and (witness[0], witness[2])) == first, call
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_corpus_closures(self, name, bound):
+        for analyzed, _ in annotated_groups(name):
+            closure = transitive_closure(
+                build_callgraph(analyzed.defs, bound, bound))
+            for edge in closure.edges:
+                self.check(edge)
+
+    def test_random_loops(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            self.check(gen_call(rng, "f", arity=rng.randint(1, 3)))
