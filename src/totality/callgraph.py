@@ -8,7 +8,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .collapse import clamp, collapse_depth, collapse_weights
+from .collapse import clamp
 from .terms import (
     Approx,
     Constr,
@@ -22,7 +22,6 @@ from .terms import (
     Sum,
     Term,
     Unknown,
-    ZERO,
     ZEROW,
     approx,
     constr,
@@ -262,26 +261,34 @@ class CallGraph:
         return [e for e in self.edges if e.caller == e.callee]
 
 
-def collapse_call_term(t: Term, bound_b: int, bound_d: int) -> Term:
-    return collapse_weights(bound_b, collapse_depth(bound_d, t))
+def collapsed_calls(caller: str, raw: Term, group: set, bound_b: int,
+                    bound_d: int) -> list:
+    """The calls of `raw`, a call term of `caller`, collapsed and in the
+    order of their terms.  Each summand is collapsed as the closure
+    collapses its composite with the identity call: its spine by
+    `compose_spines` and each argument by `substitute_tree`, unbound."""
+    found = []
+    for s in summands(raw):
+        call = call_of_term(caller, s, group)
+        spine = compose_spines(spine_parts(call.spine), ((), None, ()),
+                               bound_b, bound_d)
+        choices = [substitute_tree(a, {}, bound_b, bound_d)
+                   for a in call.args]
+        found += [Call(caller, call.callee, spine, args)
+                  for args in itertools.product(*choices)]
+    if len(found) > 1:
+        found = sorted(set(found), key=lambda c: sort_key(c.term))
+    return found
 
 
 def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
     group = {d.fname for d in adefs}
-    edges: list[Call] = []
-    seen = set()
-    for adef in adefs:
-        t = definition_term(adef)
-        for raw in extract_calls(t, group):
-            collapsed = collapse_call_term(raw, bound_b, bound_d)
-            for s in summands(collapsed):
-                if s == ZERO:
-                    continue
-                call = call_of_term(adef.fname, s, group)
-                if call not in seen:
-                    seen.add(call)
-                    edges.append(call)
-    return CallGraph(tuple(sorted(group)), tuple(edges), bound_b, bound_d)
+    edges = [call for adef in adefs
+             for raw in extract_calls(definition_term(adef), group)
+             for call in collapsed_calls(adef.fname, raw, group, bound_b,
+                                         bound_d)]
+    return CallGraph(tuple(sorted(group)), tuple(dict.fromkeys(edges)),
+                     bound_b, bound_d)
 
 
 # Caps on the closure; reaching one raises ClosureCapError.
@@ -490,10 +497,10 @@ def _subst(tree: tuple, bound: dict, weigh) -> list:
 
 def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int,
               weigh) -> list:
-    """The summands of `tree` collapsed as `collapse_call_term` collapses
-    its term, with `budget` constructor layers left: past them a zero
-    weight, then each leaf keeps its D innermost destructors, folds the
-    others into its weight and clamps the weight."""
+    """The summands of `tree` collapsed as `testkit.collapse_call_term`
+    collapses its term, with `budget` constructor layers left: past them a
+    zero weight, then each leaf keeps its D innermost destructors, folds
+    the others into its weight and clamps the weight."""
     if tree[0] != "x" and budget:
         return _rebuild(
             tree, lambda s: _collapse(s, budget - 1, bound_b, bound_d, weigh))
@@ -550,7 +557,8 @@ class CallTables:
     leaf meets the tree bound to its parameter, applying the leaf's
     destructors, innermost first, and then its middle.  `_subst` applies
     their head reductions with an argument's signs (it holds no call), and
-    `_collapse` does to a tree what `collapse_call_term` does to its term.
+    `_collapse` does to a tree what `testkit.collapse_call_term` does to
+    its term.
 
     One instance serves one closure and is dropped with it."""
 

@@ -137,6 +137,15 @@ def analyze_program(program: Program, config: Config) -> Report:
 
 def analyze_source(src: str, config: Config = None) -> Report:
     config = config or Config()
+    report = Report()
+    if config.bound_b < 1:
+        report.errors.append("bound B must be at least 1, not %d"
+                             % config.bound_b)
+    if config.bound_d < 0:
+        report.errors.append("bound D must be nonnegative, not %d"
+                             % config.bound_d)
+    if report.errors:
+        return report
     try:
         program = parse_program(src)
         return analyze_program(program, config)
@@ -144,6 +153,5 @@ def analyze_source(src: str, config: Config = None) -> Report:
         message = str(err)
     except RecursionError:
         message = TOO_DEEP
-    report = Report()
     report.errors = [message]
     return report

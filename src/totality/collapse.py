@@ -5,6 +5,11 @@ clamped into [-B, B) with everything at or above B replaced by infinity;
 depth collapsing keeps the D outermost constructor layers and, on every
 destructor spine, the D destructors closest to the spine's end, absorbing
 the rest into inserted zero weights.
+
+This is the paper's term collapse, kept as the reference: the checker
+collapses calls on their spine words and argument trees instead
+(`callgraph.collapsed_calls`), and the tests compare that with
+`testkit.collapse_call_term`, which applies these functions to a term.
 """
 
 from __future__ import annotations

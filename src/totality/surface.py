@@ -1,5 +1,5 @@
-"""Source language front end: lexing, parsing, desugaring, restriction
-checks and a printer whose output parses back to the same tree.
+"""Source language front end: lexing, parsing, desugaring and
+restriction checks.
 
 The language has `data` / `codata` declarations, `val` definitions with
 pattern clauses (chained into one recursive group with `and`), record
@@ -913,86 +913,3 @@ def _check_expr(e, bound: set, fn_arity, members, arities, cl, violations) -> bo
                                violations)
         return hit
     raise SourceError("unknown expression %r" % (e,))
-
-
-# ---------------------------------------------------------------------------
-# printer (round-trips through parse_program on desugared programs)
-
-def pattern_str(p, atom: bool = False) -> str:
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PWild):
-        return "_"
-    if isinstance(p, PNum):
-        return str(p.value)
-    if isinstance(p, PRecord):
-        return "{%s}" % "; ".join(
-            "%s = %s" % (n, pattern_str(sub)) for n, sub in p.fields)
-    if isinstance(p, PConstr):
-        if not p.args:
-            return p.name
-        body = "%s %s" % (p.name, " ".join(
-            pattern_str(a, atom=True) for a in p.args))
-        return "(%s)" % body if atom else body
-    raise SourceError("unknown pattern %r" % (p,))
-
-
-def expr_str(e, atom: bool = False) -> str:
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, ENum):
-        return str(e.value)
-    if isinstance(e, ERecord):
-        return "{ %s }" % "; ".join(
-            "%s = %s" % (n, expr_str(sub)) for n, sub in e.fields)
-    if isinstance(e, EProj):
-        return "%s.%s" % (expr_str(e.sub, atom=True), e.fname)
-    if isinstance(e, EConstr):
-        if not e.args:
-            return e.name
-        body = "%s %s" % (e.name, " ".join(expr_str(a, atom=True)
-                                           for a in e.args))
-        return "(%s)" % body if atom else body
-    if isinstance(e, EApp):
-        if not e.args:
-            return e.fname
-        body = "%s %s" % (e.fname, " ".join(expr_str(a, atom=True)
-                                            for a in e.args))
-        return "(%s)" % body if atom else body
-    raise SourceError("unknown expression %r" % (e,))
-
-
-def pretty_print(program: Program) -> str:
-    lines = []
-    for decl in program.decls:
-        head = "codata" if decl.is_codata else "data"
-        params = "(%s)" % ", ".join("'" + p for p in decl.params) \
-            if decl.params else ""
-        lines.append("%s %s%s where" % (head, decl.name, params))
-        for i, (name, ty) in enumerate(decl.items):
-            sep = "    " if i == 0 else "  | "
-            lines.append("%s%s : %s" % (sep, name, type_str(ty)))
-        lines.append("")
-    for group in program.groups:
-        for i, d in enumerate(group.defs):
-            head = "val" if i == 0 else "and"
-            if d.signature is not None:
-                lines.append("%s %s : %s" % (head, d.fname,
-                                             type_str(d.signature)))
-                rest = d.clauses
-            else:
-                first = d.clauses[0]
-                lines.append("%s %s %s= %s" % (
-                    head, d.fname,
-                    "".join(pattern_str(p, atom=True) + " "
-                            for p in first.patterns),
-                    expr_str(first.body)))
-                rest = d.clauses[1:]
-            for cl in rest:
-                lines.append("  | %s %s= %s" % (
-                    cl.fname,
-                    "".join(pattern_str(p, atom=True) + " "
-                            for p in cl.patterns),
-                    expr_str(cl.body)))
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"

@@ -6,9 +6,10 @@ order, closes under single-step rewriting, contextuality and
 transitivity, and answers comparisons by graph reachability.  It is used
 only to cross-check the syntax-directed `sleq` on normal-form pairs.
 
-`compose_calls` and `is_checked_loop` are the term path: they compose and
-collapse whole terms, and the tests compare the closure's piecewise
-composition and its recorded self-composites with them.
+`collapse_call_term`, `compose_calls` and `is_checked_loop` are the term
+path: they compose and collapse whole terms, and the tests compare the
+initial calls, the closure's piecewise composition and its recorded
+self-composites with them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .callgraph import Call, call_of_term, collapse_call_term
+from .callgraph import Call, call_of_term
+from .collapse import collapse_depth, collapse_weights
 from .order import sleq, sqcoh
 from .terms import (
     INF,
@@ -55,6 +57,11 @@ from .terms import (
 
 # ---------------------------------------------------------------------------
 # the term path
+
+
+def collapse_call_term(t: Term, bound_b: int, bound_d: int) -> Term:
+    """The paper's collapse of a call term: depth, then weights."""
+    return collapse_weights(bound_b, collapse_depth(bound_d, t))
 
 
 def compose_calls(alpha: Call, beta: Call, bound_b: int, bound_d: int):
@@ -488,8 +495,6 @@ def gen_call(rng: random.Random, fname: str = "f", arity: int = 1,
 def run_property_suite(seed: int = 20240917, quick: bool = False) -> dict:
     """Execute the randomized property checks; returns a report mapping
     property name -> (runs, failures, first counterexample)."""
-    from .collapse import collapse_depth, collapse_weights
-
     rng = random.Random(seed)
     report: dict[str, tuple] = {}
 

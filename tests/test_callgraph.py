@@ -13,7 +13,7 @@ from totality.callgraph import (
     arg_tree,
     build_callgraph,
     call_of_term,
-    collapse_call_term,
+    collapsed_calls,
     compose_spines,
     definition_term,
     extract_calls,
@@ -29,15 +29,23 @@ from totality.terms import (
     InternalError,
     Param,
     Sum,
+    ZERO,
     compose,
     funapp,
     parse_term,
     project,
     substitute,
+    sum_of,
     summands,
     term_str,
 )
-from totality.testkit import GenConfig, compose_calls, gen_call, gen_term
+from totality.testkit import (
+    GenConfig,
+    collapse_call_term,
+    compose_calls,
+    gen_call,
+    gen_term,
+)
 
 
 def t(text):
@@ -133,6 +141,59 @@ class TestBuildCallgraph:
     def test_non_recursive_definition_has_no_edges(self):
         graph = graph_for("sums.ch", 1, 1, index=0)  # add
         assert graph.edges == ()
+
+
+def term_path_calls(caller, raw, group, bound_b, bound_d):
+    """The calls of `raw` collapsed as a whole term, in order."""
+    out = []
+    for s in summands(collapse_call_term(raw, bound_b, bound_d)):
+        if s == ZERO:
+            continue
+        call = call_of_term(caller, s, group)
+        if call not in out:
+            out.append(call)
+    return out
+
+
+class TestInitialCollapse:
+    """`build_callgraph` collapses each extracted call on its spine word
+    and argument trees; these compare it with collapsing the whole term,
+    in value and in order."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_corpus_initial_edges(self, name):
+        for analyzed, _ in annotated_groups(name):
+            group = {d.fname for d in analyzed.defs}
+            for bound_b in (1, 2, 3, 4):
+                for bound_d in (0, 1, 2, 3, 4):
+                    want = list(dict.fromkeys(
+                        c for adef in analyzed.defs
+                        for raw in extract_calls(definition_term(adef), group)
+                        for c in term_path_calls(adef.fname, raw, group,
+                                                 bound_b, bound_d)))
+                    graph = build_callgraph(analyzed.defs, bound_b, bound_d)
+                    assert list(graph.edges) == want, (name, bound_b, bound_d)
+
+    def test_random_calls(self):
+        """Random calls of one or two arguments, a third of them summed
+        with a second call; about a third of the results have several
+        calls."""
+        rng = random.Random(20261018)
+        calls = several = 0
+        for bound_b in (1, 2, 3, 4):
+            for bound_d in (0, 1, 2, 3, 4):
+                for _ in range(300):
+                    arity = rng.randint(1, 2)
+                    raw = sum_of([gen_call(rng, arity=arity).term
+                                  for _ in range(rng.choice((1, 1, 2)))])
+                    want = term_path_calls("f", raw, {"f"}, bound_b, bound_d)
+                    got = collapsed_calls("f", raw, {"f"}, bound_b, bound_d)
+                    assert got == want, raw
+                    calls += 1
+                    several += len(want) > 1
+        assert calls == 6000
+        assert several >= 1000
 
 
 class TestClosure:

@@ -198,6 +198,18 @@ class TestLibraryConfig:
         report = analyze_source("val = ", Config())
         assert report.errors and report.exit_code() == 2
 
+    @pytest.mark.parametrize("config,errors", [
+        (Config(bound_b=0), ["bound B must be at least 1, not 0"]),
+        (Config(bound_d=-1), ["bound D must be nonnegative, not -1"]),
+        (Config(0, -1), ["bound B must be at least 1, not 0",
+                         "bound D must be nonnegative, not -1"]),
+    ])
+    def test_bad_bounds_reported(self, config, errors):
+        report = analyze_source(corpus_source("nats.ch"), config)
+        assert report.verdicts == [] and report.groups == []
+        assert report.errors == errors
+        assert report.exit_code() == 2
+
     @pytest.mark.parametrize("name,expected", [
         ("nats.ch", 0), ("length.ch", 0), ("half.ch", 0), ("sums.ch", 0),
         ("c1c2.ch", 0), ("swap.ch", 0), ("s1s2.ch", 0),

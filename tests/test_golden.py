@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from conftest import CORPUS
-from totality import terms
+from totality import collapse, terms
 from totality.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -52,13 +52,15 @@ def test_json_matches_golden(name, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_dumps_need_no_term_path(name, capsys, monkeypatch):
-    """The checker composes spines as words and substitutes arguments as
-    trees: with `terms.compose` and `terms.substitute` raising wherever
-    they are bound, every dump still matches its golden file."""
+    """The checker composes and collapses spines as words and arguments
+    as trees: with `terms.compose`, `terms.substitute`,
+    `collapse.collapse_depth` and `collapse.collapse_weights` raising
+    wherever they are bound, every dump still matches its golden file."""
     def refuse(*args):
         raise AssertionError("the checker used the term path")
 
-    originals = [terms.compose, terms.substitute]
+    originals = [terms.compose, terms.substitute, collapse.collapse_depth,
+                 collapse.collapse_weights]
     for module in list(sys.modules.values()):
         if module is None or not module.__name__.startswith("totality"):
             continue

@@ -1,4 +1,4 @@
-"""Parsing, desugaring, restriction checks and printing."""
+"""Parsing, desugaring and restriction checks."""
 
 import pytest
 
@@ -15,7 +15,6 @@ from totality.surface import (
     SourceError,
     desugar,
     parse_program,
-    pretty_print,
     validate_restrictions,
 )
 
@@ -158,16 +157,6 @@ class TestValidate:
             program = desugar(parse_program(corpus_source(name)))
             violations, _ = validate_restrictions(program)
             assert violations == [], (name, violations)
-
-
-class TestPrinter:
-    @pytest.mark.parametrize("name", [
-        "nats.ch", "length.ch", "bad_s.ch", "sums.ch", "half.ch",
-        "magic.ch", "s1s2.ch", "swap.ch", "c1c2.ch", "nats_list.ch",
-    ])
-    def test_round_trip(self, name):
-        program = desugar(parse_program(corpus_source(name)))
-        assert parse_program(pretty_print(program)) == program
 
 
 class TestPragma:
