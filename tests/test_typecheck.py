@@ -3,6 +3,8 @@
 import pytest
 
 from conftest import annotated_groups
+from totality.checker import Config, analyze_source
+from totality.cli import main
 from totality.surface import TApp, TArrow, TVar, type_str
 from totality.typecheck import (
     ABConstr,
@@ -178,3 +180,38 @@ class TestSignatures:
         assert sums.arg_types == (
             tapp("nat"), tapp("stream", tapp("list", tapp("nat"))))
         assert sums.result_type == tapp("stream", tapp("nat"))
+
+
+NAT = "data nat where Zero : nat | Succ : nat -> nat\n"
+
+
+@pytest.mark.parametrize("source, reason", [
+    (NAT + "codata phantom('a) where P : phantom('a) -> nat\n"
+     "data t where K : phantom(t) -> t | E : t\n"
+     "val f : t -> nat | f (K p) = Zero | f E = Zero\n",
+     "priority assignment failed: cyclic dominance between "
+     "nat, phantom(t), t, unit"),
+    (NAT + "data fn where F : (nat -> nat) -> fn\n"
+     "val f : fn -> nat | f (F g) = Zero\n",
+     "higher-order constructor argument nat -> nat"),
+    ("data t where K : foo -> t\n"
+     "val f : t -> t | f (K x) = K x\n",
+     "unknown type 'foo'"),
+], ids=["cyclic", "higher-order", "unknown-type"])
+class TestPriorityErrors:
+    """A group whose priorities cannot be assigned gets ERROR, exit code 2."""
+
+    def test_library(self, source, reason):
+        report = analyze_source(source, Config())
+        assert [(v.fname, v.result, v.reasons) for v in report.verdicts] \
+            == [("f", "error", [reason])]
+        assert report.exit_code() == 2
+
+    def test_cli(self, tmp_path, capsys, source, reason):
+        path = tmp_path / "prio.ch"
+        path.write_text(source)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "ERROR f: %s\n" % reason
+        assert "Traceback" not in captured.err
