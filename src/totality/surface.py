@@ -238,9 +238,9 @@ def _lex(src: str):
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             tokens.append(Token("int", src[i:j], line, col))
             col += j - i

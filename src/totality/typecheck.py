@@ -7,12 +7,13 @@ reachable type instances of the group are then given parity priorities:
 odd for data, even for codata, with an instance placed strictly above
 everything it dominates.  Dominance has two sources: being a proper
 syntactic subexpression, and being one deconstruction step away (the
-argument type of a constructor, the result type of a destructor) across a
-cycle boundary of the deconstruction graph.
+argument type of a constructor, the result type of a destructor) from an
+instance that it cannot deconstruct back to.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .surface import (
@@ -244,26 +245,26 @@ class DeclEnv:
             self.fieldsets[frozenset(("Fst", "Snd"))] = "pair"
         return TApp("pair", (a, b))
 
-    def deconstruction_targets(self, inst: TApp):
-        """One deconstruction step: argument types of constructors and
-        result types of destructors of the instance."""
+    def deconstruction_targets(self, inst: TApp) -> list:
+        """Instances one deconstruction step from `inst`: the argument
+        types of its constructors, the result types of its destructors.
+        A function type among them is a `PriorityError`."""
         decl = self.decls.get(inst.name)
         if decl is None:
             return []
-        mapping = dict(zip(decl.params, inst.args))
-        out = []
-        if decl.is_codata:
-            for name, _ in decl.items:
-                info = self.dtors[name]
-                out.append(subst_type(info.result, mapping))
-            if decl.name == "pair":
-                out = [subst_type(TVar("a"), mapping),
-                       subst_type(TVar("b"), mapping)]
+        if not decl.is_codata:
+            types = [self.ctors[name].arg for name, _ in decl.items]
+        elif decl.name == "pair":
+            types = [TVar("a"), TVar("b")]
         else:
-            for name, _ in decl.items:
-                info = self.ctors[name]
-                out.append(subst_type(info.arg, mapping))
-        return out
+            types = [self.dtors[name].result for name, _ in decl.items]
+        mapping = dict(zip(decl.params, inst.args))
+        out = [subst_type(t, mapping) for t in types]
+        for t in out:
+            if isinstance(t, TArrow):
+                raise PriorityError(
+                    "higher-order constructor argument %s" % type_str(t))
+        return [t for t in out if isinstance(t, TApp)]
 
     def polarity(self, inst: TApp) -> int:
         decl = self.decls.get(inst.name)
@@ -542,8 +543,16 @@ class GroupChecker:
 # ---------------------------------------------------------------------------
 # instance resolution and priorities
 
+# Type nodes that closing a group's instances may add, in total.  A nested
+# datatype (one whose constructors apply it to other arguments than its
+# parameters) reaches infinitely many instances, which may also double in
+# size at each step; the corpus and benchmark programs add at most one.
+MAX_TYPE_NODES = 1000
+
+
 def _canonical_names(used: list) -> dict:
-    """Map leftover metavariables to unused short names."""
+    """Map leftover metavariables to type variables of unused short
+    names."""
     out = {}
     pool = "abcdefghijklmnopqrstuvwxyz"
     idx = 0
@@ -555,7 +564,7 @@ def _canonical_names(used: list) -> dict:
             idx += 1
             if candidate not in used:
                 break
-        out[name] = candidate
+        out[name] = TVar(candidate)
     return out
 
 
@@ -569,158 +578,109 @@ def _resolve_instances(adefs, u: Unifier):
     rename = _canonical_names(order)
     if not rename:
         return
-
-    def apply(t):
-        if isinstance(t, TVar):
-            return TVar(rename.get(t.name, t.name))
-        if isinstance(t, TApp):
-            return TApp(t.name, tuple(apply(a) for a in t.args))
-        return TArrow(apply(t.dom), apply(t.cod))
-
     for node in clause_nodes(adefs):
         if isinstance(node, _INSTANCE_NODES):
-            node.instance = apply(node.instance)
+            node.instance = subst_type(node.instance, rename)
 
 
-def _collect_instances(adefs) -> list:
-    out: list = []
-    for node in clause_nodes(adefs):
-        if (isinstance(node, _INSTANCE_NODES)
-                and isinstance(node.instance, TApp)
-                and node.instance not in out):
-            out.append(node.instance)
-    return out
+def _proper_subexprs(t):
+    """Instances strictly inside the instance `t`, in pre-order."""
+    for a in t.args:
+        if isinstance(a, TApp):
+            yield a
+            yield from _proper_subexprs(a)
 
 
-def _proper_subexprs(t, out: list) -> None:
-    if isinstance(t, TApp):
-        for a in t.args:
-            if isinstance(a, TApp) and a not in out:
-                out.append(a)
-            _proper_subexprs(a, out)
+def _nodes(t, limit: int) -> int:
+    """Nodes of the type `t`, counted up to one past `limit`."""
+    count, stack = 0, [t]
+    while stack and count <= limit:
+        t = stack.pop()
+        count += 1
+        if isinstance(t, TApp):
+            stack.extend(t.args)
+        elif isinstance(t, TArrow):
+            stack += (t.dom, t.cod)
+    return count
 
 
 def dominance(adefs, env: DeclEnv):
-    """Reachable instances and, per instance, the set it must lie above.
+    """Reachable instances and, per instance, the instances it must exceed.
 
-    An instance dominates (must exceed) another when it is a proper
-    subexpression of it, and when one deconstruction step of the other
-    reaches it across a cycle boundary of the deconstruction graph.
+    An instance must exceed each instance it is a proper subexpression of,
+    and each instance that reaches it in one deconstruction step unless it
+    reaches that one back (two instances share a cycle of the
+    deconstruction graph exactly when each reaches the other).
     """
-    instances = _collect_instances(adefs)
-
-    # close under subexpressions and one-step deconstruction
-    queue = list(instances)
-    universe: list = list(instances)
-    while queue:
-        current = queue.pop(0)
-        extra: list = []
-        _proper_subexprs(current, extra)
-        for target in env.deconstruction_targets(current):
-            if isinstance(target, TApp):
-                extra.append(target)
-            elif isinstance(target, TArrow):
+    # close under subexpressions and one-step deconstruction in FIFO order,
+    # recording each instance's deconstruction targets on its visit
+    targets: dict = dict.fromkeys(
+        node.instance for node in clause_nodes(adefs)
+        if isinstance(node, _INSTANCE_NODES)
+        and isinstance(node.instance, TApp))
+    order = list(targets)
+    added = 0
+    for current in order:  # grows while it is read
+        targets[current] = env.deconstruction_targets(current)
+        for t in (*_proper_subexprs(current), *targets[current]):
+            size = _nodes(t, MAX_TYPE_NODES)
+            if size <= MAX_TYPE_NODES and t in targets:
+                continue
+            added += size
+            if added > MAX_TYPE_NODES:
+                heads = Counter(i.name for i in order)
                 raise PriorityError(
-                    "higher-order constructor argument %s" % type_str(target))
-        for t in extra:
-            if t not in universe:
-                universe.append(t)
-                queue.append(t)
+                    "priority assignment exceeded its type node cap (%d), "
+                    "mostly in instances of %s; nested datatypes are not "
+                    "supported" % (MAX_TYPE_NODES, max(heads, key=heads.get)))
+            targets[t] = None
+            order.append(t)
 
-    edges = {
-        t: [s for s in env.deconstruction_targets(t)
-            if isinstance(s, TApp) and s in universe]
-        for t in universe
-    }
-    scc = _scc_index(universe, edges)
+    reach = {t: _reachable(t, targets) for t in order}
+    must_exceed: dict = {t: [] for t in order}
+    for t in order:
+        above = [*_proper_subexprs(t),
+                 *(s for s in targets[t] if t not in reach[s])]
+        for s in dict.fromkeys(above):
+            must_exceed[s].append(t)
+    return order, must_exceed
 
-    must_exceed: dict = {t: [] for t in universe}
-    for t in universe:
-        subs: list = []
-        _proper_subexprs(t, subs)
-        for s in subs:
-            if s in universe and t not in must_exceed[s]:
-                must_exceed[s].append(t)
-        for s in edges[t]:
-            if scc[s] != scc[t] and t not in must_exceed[s]:
-                must_exceed[s].append(t)
-    return universe, must_exceed
+
+def _reachable(start, targets: dict) -> set:
+    seen, stack = {start}, [start]
+    while stack:
+        new = set(targets[stack.pop()]) - seen
+        seen |= new
+        stack += new
+    return seen
 
 
 def assign_priorities(adefs, env: DeclEnv) -> dict:
-    """Priorities for every type instance reachable from the group."""
+    """Priorities for every type instance reachable from the group: each
+    instance gets the least number of its parity above every instance it
+    must exceed, in one topological pass."""
     universe, must_exceed = dominance(adefs, env)
+    waiting = {t: len(below) for t, below in must_exceed.items()}
+    above: dict = {t: [] for t in universe}
+    for t, below in must_exceed.items():
+        for s in below:
+            above[s].append(t)
 
-    # topological assignment, lowest priorities first
     values: dict = {}
-    pending = list(universe)
-    while pending:
-        progressed = False
-        for t in list(pending):
-            if all(dep in values for dep in must_exceed[t]):
-                floor = max((values[dep] for dep in must_exceed[t]),
-                            default=-1)
-                parity = env.polarity(t)
-                value = floor + 1
-                if value % 2 != parity:
-                    value += 1
-                values[t] = max(value, parity)
-                pending.remove(t)
-                progressed = True
-        if not progressed:
-            raise PriorityError(
-                "priority assignment failed: cyclic dominance between %s"
-                % ", ".join(sorted(type_str(t) for t in pending)))
+    ready = [t for t in universe if not waiting[t]]
+    for t in ready:  # grows while it is read
+        floor = max((values[s] for s in must_exceed[t]), default=-1)
+        values[t] = floor + 1 + (floor + 1 - env.polarity(t)) % 2
+        for u in above[t]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    if len(values) < len(universe):
+        raise PriorityError(
+            "priority assignment failed: cyclic dominance between %s"
+            % ", ".join(sorted(type_str(t) for t in universe
+                               if t not in values)))
     return values
-
-
-def _scc_index(nodes, edges) -> dict:
-    """Tarjan's algorithm, iterative."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: dict = {}
-    stack: list = []
-    result: dict = {}
-    counter = [0]
-    comp = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(edges[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-                if on_stack.get(nxt):
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    result[member] = comp[0]
-                    if member == node:
-                        break
-                comp[0] += 1
-    return result
 
 
 def annotate_priorities(adefs, priorities: dict) -> None:

@@ -86,6 +86,27 @@ class TestExitCodes:
         assert first <= int(match.group(1)) <= last
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("body, col", [("\u00b2", 28), ("1\u00b2", 29)],
+                             ids=["superscript", "after-digit"])
+    def test_superscript_digit_gives_two(self, tmp_path, capsys, body, col):
+        # str.isdigit accepts a superscript two, but int() does not
+        path = tmp_path / "sup.ch"
+        path.write_text("data nat where Zero : nat | Succ : nat -> nat\n"
+                        "val f : nat -> nat | f x = %s\n" % body)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "error: 2:%d: unexpected character " \
+            "'\u00b2'\n" % col
+        assert "Traceback" not in captured.err
+
+    def test_superscript_in_a_name_lexes(self, tmp_path, capsys):
+        path = tmp_path / "sup.ch"
+        path.write_text("data nat where Zero : nat | Succ : nat -> nat\n"
+                        "val f : nat -> nat | f x\u00b2 = x\u00b2\n")
+        code, out = run_cli(capsys, "check", str(path))
+        assert (code, out) == (0, "TOTAL f\n")
+
     def test_multiple_files_take_worst(self, capsys):
         code, out = run_cli(capsys, "check", str(CORPUS / "nats.ch"),
                             str(CORPUS / "bad_s.ch"))
