@@ -7,6 +7,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .collapse import clamp
 from .terms import (
@@ -22,7 +23,7 @@ from .terms import (
     Sum,
     Term,
     Unknown,
-    ZEROW,
+    Weight,
     approx,
     constr,
     constr_dual,
@@ -37,7 +38,6 @@ from .terms import (
     sum_of,
     summands,
     term_str,
-    weight,
 )
 from .typecheck import (
     ABCall,
@@ -63,6 +63,7 @@ BRANCH_ITEMS = {
     ConstrDual: lambda t: ("d", t.name, t.priority),
     Project: lambda t: ("j", t.name, t.priority),
     Approx: lambda t: ("w", t.wt),
+    Daimon: lambda t: DAIMON,
 }
 
 # the node each item stands for, built around `t` by its smart constructor
@@ -107,9 +108,7 @@ def call_of_term(caller: str, t: Term, group: set) -> Call:
     by the first fault in this order: not exactly one function name, a
     callee outside the group, a forked record or other malformed spine, a
     function name inside an argument."""
-    items = []
-    node = t
-    fault = None
+    items, node, fault = [], t, None
     while not isinstance(node, FunApp):
         if isinstance(node, Record):
             if len(node.fields) != 1:
@@ -120,13 +119,10 @@ def call_of_term(caller: str, t: Term, group: set) -> Call:
             node = value
             continue
         item = BRANCH_ITEMS.get(type(node))
-        if item is not None:
-            items.append(item(node))
-        elif isinstance(node, Daimon):
-            items.append(DAIMON)
-        else:
+        if item is None:
             fault = "malformed call term %s" % term_str(t)
             break
+        items.append(item(node))
         node = node.arg
     else:
         if any(contains_funapp(a) for a in node.args):
@@ -189,10 +185,8 @@ def body_term(body, bindings: dict) -> Term:
 def definition_term(adef: ADef) -> Term:
     """Interpretation of a definition: the sum of its clause bodies with
     pattern variables replaced by destructor chains."""
-    parts = []
-    for cl in adef.clauses:
-        parts.append(body_term(cl.body, pattern_bindings(cl.patterns)))
-    return sum_of(parts)
+    return sum_of(body_term(cl.body, pattern_bindings(cl.patterns))
+                  for cl in adef.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +195,8 @@ def definition_term(adef: ADef) -> Term:
 def _blind(t: Term) -> Term:
     """Replace every function application by a Daimon over its arguments."""
     if isinstance(t, FunApp):
-        if not t.args:
-            return daimon(Unknown())
-        return daimon(sum_of(_blind(a) for a in t.args))
+        return daimon(sum_of(_blind(a) for a in t.args) if t.args
+                      else Unknown())
     if isinstance(t, Approx):
         raise InternalError("approximation before call extraction")
     return map_children(t, _blind)
@@ -212,34 +205,19 @@ def _blind(t: Term) -> Term:
 def extract_calls(t: Term, group: set) -> list:
     """Split a clause interpretation into its independent recursive calls."""
     if isinstance(t, Sum):
-        out = []
-        for p in t.parts:
-            out.extend(extract_calls(p, group))
-        return out
+        return [c for p in t.parts for c in extract_calls(p, group)]
     if isinstance(t, (Param, Unknown)):
         return []
     if isinstance(t, FunApp):
-        out = []
-        if t.fname in group:
-            out.append(funapp(t.fname, [_blind(a) for a in t.args]))
-        for a in t.args:
-            out.extend(daimon(c) for c in extract_calls(a, group))
-        return out
-    if isinstance(t, Constr):
-        return [constr(t.name, t.priority, c)
+        own = [funapp(t.fname, [_blind(a) for a in t.args])]
+        return (own if t.fname in group else []) + [
+            daimon(c) for a in t.args for c in extract_calls(a, group)]
+    if isinstance(t, (Constr, ConstrDual, Project)):
+        return [map_children(t, lambda _: c)
                 for c in extract_calls(t.arg, group)]
     if isinstance(t, Record):
-        out = []
-        for name, value in t.fields:
-            out.extend(record([(name, c)], t.priority)
-                       for c in extract_calls(value, group))
-        return out
-    if isinstance(t, ConstrDual):
-        return [constr_dual(t.name, t.priority, c)
-                for c in extract_calls(t.arg, group)]
-    if isinstance(t, Project):
-        return [project(t.name, t.priority, c)
-                for c in extract_calls(t.arg, group)]
+        return [record([(name, c)], t.priority) for name, value in t.fields
+                for c in extract_calls(value, group)]
     raise InternalError("unexpected node during call extraction: %r" % (t,))
 
 
@@ -257,28 +235,24 @@ class CallGraph:
     # composite with itself, in order
     self_composites: dict = field(default_factory=dict)
 
-    def loops(self):
-        return [e for e in self.edges if e.caller == e.callee]
-
 
 def collapsed_calls(caller: str, raw: Term, group: set, bound_b: int,
                     bound_d: int) -> list:
     """The calls of `raw`, a call term of `caller`, collapsed and in the
     order of their terms.  Each summand is collapsed as the closure
-    collapses its composite with the identity call: its spine by
-    `compose_spines` and each argument by `substitute_tree`, unbound."""
+    collapses its composite with the identity call."""
+    tables = CallTables(bound_b, bound_d)
     found = []
     for s in summands(raw):
         call = call_of_term(caller, s, group)
-        spine = compose_spines(spine_parts(call.spine), ((), None, ()),
-                               bound_b, bound_d)
-        choices = [substitute_tree(a, {}, bound_b, bound_d)
-                   for a in call.args]
-        found += [Call(caller, call.callee, spine, args)
-                  for args in itertools.product(*choices)]
-    if len(found) > 1:
-        found = sorted(set(found), key=lambda c: sort_key(c.term))
-    return found
+        identity = Call(call.callee, call.callee, (), tuple(
+            ("x", None, (), j) for j in range(1, len(call.args) + 1)))
+        sid, choices = tables.combine(tables.split(call),
+                                      tables.split(identity))
+        found += [tables.call(caller, sid, call.callee, ids)
+                  for ids in itertools.product(*choices)]
+    return (found if len(found) < 2
+            else sorted(set(found), key=lambda c: sort_key(c.term)))
 
 
 def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
@@ -318,8 +292,6 @@ _CANCELS = {"d": "c", "j": "r"}
 # in an argument's weight it adds the opposite
 _ABSORBED = {"c": -1, "r": -1, "d": 1, "j": 1}
 
-_ZERO_WEIGHT = ("w", ZEROW)
-
 
 def weigh(middles, folded, sign: int, bound_b=None) -> tuple:
     """The weight item that adds the weight items `middles` (None adds
@@ -333,58 +305,7 @@ def weigh(middles, folded, sign: int, bound_b=None) -> tuple:
         acc[item[2]] = acc.get(item[2], 0) + sign * _ABSORBED[item[0]]
     if bound_b is not None:
         acc = {p: clamp(bound_b, v) for p, v in acc.items()}
-    return ("w", weight(acc))
-
-
-def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int,
-                   weigh=weigh):
-    """The collapsed composite of spine `b` plugged into spine `a`, both
-    given by `spine_parts`, as a spine; None when it is zero.
-
-    Write a = Ca Ma Da and b = Cb Mb Db: constructors, the optional middle
-    item and destructors.  Every item of a spine sits above the callee
-    occurrence, so the absorption signs of `terms` are fixed there: a
-    destructor absorbed into a weight counts +1 and a constructor -1.
-    Building `a` over `b` through the smart constructors only rewrites at
-    the junction, and these rewrites are their head reductions.  Da cancels
-    against Cb, inner end against outer end: "d" cancels "c" and "j"
-    cancels "r" of the same name, as `constr_dual` and `project` match on
-    the name only; any other pair is zero.  Leftover destructors stay below
-    Ma when there is no Mb, and leftover constructors stay above Mb when
-    there is no Ma.  Otherwise Ma, the leftovers and Mb become one middle
-    item M: the Daimon absorbs everything, else the weights add with the
-    leftovers folded in.
-
-    Collapsing then keeps the D outer constructors and the D inner
-    destructors and folds the rest into M, starting from a zero weight, as
-    `collapse_depth` does to a call spine; `collapse_weights` clamps the
-    weight of M into [-B, B).  `weigh` computes that weight as the module's
-    `weigh` does."""
-    ca, ma, da = a
-    cb, mb, db = b
-    i, j = len(da), 0
-    while i and j < len(cb):
-        d, c = da[i - 1], cb[j]
-        if _CANCELS[d[0]] != c[0] or d[1] != c[1]:
-            return None
-        i, j = i - 1, j + 1
-    if i and mb is None:
-        ctors, middles, folded, dtors = ca, (ma,), (), da[:i] + db
-    elif j < len(cb) and ma is None:
-        ctors, middles, folded, dtors = ca + cb[j:], (mb,), (), db
-    else:
-        ctors, middles, folded, dtors = ca, (ma, mb), da[:i] + cb[j:], db
-    cut = max(0, len(dtors) - bound_d)
-    if len(ctors) > bound_d or cut:
-        folded += ctors[bound_d:] + dtors[:cut]
-        middles += (_ZERO_WEIGHT,)
-        ctors, dtors = ctors[:bound_d], dtors[cut:]
-    middles = [m for m in middles if m is not None]
-    if not middles:
-        return ctors + dtors
-    if DAIMON in middles:
-        return ctors + (DAIMON,) + dtors
-    return ctors + (weigh(middles, folded, 1, bound_b),) + dtors
+    return ("w", Weight(tuple(sorted(kv for kv in acc.items() if kv[1]))))
 
 
 def plug(spine: tuple, occurrence: Term) -> Term:
@@ -411,7 +332,7 @@ def arg_tree(t: Term) -> tuple:
         return ("r", t.priority, tuple((n, arg_tree(v)) for n, v in t.fields))
     middle = None
     if isinstance(t, (Approx, Daimon)):
-        middle, t = ("w", t.wt) if isinstance(t, Approx) else DAIMON, t.arg
+        middle, t = BRANCH_ITEMS[type(t)](t), t.arg
     word = []
     while isinstance(t, (ConstrDual, Project)):
         word.append(BRANCH_ITEMS[type(t)](t))
@@ -453,14 +374,14 @@ def leaf_paths(tree: tuple, above: tuple = ()) -> list:
     return [above + (tree,)]
 
 
-def _approx(middle: tuple, tree: tuple, weigh) -> list:
-    """The middle item `middle` over `tree`.  The Daimon gives a Daimon
-    leaf for each leaf of the tree.  A weight absorbs the constructors
-    above a leaf and the leaf's weight, vanishes under the leaf's Daimon,
-    and over a record gives the Daimons of the record's leaves."""
-    ctors = []  # their items only: a weight key holds no subtree
+def _approx(middle, tree: tuple, weigh) -> list:
+    """The middle `middle` over `tree`, None for a zero weight.  The Daimon
+    gives a Daimon leaf for each leaf of the tree.  A weight absorbs the
+    constructors above a leaf and the leaf's weight, vanishes under the
+    leaf's Daimon, and over a record gives the Daimons of its leaves."""
+    ctors = ()  # their items only: a weight key holds no subtree
     while tree[0] == "c":
-        ctors.append(tree[:3])
+        ctors += (tree[:3],)
         tree = tree[3]
     if middle == DAIMON or tree[0] == "r":
         return [("x", DAIMON) + path[-1][2:] for path in leaf_paths(tree)]
@@ -505,7 +426,7 @@ def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int,
         return _rebuild(
             tree, lambda s: _collapse(s, budget - 1, bound_b, bound_d, weigh))
     if tree[0] != "x":
-        return [c for s in _approx(_ZERO_WEIGHT, tree, weigh)
+        return [c for s in _approx(None, tree, weigh)
                 for c in _collapse(s, 0, bound_b, bound_d, weigh)]
     _, middle, word, end = tree
     cut = max(0, len(word) - bound_d)
@@ -514,28 +435,36 @@ def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int,
     return [("x", middle, word[cut:], end)]
 
 
-def substitute_tree(tree: tuple, bound: dict, bound_b: int, bound_d: int,
-                    weigh=weigh) -> list:
-    """The summands, in the order of their terms, of the collapsed `tree`
-    with each parameter j that `bound` binds replaced by the tree bound[j];
-    `weigh` computes weights as the module's `weigh` does."""
-    out = [c for s in _subst(tree, bound, weigh)
-           for c in _collapse(s, bound_d, bound_b, bound_d, weigh)]
-    if len(out) > 1:
-        out = sorted(set(out), key=lambda s: sort_key(tree_term(s)))
-    return out
+class _Ids(dict):
+    """Small int ids of the values looked up in it, in order of first
+    sight; `values[i]` is the value of id i."""
+
+    def __init__(self, *values):
+        super().__init__((value, i) for i, value in enumerate(values))
+        self.values = list(values)
+
+    def __missing__(self, value):
+        i = self[value] = len(self.values)
+        self.values.append(value)
+        return i
+
+
+def _map_middles(tree: tuple, f) -> tuple:
+    """`tree` with the middle m of each leaf replaced by f(m)."""
+    if tree[0] == "c":
+        return tree[:3] + (_map_middles(tree[3], f),)
+    if tree[0] == "r":
+        return ("r", tree[1],
+                tuple((n, _map_middles(v, f)) for n, v in tree[2]))
+    return ("x", f(tree[1])) + tree[2:]
 
 
 class CallTables:
     """Tables for composing calls piecewise, as a spine and its arguments.
 
-    The spine of a call is the tuple of items above its callee occurrence
-    (`Call.spine`); its arguments are that occurrence's arguments, kept as
-    trees (`arg_tree`).  Spines and argument trees get small integer ids;
-    spine id 0 stands for the zero composite.  Spines compose as item words
-    (`compose_spines`) and arguments substitute as trees
-    (`substitute_tree`), so only a new edge is built, as a `Call` from its
-    spine and argument trees (`call`).
+    Spines (`Call.spine`) and argument trees (`arg_tree`) get small int
+    ids, spine id 0 standing for the zero composite, and only a new edge is
+    built, as a `Call` (`call`).
 
     Composing piecewise is exact.  A spine holds no parameter, so
     substituting the caller's arguments only reaches the callee's arguments.
@@ -545,11 +474,14 @@ class CallTables:
     weight clamping acts on each node alone.  Collapsing a whole composite
     therefore equals plugging the collapsed spine composite with the
     collapsed arguments, and the product of the arguments' sorted summands
-    comes out in the sorted order of the whole composite's summands.  An
-    argument substitution depends only on the bindings of the parameters
-    the argument mentions, so it is memoised by the argument id and the ids
-    bound to those parameters.  The weights both compute are memoised too
-    (`weigh`): the same ones recur across the pairs of a closure.
+    comes out in the sorted order of the whole composite's summands.
+
+    Everything is memoised by ids.  Here a middle is None, the Daimon or
+    the id of a weight item: `trees` holds the argument trees with such
+    middles, `args` the trees themselves, and a weight sum is a lookup
+    (`_weigh`).  A spine is the ids of its `spine_parts`; `composed[ia][ib]`
+    is the id of the composite of spines ia and ib.  A substitution is keyed
+    by the argument id and the ids bound to the parameters it mentions.
 
     Substituting on trees is exact too.  Above the leaves the smart
     constructors only rebuild nodes, distributing over sums, so a record
@@ -563,74 +495,76 @@ class CallTables:
     One instance serves one closure and is dropped with it."""
 
     def __init__(self, bound_b: int, bound_d: int):
-        self.bound_b = bound_b
-        self.bound_d = bound_d
+        self.bound_b, self.bound_d = bound_b, bound_d
+        self.words = _Ids(())
+        self.weights = _Ids()  # None and the Daimon stand for themselves
+        self.weights.update({None: None, DAIMON: DAIMON})
+        self.sums: dict = {}
+        self.spine_ids = _Ids(None)
+        self.parts: list = self.spine_ids.values
         self.spines: list = [None]
-        self.spine_ids: dict = {}
-        # parts[i]: spine_parts of spine i
-        self.parts: list = [None]
-        # spine_comp[ia][ib]: id of the composite of spines ia and ib, None
-        # until first needed
-        self.spine_comp: list[list] = [[]]
-        self.args: list[tuple] = []
-        self.arg_ids: dict = {}
-        # params[a]: the 0-based indices of the parameters argument a
-        # mentions, in order
-        self.params: list[tuple] = []
-        # subst[(b, bound)]: ids of the summands of collapse(b[x := bound])
+        self.composed: list[list] = [[]]
+        # steps[(ma, da, cb, mb)]: `_merge`; steps[(ca, merged, db)]: the
+        # spine id `_compose` collapses them to
+        self.steps: dict = {}
+        self.arg_ids = _Ids()
+        self.trees: list = self.arg_ids.values
+        self.args: list = []
+        # bound[a](ids): the ids bound to the parameters argument a mentions;
+        # subst[(b, bound[b](ids))]: _substitute(b, ids); collapsed[tree]:
+        # the summand ids of a substituted tree collapsed
+        self.bound: list = []
         self.subst: dict = {}
-        # weights[(sign, bound_b, *middles, *folded)]: weigh's item for
-        # them; each item also maps to itself, so equal items are shared
-        self.weights: dict = {}
+        self.collapsed: dict = {}
 
-    def _spine_id(self, spine: tuple) -> int:
-        sid = self.spine_ids.get(spine)
-        if sid is None:
-            sid = self.spine_ids[spine] = len(self.spines)
-            self.spines.append(spine)
-            self.parts.append(spine_parts(spine))
-            self.spine_comp.append([])
+    def _middle_item(self, middle):
+        return self.weights.values[middle] if type(middle) is int else middle
+
+    def _spine_id(self, ctors: tuple, middle, dtors: tuple) -> int:
+        sid = self.spine_ids[self.words[ctors], middle, self.words[dtors]]
+        if sid == len(self.spines):
+            self.spines.append(ctors + (self._middle_item(middle),)
+                               * (middle is not None) + dtors)
+            self.composed.append([])
         return sid
 
     def _arg_id(self, tree: tuple) -> int:
-        aid = self.arg_ids.get(tree)
-        if aid is None:
-            aid = self.arg_ids[tree] = len(self.args)
-            self.args.append(tree)
-            self.params.append(tuple(sorted(
-                {path[-1][3] - 1 for path in leaf_paths(tree)
-                 if path[-1][3]})))
+        aid = self.arg_ids[tree]
+        if aid == len(self.args):
+            self.args.append(_map_middles(tree, self._middle_item))
+            params = sorted({path[-1][3] - 1 for path in leaf_paths(tree)
+                             if path[-1][3]})
+            self.bound.append(itemgetter(*params) if params else lambda _: ())
         return aid
 
     def split(self, call: Call) -> tuple:
         """Spine id and argument ids of a call."""
-        return (self._spine_id(call.spine),
-                tuple(self._arg_id(a) for a in call.args))
+        ctors, middle, dtors = spine_parts(call.spine)
+        return (self._spine_id(ctors, self.weights[middle], dtors),
+                tuple(self._arg_id(_map_middles(a, self.weights.__getitem__))
+                      for a in call.args))
 
     def combine(self, first: tuple, second: tuple):
         """Spine id of the collapsed composite of two split calls, and the
-        summand ids of each of its arguments.  The candidates are that
-        spine with each `itertools.product` of the argument choices, in
-        the order `testkit.compose_calls` gives them; there are none when
-        the spine id is 0."""
+        summand ids of each of its arguments: the candidates, none for
+        spine id 0, are their `itertools.product`, in the order
+        `testkit.compose_calls` gives them."""
         ia, ids_a = first
         ib, ids_b = second
-        row = self.spine_comp[ia]
+        row = self.composed[ia]
         if ib >= len(row):
             row.extend([None] * (ib + 1 - len(row)))
         sid = row[ib]
         if sid is None:
-            spine = compose_spines(self.parts[ia], self.parts[ib],
-                                   self.bound_b, self.bound_d, self._weigh)
-            sid = row[ib] = 0 if spine is None else self._spine_id(spine)
+            sid = row[ib] = self._compose(ia, ib)
         if not sid:
             return 0, ()
         choices = []
         for b in ids_b:
-            key = (b, tuple([ids_a[j] for j in self.params[b]]))
+            key = (b, self.bound[b](ids_a))
             ids = self.subst.get(key)
             if ids is None:
-                ids = self.subst[key] = self._substitute(*key)
+                ids = self.subst[key] = self._substitute(b, ids_a)
             choices.append(ids)
         return sid, choices
 
@@ -639,20 +573,87 @@ class CallTables:
         return Call(caller, callee, self.spines[sid],
                     tuple(self.args[a] for a in ids))
 
-    def _substitute(self, b: int, bound: tuple) -> tuple:
-        bindings = {j + 1: self.args[a]
-                    for j, a in zip(self.params[b], bound)}
-        return tuple(self._arg_id(s) for s in substitute_tree(
-            self.args[b], bindings, self.bound_b, self.bound_d, self._weigh))
+    def _compose(self, ia: int, ib: int) -> int:
+        """The spine id of Ca Ma Da over Cb Mb Db collapsed, 0 if zero: Ca,
+        Ma Da Cb Mb reduced (`_merge` adds weights unclamped) and Db; the D
+        outer constructors and D inner destructors stay, the rest fold into
+        the middle, whose weight is clamped once (`testkit.compose_spines`)."""
+        ca, ma, da = self.parts[ia]
+        cb, mb, db = self.parts[ib]
+        key = (ma, da, cb, mb)
+        merged = self.steps.get(key)
+        if merged is None:
+            merged = self.steps[key] = self._merge(*key)
+        if not merged:
+            return 0
+        key = (ca, merged, db)
+        sid = self.steps.get(key)
+        if sid is None:
+            xc, xm, xd = merged
+            words, d = self.words.values, self.bound_d
+            ctors, dtors = words[ca] + words[xc], words[xd] + words[db]
+            cut = max(0, len(dtors) - d)
+            middle = self._add((xm,), ctors[d:] + dtors[:cut], self.bound_b)
+            sid = self.steps[key] = self._spine_id(
+                ctors[:d], middle, dtors[cut:])
+        return sid
 
-    def _weigh(self, middles, folded, sign: int, bound_b=None) -> tuple:
-        """The module's `weigh`, memoised."""
-        key = (sign, bound_b, *middles, *folded)
-        item = self.weights.get(key)
-        if item is None:
-            item = weigh(middles, folded, sign, bound_b)
-            item = self.weights[key] = self.weights.setdefault(item, item)
-        return item
+    def _merge(self, ma, da: int, cb: int, mb):
+        """The parts of Ma Da Cb Mb reduced, 0 if zero.  Da cancels against Cb,
+        inner end against outer end: "d" cancels "c" and "j" cancels "r" of the
+        same name (`constr_dual` and `project` match on the name only), any
+        other pair is zero.  Leftover destructors stay below Ma when there is
+        no Mb, leftover constructors above Mb when there is no Ma; else all
+        join (`_add`)."""
+        d, c = self.words.values[da], self.words.values[cb]
+        i, j = len(d), 0
+        while i and j < len(c):
+            if _CANCELS[d[i - 1][0]] != c[j][0] or d[i - 1][1] != c[j][1]:
+                return 0
+            i, j = i - 1, j + 1
+        if i and mb is None:
+            return 0, ma, self.words[d[:i]]
+        if j < len(c) and ma is None:
+            return self.words[c[j:]], mb, 0
+        return 0, self._add((ma, mb), d[:i] + c[j:]), 0
+
+    def _add(self, middles: tuple, folded: tuple, bound_b=None):
+        """`middles` and the items `folded` in one middle, with a spine's
+        signs; the Daimon absorbs, and of nothing there is none."""
+        if DAIMON in middles:
+            return DAIMON
+        if not folded and set(middles) == {None}:
+            return None
+        return self._weigh(middles, folded, 1, bound_b)
+
+    def _substitute(self, b: int, ids: tuple) -> tuple:
+        """The summand ids, in the order of their terms, of argument b
+        collapsed with each parameter j bound to argument ids[j - 1];
+        `testkit.substitute_tree` gives the same summands."""
+        bound = {j: self.trees[a] for j, a in enumerate(ids, start=1)}
+        ids = {}
+        for s in _subst(self.trees[b], bound, self._weigh):
+            got = self.collapsed.get(s)
+            if got is None:
+                got = self.collapsed[s] = tuple(
+                    self._arg_id(c) for c in _collapse(
+                        s, self.bound_d, self.bound_b, self.bound_d,
+                        self._weigh))
+            ids.update(dict.fromkeys(got))
+        if len(ids) > 1:
+            return tuple(sorted(
+                ids, key=lambda a: sort_key(tree_term(self.args[a]))))
+        return tuple(ids)
+
+    def _weigh(self, middles, folded, sign: int, bound_b=None) -> int:
+        """The module's `weigh` on weight ids, looked up by them."""
+        key = (middles, folded, sign, bound_b)
+        wid = self.sums.get(key)
+        if wid is None:
+            items = [self._middle_item(m) for m in middles]
+            item = weigh(items, folded, sign, bound_b)
+            wid = self.sums[key] = self.weights[item]
+        return wid
 
 
 def transitive_closure(graph: CallGraph) -> CallGraph:
@@ -681,8 +682,7 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
         into[e.callee].append(k)
         out[e.caller].append(k)
     self_composites: dict = {}
-    compositions = 0
-    k = len(edges)
+    compositions, k = 0, len(edges)
     # the pairs (i, j) to compose next, each led by its ordering index
     pairs = [(i, i, j) for i in range(k) for j in out[edges[i].callee]]
     while True:

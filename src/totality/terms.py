@@ -22,6 +22,7 @@ have been consumed".
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 INF = float("inf")
@@ -36,11 +37,13 @@ class InternalError(Exception):
 # ---------------------------------------------------------------------------
 # weights
 
-@dataclass(frozen=True)
-class Weight:
-    """Finite map from priority to Z-infinity; missing priorities are 0."""
+class Weight(namedtuple("Weight", "items", defaults=((),))):
+    """Finite map from priority to Z-infinity; missing priorities are 0.
 
-    items: tuple[tuple[int, ZInf], ...] = ()
+    `items` holds the nonzero entries sorted by priority.  A Weight is a
+    tuple, so it hashes and compares in C."""
+
+    __slots__ = ()
 
     def get(self, priority: int) -> ZInf:
         for p, v in self.items:
@@ -488,9 +491,9 @@ class _TermParser:
             if c.isspace():
                 i += 1
                 continue
-            if c.isdigit():
+            if c.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 toks.append(("int", text[i:j]))
                 i = j
@@ -567,7 +570,7 @@ class _TermParser:
             name = self.next("name")
             if name == "_":
                 return Unknown()
-            if name[0] == "x" and name[1:].isdigit():
+            if name[0] == "x" and name[1:].isdecimal():
                 return Param(int(name[1:]))
             if self.peek() == "(":
                 self.next()

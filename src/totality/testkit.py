@@ -9,7 +9,10 @@ only to cross-check the syntax-directed `sleq` on normal-form pairs.
 `collapse_call_term`, `compose_calls` and `is_checked_loop` are the term
 path: they compose and collapse whole terms, and the tests compare the
 initial calls, the closure's piecewise composition and its recorded
-self-composites with them.
+self-composites with them.  `compose_spines` and `substitute_tree` are
+the item path: they compose spines and substitute argument trees on
+items, adding weights with `weigh`, and the tests compare `CallTables`,
+which does both on interned ids, with them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .callgraph import Call, call_of_term
+from .callgraph import (
+    DAIMON,
+    Call,
+    _collapse,
+    _subst,
+    call_of_term,
+    tree_term,
+    weigh,
+)
 from .collapse import collapse_depth, collapse_weights
 from .order import sleq, sqcoh
 from .terms import (
@@ -83,6 +94,68 @@ def is_checked_loop(call: Call, bound_b: int, bound_d: int) -> bool:
     a loop whose self-composition errors out cannot repeat."""
     candidates = compose_calls(call, call, bound_b, bound_d)
     return any(sqcoh(call.term, c.term) for c in candidates)
+
+
+# ---------------------------------------------------------------------------
+# the item path
+
+# the constructor item each destructor item cancels
+_CANCELS = {"d": "c", "j": "r"}
+
+_ZERO_WEIGHT = ("w", ZEROW)
+
+
+def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int):
+    """The collapsed composite of spine `b` plugged into spine `a`, both
+    given by `spine_parts`, as a spine; None when it is zero.
+
+    Every item of a spine sits above the callee occurrence, so the
+    absorption signs of `terms` are fixed there: a destructor absorbed
+    into a weight counts +1 and a constructor -1.  Building `a` over `b`
+    through the smart constructors only rewrites at the junction, and these
+    rewrites are their head reductions, as `CallTables._merge` describes.
+    Collapsing then keeps the D outer constructors and the D inner
+    destructors and folds the rest into the middle, starting from a zero
+    weight, as `collapse_depth` does to a call spine; `collapse_weights`
+    clamps the middle's weight into [-B, B).  Here both steps share one
+    `weigh`."""
+    ca, ma, da = a
+    cb, mb, db = b
+    i, j = len(da), 0
+    while i and j < len(cb):
+        d, c = da[i - 1], cb[j]
+        if _CANCELS[d[0]] != c[0] or d[1] != c[1]:
+            return None
+        i, j = i - 1, j + 1
+    if i and mb is None:
+        ctors, middles, folded, dtors = ca, (ma,), (), da[:i] + db
+    elif j < len(cb) and ma is None:
+        ctors, middles, folded, dtors = ca + cb[j:], (mb,), (), db
+    else:
+        ctors, middles, folded, dtors = ca, (ma, mb), da[:i] + cb[j:], db
+    cut = max(0, len(dtors) - bound_d)
+    if len(ctors) > bound_d or cut:
+        folded += ctors[bound_d:] + dtors[:cut]
+        middles += (_ZERO_WEIGHT,)
+        ctors, dtors = ctors[:bound_d], dtors[cut:]
+    middles = [m for m in middles if m is not None]
+    if not middles:
+        return ctors + dtors
+    if DAIMON in middles:
+        return ctors + (DAIMON,) + dtors
+    return ctors + (weigh(middles, folded, 1, bound_b),) + dtors
+
+
+def substitute_tree(tree: tuple, bound: dict, bound_b: int,
+                    bound_d: int) -> list:
+    """The summands, in the order of their terms, of the collapsed `tree`
+    with each parameter j that `bound` binds replaced by the tree bound[j],
+    with the weights of `weigh`."""
+    out = [c for s in _subst(tree, bound, weigh)
+           for c in _collapse(s, bound_d, bound_b, bound_d, weigh)]
+    if len(out) > 1:
+        out = sorted(set(out), key=lambda s: sort_key(tree_term(s)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,24 +8,25 @@ import pytest
 from conftest import CORPUS, annotated_groups
 from totality import callgraph
 from totality.callgraph import (
+    Call,
     CallGraph,
     CallTables,
     arg_tree,
     build_callgraph,
     call_of_term,
     collapsed_calls,
-    compose_spines,
     definition_term,
     extract_calls,
     pattern_bindings,
     plug,
     spine_parts,
-    substitute_tree,
     transitive_closure,
     tree_term,
+    weigh,
 )
 from totality.checker import Config, analyze_source
 from totality.terms import (
+    INF,
     InternalError,
     Param,
     Sum,
@@ -38,13 +39,16 @@ from totality.terms import (
     sum_of,
     summands,
     term_str,
+    weight,
 )
 from totality.testkit import (
     GenConfig,
     collapse_call_term,
     compose_calls,
+    compose_spines,
     gen_call,
     gen_term,
+    substitute_tree,
 )
 
 
@@ -470,6 +474,15 @@ def random_spine(rng):
             return call_of_term("", term, {""}).spine
 
 
+def random_spine_pairs():
+    """Pairs of random spines, 110 at each B in 1-4 and D in 0-4."""
+    rng = random.Random(20261018)
+    for bound_b in (1, 2, 3, 4):
+        for bound_d in (0, 1, 2, 3, 4):
+            for _ in range(110):
+                yield random_spine(rng), random_spine(rng), bound_b, bound_d
+
+
 class TestSpineWords:
     """`compose_spines` rewrites item words; these compare it with
     composing and collapsing the spine terms."""
@@ -504,16 +517,33 @@ class TestSpineWords:
                 self.check(a, b, bound, bound)
 
     def test_random_spines(self):
-        rng = random.Random(20261018)
         pairs = nonzero = 0
-        for bound_b in (1, 2, 3, 4):
-            for bound_d in (0, 1, 2, 3, 4):
-                for _ in range(110):
-                    a, b = random_spine(rng), random_spine(rng)
-                    nonzero += self.check(a, b, bound_b, bound_d)
-                    pairs += 1
+        for a, b, bound_b, bound_d in random_spine_pairs():
+            nonzero += self.check(a, b, bound_b, bound_d)
+            pairs += 1
         assert pairs >= 2000
         assert 0 < nonzero < pairs
+
+
+def random_substitutions():
+    """Random arguments over two parameters, each with random arguments
+    bound to both, 400 at each B in 1-4 and D in 0-4."""
+    rng = random.Random(20261018)
+    cfg = GenConfig(n_params=2, allow_funapp=False, allow_sum=False)
+
+    def arg(size):
+        while True:
+            term = gen_term(size, rng=rng, cfg=cfg)
+            if not isinstance(term, Sum):
+                return term
+
+    for bound_b in (1, 2, 3, 4):
+        for bound_d in (0, 1, 2, 3, 4):
+            for _ in range(400):
+                b = arg(rng.randint(1, 8))
+                bindings = {1: arg(rng.randint(3, 10)),
+                            2: arg(rng.randint(3, 10))}
+                yield b, bindings, bound_b, bound_d
 
 
 class TestArgumentTrees:
@@ -539,48 +569,119 @@ class TestArgumentTrees:
         made = []
 
         class Recorded(CallTables):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
+            def _substitute(self, b, ids):
+                out = super()._substitute(b, ids)
+                made.append((self, b, ids, out))
+                return out
 
         monkeypatch.setattr(callgraph, "CallTables", Recorded)
         for analyzed, _ in annotated_groups(name):
             transitive_closure(build_callgraph(analyzed.defs, bound, bound))
-        for tables in made:
-            for (b, bound_ids), ids in tables.subst.items():
-                bindings = {j + 1: tree_term(tables.args[a])
-                            for j, a in zip(tables.params[b], bound_ids)}
-                got = [tables.args[i] for i in ids]
-                self.check(tree_term(tables.args[b]), bindings, got,
-                           bound, bound)
+        for tables, b, ids, out in made:
+            bindings = {j: tree_term(tables.args[a])
+                        for j, a in enumerate(ids, start=1)}
+            got = [tables.args[i] for i in out]
+            self.check(tree_term(tables.args[b]), bindings, got,
+                       bound, bound)
 
     def test_random_substitutions(self):
-        """Random arguments over two parameters bound to random
-        arguments; about 2% of the results have several summands."""
-        rng = random.Random(20261018)
-        cfg = GenConfig(n_params=2, allow_funapp=False, allow_sum=False)
-
-        def arg(size):
-            while True:
-                term = gen_term(size, rng=rng, cfg=cfg)
-                if not isinstance(term, Sum):
-                    return term
-
+        """About 2% of the results have several summands."""
         pairs = nonzero = several = 0
-        for bound_b in (1, 2, 3, 4):
-            for bound_d in (0, 1, 2, 3, 4):
-                for _ in range(400):
-                    b = arg(rng.randint(1, 8))
-                    bindings = {1: arg(rng.randint(3, 10)),
-                                2: arg(rng.randint(3, 10))}
-                    got = substitute_tree(
-                        arg_tree(b),
-                        {j: arg_tree(v) for j, v in bindings.items()},
-                        bound_b, bound_d)
-                    n = self.check(b, bindings, got, bound_b, bound_d)
-                    pairs += 1
-                    nonzero += n > 0
-                    several += n > 1
+        for b, bindings, bound_b, bound_d in random_substitutions():
+            got = substitute_tree(
+                arg_tree(b), {j: arg_tree(v) for j, v in bindings.items()},
+                bound_b, bound_d)
+            n = self.check(b, bindings, got, bound_b, bound_d)
+            pairs += 1
+            nonzero += n > 0
+            several += n > 1
         assert pairs >= 2000
         assert nonzero > pairs // 2
         assert several >= 100
+
+
+def item_composite(a, b, bound_b, bound_d):
+    """The spine and the summands of each argument of `b` composed into
+    `a`, on items (`testkit.compose_spines` and `substitute_tree`); None
+    when the composite is zero."""
+    spine = compose_spines(spine_parts(a.spine), spine_parts(b.spine),
+                           bound_b, bound_d)
+    if spine is None:
+        return None
+    bound = dict(enumerate(a.args, start=1))
+    return spine, [substitute_tree(arg, bound, bound_b, bound_d)
+                   for arg in b.args]
+
+
+def table_composite(tables, a, b):
+    """The same composite through `tables`, decoded."""
+    sid, choices = tables.combine(tables.split(a), tables.split(b))
+    if not sid:
+        return None
+    return tables.spines[sid], [[tables.args[i] for i in ids]
+                                for ids in choices]
+
+
+class TestInternedTables:
+    """`CallTables` composes on interned ids, with memoised weight sums,
+    spine steps and substitutions; these compare what it decodes with the
+    item path, summand order included.  One instance serves each closure
+    or run of random pairs, so later pairs meet its memos."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_corpus_closure_pairs(self, name, bound):
+        for analyzed, _ in annotated_groups(name):
+            closure = transitive_closure(
+                build_callgraph(analyzed.defs, bound, bound))
+            tables = CallTables(bound, bound)
+            for a in closure.edges:
+                for b in closure.edges:
+                    if a.callee == b.caller:
+                        assert table_composite(tables, a, b) == \
+                            item_composite(a, b, bound, bound), (name, a, b)
+
+    def test_random_spines(self):
+        nonzero = 0
+        tables = {}
+        for a, b, bound_b, bound_d in random_spine_pairs():
+            t = tables.setdefault((bound_b, bound_d),
+                                  CallTables(bound_b, bound_d))
+            a, b = Call("f", "f", a, ()), Call("f", "f", b, ())
+            want = item_composite(a, b, bound_b, bound_d)
+            assert table_composite(t, a, b) == want, (a, b)
+            nonzero += want is not None
+        assert nonzero > 0
+
+    def test_weight_sums(self):
+        """Random weight sums through one instance, so that later sums
+        meet its table, against `weigh` on the items."""
+        rng = random.Random(20261018)
+        items = [(kind, name, p) for kind, name in
+                 (("c", "C"), ("d", "C"), ("r", "R"), ("j", "R"))
+                 for p in (0, 1)]
+        middles = [None] + [
+            ("w", weight({p: rng.choice((-3, -1, 1, 2, INF))
+                          for p in rng.sample(range(3), rng.randint(0, 3))}))
+            for _ in range(8)]
+        tables = CallTables(2, 2)
+        for _ in range(3000):
+            ms = tuple(rng.sample(middles, rng.randint(1, 2)))
+            folded = tuple(rng.choices(items, k=rng.randint(0, 3)))
+            sign, bound_b = rng.choice((1, -1)), rng.choice((None, 1, 2, 3))
+            wid = tables._weigh(tuple(tables.weights[m] for m in ms),
+                                folded, sign, bound_b)
+            assert tables._middle_item(wid) == weigh(ms, folded, sign,
+                                                     bound_b), (ms, folded)
+
+    def test_random_substitutions(self):
+        tables = {}
+        for b, bindings, bound_b, bound_d in random_substitutions():
+            t = tables.setdefault((bound_b, bound_d),
+                                  CallTables(bound_b, bound_d))
+            a = Call("f", "f", (), (arg_tree(bindings[1]),
+                                    arg_tree(bindings[2])))
+            b = Call("f", "f", (), (arg_tree(b),))
+            assert table_composite(t, a, b) == \
+                item_composite(a, b, bound_b, bound_d), (a, b)

@@ -4,9 +4,11 @@ import pytest
 
 from totality.terms import (
     INF,
+    NotationError,
     Param,
     Sum,
     ZERO,
+    ZEROW,
     approx,
     coef_leq,
     compose,
@@ -49,6 +51,34 @@ class TestWeights:
     def test_coef_reflexive(self):
         w = weight({0: -2, 1: INF})
         assert coef_leq(w, w)
+
+    # the public contract of a Weight, whatever it is built on
+
+    def test_equal_weights_hash_equal(self):
+        a, b = weight({1: INF, 0: -1}), weight([(0, -1), (1, INF)])
+        assert a == b and hash(a) == hash(b)
+        assert ZEROW == weight({}) == weight({2: 0})
+        assert weight({0: -1}) != weight({0: -2})
+
+    def test_get_and_priorities(self):
+        w = weight({3: 2, 0: -1})
+        assert (w.get(0), w.get(3), w.get(1)) == (-1, 2, 0)
+        assert w.priorities() == (0, 3)
+        assert w.items == ((0, -1), (3, 2))
+
+    def test_str_with_infinity(self):
+        assert str(weight({1: INF, 0: -2})) == "{0:-2,1:inf}"
+        assert str(ZEROW) == "{}"
+
+    def test_duplicate_priority_raises(self):
+        with pytest.raises(ValueError, match="duplicate priority"):
+            weight([(0, 1), (0, 2)])
+
+    def test_items_cannot_be_assigned(self):
+        w = weight({0: -1})
+        with pytest.raises(AttributeError):
+            w.items = ()
+        assert w.items == ((0, -1),)
 
 
 class TestNormalForm:
@@ -154,6 +184,12 @@ class TestNotation:
         for _ in range(300):
             term = gen_term(rng.randint(1, 8), rng=rng)
             assert parse_term(term_str(term)) == term
+
+    @pytest.mark.parametrize("text", ["x\u00b2", "\u00b2", "C@\u00b2 x1",
+                                      "<{\u00b9:-1}> x1"])
+    def test_superscript_digits_are_notation_errors(self, text):
+        with pytest.raises(NotationError):
+            parse_term(text)
 
     def test_nf_is_identity_on_parsed_terms(self):
         for text in self.CASES:
