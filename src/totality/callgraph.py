@@ -42,13 +42,16 @@ from .terms import (
 from .typecheck import (
     ABCall,
     ABConstr,
+    ABNum,
     ABProj,
     ABRecord,
     ABVar,
     ADef,
     APConstr,
+    APNum,
     APRecord,
     APVar,
+    clause_nodes,
 )
 
 
@@ -146,9 +149,10 @@ def call_of_term(caller: str, t: Term, group: set) -> Call:
 # ---------------------------------------------------------------------------
 # clause translation
 
-def pattern_bindings(patterns) -> dict:
+def pattern_bindings(patterns, counts=None) -> dict:
     """Variable -> term over the caller's parameters, built by peeling the
-    argument patterns with matching destructors."""
+    argument patterns with matching destructors.  A numeral n peels
+    counts[n] `Succ`, or n without `counts` (`numeral_counts`)."""
     bindings: dict[str, Term] = {}
 
     def walk(p, ctx: Term) -> None:
@@ -156,6 +160,10 @@ def pattern_bindings(patterns) -> dict:
             bindings[p.name] = ctx
         elif isinstance(p, APConstr):
             walk(p.arg, constr_dual(p.name, p.prio, ctx))
+        elif isinstance(p, APNum):
+            for _ in range(counts[p.value] if counts else p.value):
+                ctx = constr_dual("Succ", p.prio, ctx)
+            walk(p.arg, constr_dual("Zero", p.prio, ctx))
         elif isinstance(p, APRecord):
             for name, sub in p.fields:
                 walk(sub, project(name, p.prio, ctx))
@@ -167,26 +175,65 @@ def pattern_bindings(patterns) -> dict:
     return bindings
 
 
-def body_term(body, bindings: dict) -> Term:
+def body_term(body, bindings: dict, counts=None) -> Term:
+    """The term of a clause body; a numeral n builds counts[n] `Succ`, or n
+    without `counts`."""
     if isinstance(body, ABVar):
         return bindings[body.name]
     if isinstance(body, ABConstr):
-        return constr(body.name, body.prio, body_term(body.arg, bindings))
+        return constr(body.name, body.prio,
+                      body_term(body.arg, bindings, counts))
+    if isinstance(body, ABNum):
+        t = constr("Zero", body.prio, body_term(body.arg, bindings, counts))
+        for _ in range(counts[body.value] if counts else body.value):
+            t = constr("Succ", body.prio, t)
+        return t
     if isinstance(body, ABRecord):
-        return record(
-            [(n, body_term(v, bindings)) for n, v in body.fields], body.prio)
+        return record([(n, body_term(v, bindings, counts))
+                       for n, v in body.fields], body.prio)
     if isinstance(body, ABProj):
-        return project(body.name, body.prio, body_term(body.sub, bindings))
+        return project(body.name, body.prio,
+                       body_term(body.sub, bindings, counts))
     if isinstance(body, ABCall):
-        return funapp(body.fname, [body_term(a, bindings) for a in body.args])
+        return funapp(body.fname,
+                      [body_term(a, bindings, counts) for a in body.args])
     raise InternalError("unknown body node %r" % (body,))
 
 
+def clause_term(cl, counts=None) -> Term:
+    """A clause body with pattern variables replaced by destructor chains."""
+    return body_term(cl.body, pattern_bindings(cl.patterns, counts), counts)
+
+
 def definition_term(adef: ADef) -> Term:
-    """Interpretation of a definition: the sum of its clause bodies with
-    pattern variables replaced by destructor chains."""
-    return sum_of(body_term(cl.body, pattern_bindings(cl.patterns))
-                  for cl in adef.clauses)
+    """Interpretation of a definition: the sum of its clause terms."""
+    return sum_of(clause_term(cl) for cl in adef.clauses)
+
+
+def numeral_counts(clauses, bound_b: int, bound_d: int) -> dict:
+    """The number of `Succ` that each numeral of `clauses` builds, so that
+    the collapsed calls and their order are those of the full numerals.
+
+    Sorted, the numerals keep every gap up to G and shrink longer ones to G,
+    G = B + 2 (D + S) + 4 with S the size of the largest clause.  Two
+    numerals, or one numeral and a fixed part, then compare alike.  A
+    collapse keeps D layers at each end and clamps its weights into [-B, B];
+    each weight entry adds or subtracts the lengths of at most one numeral
+    of the body and one of the patterns, with the other items bounded by S
+    and D, so it is clamped alike too."""
+    values, size = set(), 0
+    for cl in clauses:
+        nodes = list(clause_nodes(cl))
+        size = max(size, len(nodes))
+        values.update(node.value for node in nodes
+                      if isinstance(node, (APNum, ABNum)))
+    gap = bound_b + 2 * (bound_d + size) + 4
+    counts, last, count = {}, 0, 0
+    for value in sorted(values):
+        count += min(value - last, gap)
+        counts[value] = count
+        last = value
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +303,19 @@ def collapsed_calls(caller: str, raw: Term, group: set, bound_b: int,
 
 
 def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
+    """The collapsed calls of `definition_term` of each definition, in order.
+    A clause that calls no member of the group gives no call, so only the
+    clauses that do (`AClause.calls`) are built."""
     group = {d.fname for d in adefs}
-    edges = [call for adef in adefs
-             for raw in extract_calls(definition_term(adef), group)
+    calling = {adef.fname: [cl for cl in adef.clauses
+                            if not group.isdisjoint(cl.calls)]
+               for adef in adefs}
+    counts = numeral_counts(
+        [cl for cls in calling.values() for cl in cls], bound_b, bound_d)
+    edges = [call for adef in adefs if calling[adef.fname]
+             for raw in extract_calls(sum_of(
+                 clause_term(cl, counts) for cl in calling[adef.fname]),
+                 group)
              for call in collapsed_calls(adef.fname, raw, group, bound_b,
                                          bound_d)]
     return CallGraph(tuple(sorted(group)), tuple(dict.fromkeys(edges)),
@@ -619,11 +676,16 @@ class CallTables:
 
     def _add(self, middles: tuple, folded: tuple, bound_b=None):
         """`middles` and the items `folded` in one middle, with a spine's
-        signs; the Daimon absorbs, and of nothing there is none."""
+        signs; the Daimon absorbs, and of nothing there is none.  An
+        unclamped sum is `_merge`'s, which `steps` already memoises, so it
+        is weighed without `sums`."""
         if DAIMON in middles:
             return DAIMON
         if not folded and set(middles) == {None}:
             return None
+        if bound_b is None:
+            return self.weights[weigh(
+                [self._middle_item(m) for m in middles], folded, 1)]
         return self._weigh(middles, folded, 1, bound_b)
 
     def _substitute(self, b: int, ids: tuple) -> tuple:

@@ -17,7 +17,7 @@ from .surface import (
     validate_restrictions,
 )
 from .terms import InternalError
-from .typecheck import ABCall, DeclEnv, annotate_group, clause_nodes
+from .typecheck import DeclEnv, annotate_group
 
 TOTAL = "total"
 UNKNOWN = "unknown"
@@ -61,14 +61,6 @@ class Report:
         if any(v.result == UNKNOWN for v in self.verdicts):
             return 1
         return 0
-
-
-def _called_names(adef) -> list:
-    out: list = []
-    for node in clause_nodes([adef]):
-        if isinstance(node, ABCall) and node.fname not in out:
-            out.append(node.fname)
-    return out
 
 
 def analyze_program(program: Program, config: Config) -> Report:
@@ -124,7 +116,7 @@ def analyze_program(program: Program, config: Config) -> Report:
             result = TOTAL if outcome.total else UNKNOWN
             verdict = Verdict(adef.fname, result, bounds, list(reasons))
             verdict.depends_on_unknown = sorted(
-                name for name in _called_names(adef)
+                name for name in adef.calls
                 if name not in names
                 and results.get(name) is not None
                 and results[name].result == UNKNOWN

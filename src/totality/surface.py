@@ -4,13 +4,16 @@ restriction checks.
 The language has `data` / `codata` declarations, `val` definitions with
 pattern clauses (chained into one recursive group with `and`), record
 syntax `{ D = e; ... }`, postfix projection `e.D`, `'x` type variables and
-`--` line comments.  Numerals and empty records are sugar and are removed
-by `desugar`.
+`--` line comments.  Numerals and empty records are sugar: `desugar` removes
+empty records and, over the usual `nat`, keeps a numeral n as a count with
+the argument of its `Zero`, standing for n `Succ` over that `Zero`.
 """
 
 from __future__ import annotations
 
 import re
+import string
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
@@ -29,22 +32,22 @@ class SourceError(Exception):
 
 # ---------------------------------------------------------------------------
 # types (shared with the checker)
+#
+# Named tuples, so that the checker's many lookups by type instance hash and
+# compare in C.  Two types of different kinds never compare equal: a TVar
+# has one field, and a TApp starts with a name where a TArrow starts with a
+# type.
 
-@dataclass(frozen=True)
-class TVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class TApp:
-    name: str
-    args: tuple = ()
+class TVar(namedtuple("TVar", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TArrow:
-    dom: "TypeExpr"
-    cod: "TypeExpr"
+class TApp(namedtuple("TApp", "name args", defaults=((),))):
+    __slots__ = ()
+
+
+class TArrow(namedtuple("TArrow", "dom cod")):
+    __slots__ = ()
 
 
 TypeExpr = object
@@ -102,6 +105,7 @@ class PWild:
 @dataclass
 class PNum:
     value: int
+    arg: object = None  # after `desugar`: the pattern of its Zero's argument
 
 
 @dataclass
@@ -123,6 +127,7 @@ class EVar:
 @dataclass
 class ENum:
     value: int
+    arg: object = None  # after `desugar`: its Zero's argument
 
 
 @dataclass
@@ -196,83 +201,72 @@ _KEYWORDS = {"data", "codata", "where", "val", "and"}
 _PRAGMA = re.compile(r"^\s*--\s*totality:\s*B\s*=\s*(\d+)\s*,\s*D\s*=\s*(\d+)\s*$")
 
 
-@dataclass
 class Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
+
+
+# Blanks, then one token: a comment, a word or numeral (`\w` is isalnum or
+# `_`, `\d` is isdecimal, so a word may also start with a numeric
+# character such as `²`, which `_kind` then refuses), `->`, a type variable
+# with its quote, punctuation, or any other character.  Lines end at "\n"
+# only.
+_TOKEN = re.compile(r"([ \t\r]*)(--.*|->|'\w*|\d+|[^\W\d][\w']*"
+                    r"|[:|=(){};,.]|[^ \t\r])")
+# the kind of each token that is its own kind, and of each ASCII start of
+# a name or numeral
+_KINDS = {word: word for word in (*_KEYWORDS, *":|=(){};,.", "->")}
+_KINDS["_"] = "wild"
+_STARTS = dict.fromkeys(string.ascii_letters + "_", "name")
+_STARTS.update(dict.fromkeys(string.digits, "int"))
+
+
+def _kind(value: str, line: int, col: int) -> str:
+    """The kind of a token that `_KINDS` and `_STARTS` do not give."""
+    c = value[0]
+    if value.startswith("--"):
+        return "comment"
+    if c == "'":
+        if len(value) == 1:
+            raise SourceError("dangling quote", line, col)
+        return "tyvar"
+    if c.isdecimal():
+        return "int"
+    if c.isalpha():
+        return "name"
+    raise SourceError("unexpected character %r" % c, line, col)
 
 
 def _lex(src: str):
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("->", i):
-            tokens.append(Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise SourceError("dangling quote", line, col)
-            tokens.append(Token("tyvar", src[i + 1:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            if word == "_":
-                tokens.append(Token("wild", word, line, col))
-            elif word in _KEYWORDS:
-                tokens.append(Token(word, word, line, col))
-            else:
-                tokens.append(Token("name", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c in ":|=(){};,.":
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise SourceError("unexpected character %r" % c, line, col)
+    append = tokens.append
+    kinds, starts = _KINDS, _STARTS
+    for line, text in enumerate(src.split("\n"), start=1):
+        col = 1
+        for blank, value in _TOKEN.findall(text):
+            col += len(blank)
+            kind = (kinds.get(value) or starts.get(value[0])
+                    or _kind(value, line, col))
+            if kind == "comment":
+                break
+            append(Token(kind, value[1:] if kind == "tyvar" else value,
+                         line, col))
+            col += len(value)
+        else:
+            col = len(text) + 1  # the eof of a last line without comment
     tokens.append(Token("eof", "", line, col))
     return tokens
 
 
 def _pragmas(src: str) -> dict:
+    """Bounds per line of a pragma, lines numbered as `_lex` numbers them."""
     out = {}
-    for number, text in enumerate(src.splitlines(), start=1):
+    for number, text in enumerate(src.split("\n"), start=1):
         m = _PRAGMA.match(text)
         if m and int(m.group(1)) < 1:
             raise SourceError("pragma bound B must be at least 1", number,
@@ -291,8 +285,8 @@ class _Parser:
         self.pragmas = _pragmas(src)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # the trailing eof ends every loop
 
     def take(self, kind: str) -> Token:
         tok = self.tokens[self.pos]
@@ -305,7 +299,7 @@ class _Parser:
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def program(self) -> Program:
         decls, groups = [], []
@@ -593,6 +587,17 @@ def _has_nat(decls) -> bool:
     return False
 
 
+_NAT = TApp("nat")
+_NAT_ITEMS = {("Zero", _NAT), ("Succ", TArrow(_NAT, _NAT))}
+
+
+def _usual_nat(decls) -> bool:
+    """Whether `nat` is declared with `Zero : nat` and `Succ : nat -> nat`,
+    so that a numeral types as its expansion does, step for step."""
+    return any(decl.name == "nat" and not decl.is_codata and not decl.params
+               and _NAT_ITEMS <= set(decl.items) for decl in decls)
+
+
 class _Fresh:
     def __init__(self, taken):
         self.taken = set(taken)
@@ -613,16 +618,21 @@ def _pattern_vars(p, out):
     elif isinstance(p, PConstr):
         for sub in p.args:
             _pattern_vars(sub, out)
+    elif isinstance(p, PNum) and p.arg is not None:
+        _pattern_vars(p.arg, out)
     elif isinstance(p, PRecord):
         for _, sub in p.fields:
             _pattern_vars(sub, out)
 
 
 def desugar(program: Program) -> Program:
-    """Expand numerals, normalise constructor arities and remove empty
-    records from every clause."""
+    """Give numerals the argument of their `Zero`, normalise constructor
+    arities and remove empty records from every clause.  A numeral stays a
+    count over the usual `nat` (`_usual_nat`); over another `nat` it is
+    expanded, so that it fails to type as its expansion does."""
     arities = _ctor_arities(program.decls)
     nat_ok = _has_nat(program.decls)
+    counted = _usual_nat(program.decls)
 
     def num_pattern(n: int):
         p = PConstr("Zero", (PRecord(()),))
@@ -642,6 +652,12 @@ def desugar(program: Program) -> Program:
         if isinstance(p, PNum):
             if not nat_ok:
                 return p  # flagged by validation
+            if p.arg is not None:
+                return PNum(p.value, do_pattern(p.arg, fresh, dummies))
+            if counted:
+                dummy = fresh.name()
+                dummies.append(dummy)
+                return PNum(p.value, PVar(dummy))
             return do_pattern(num_pattern(p.value), fresh, dummies)
         if isinstance(p, PVar):
             return p
@@ -679,6 +695,10 @@ def desugar(program: Program) -> Program:
         if isinstance(e, ENum):
             if not nat_ok:
                 return e
+            if e.arg is not None:
+                return ENum(e.value, do_expr(e.arg, dummies, pvars))
+            if counted:
+                return ENum(e.value, empty_record_expr(dummies, pvars))
             return do_expr(num_expr(e.value), dummies, pvars)
         if isinstance(e, EVar):
             return e
@@ -822,6 +842,8 @@ def validate_restrictions(program: Program):
 def _check_pattern(p, seen: list, arities, cl, violations) -> None:
     if isinstance(p, PVar):
         seen.append(p.name)
+    elif isinstance(p, PNum) and p.arg is not None:
+        _check_pattern(p.arg, seen, arities, cl, violations)
     elif isinstance(p, PNum):
         violations.append(Violation(
             "numeral pattern needs a `nat` declaration with Zero and Succ",
@@ -846,6 +868,9 @@ def _check_pattern(p, seen: list, arities, cl, violations) -> None:
 
 def _check_expr(e, bound: set, fn_arity, members, arities, cl, violations) -> bool:
     """Returns True when the expression mentions a group member."""
+    if isinstance(e, ENum) and e.arg is not None:
+        return _check_expr(e.arg, bound, fn_arity, members, arities, cl,
+                           violations)
     if isinstance(e, ENum):
         violations.append(Violation(
             "numeral needs a `nat` declaration with Zero and Succ",

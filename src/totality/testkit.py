@@ -6,6 +6,10 @@ order, closes under single-step rewriting, contextuality and
 transitivity, and answers comparisons by graph reachability.  It is used
 only to cross-check the syntax-directed `sleq` on normal-form pairs.
 
+`reference_lex` is the character-at-a-time lexer that the one-pattern
+`surface._lex` replaced; the tests compare their tokens, positions and
+errors.
+
 `collapse_call_term`, `compose_calls` and `is_checked_loop` are the term
 path: they compose and collapse whole terms, and the tests compare the
 initial calls, the closure's piecewise composition and its recorded
@@ -31,6 +35,7 @@ from .callgraph import (
 )
 from .collapse import collapse_depth, collapse_weights
 from .order import sleq, sqcoh
+from .surface import _KEYWORDS, SourceError, Token
 from .terms import (
     INF,
     Approx,
@@ -65,6 +70,76 @@ from .terms import (
     weight,
     weight_add,
 )
+
+# ---------------------------------------------------------------------------
+# the reference lexer
+
+def reference_lex(src: str) -> list:
+    """The tokens of `src`, read one character at a time."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("--", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if src.startswith("->", i):
+            tokens.append(Token("->", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if c == "'":
+            j = i + 1
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            if j == i + 1:
+                raise SourceError("dangling quote", line, col)
+            tokens.append(Token("tyvar", src[i + 1:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and src[j].isdecimal():
+                j += 1
+            tokens.append(Token("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            word = src[i:j]
+            if word == "_":
+                tokens.append(Token("wild", word, line, col))
+            elif word in _KEYWORDS:
+                tokens.append(Token(word, word, line, col))
+            else:
+                tokens.append(Token("name", word, line, col))
+            col += j - i
+            i = j
+            continue
+        if c in ":|=(){};,.":
+            tokens.append(Token(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise SourceError("unexpected character %r" % c, line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
 
 # ---------------------------------------------------------------------------
 # the term path

@@ -25,6 +25,7 @@ from .surface import (
     ERecord,
     EVar,
     PConstr,
+    PNum,
     PRecord,
     PVar,
     SourceError,
@@ -62,6 +63,15 @@ class APConstr:
 
 
 @dataclass
+class APNum:
+    """The numeral `value`: that many `Succ` over `Zero arg`."""
+    value: int
+    arg: object
+    instance: object = None
+    prio: object = None
+
+
+@dataclass
 class APRecord:
     fields: tuple
     instance: object = None
@@ -76,6 +86,14 @@ class ABVar:
 @dataclass
 class ABConstr:
     name: str
+    arg: object
+    instance: object = None
+    prio: object = None
+
+
+@dataclass
+class ABNum:
+    value: int
     arg: object
     instance: object = None
     prio: object = None
@@ -102,33 +120,50 @@ class ABCall:
     args: tuple
 
 
-_INSTANCE_NODES = (APConstr, ABConstr, APRecord, ABRecord, ABProj)
+_INSTANCE_NODES = (APConstr, ABConstr, APNum, ABNum, APRecord, ABRecord,
+                   ABProj)
+_ONE_CHILD = (APConstr, ABConstr, APNum, ABNum)
 
 
-def clause_nodes(adefs):
-    """Pre-order walk over every node of the clauses of `adefs`, patterns
-    first and then the body.  A node is yielded before its children are
-    read, so the caller may update it on the way down."""
+def clause_nodes(cl):
+    """Pre-order walk over every node of the clause `cl`, patterns first
+    and then the body."""
+    stack = [cl.body, *reversed(cl.patterns)]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _ONE_CHILD):
+            stack.append(node.arg)
+        elif isinstance(node, (APRecord, ABRecord)):
+            stack.extend(sub for _, sub in reversed(node.fields))
+        elif isinstance(node, ABProj):
+            stack.append(node.sub)
+        elif isinstance(node, ABCall):
+            stack.extend(reversed(node.args))
+
+
+def index_clauses(adefs) -> list:
+    """One walk over the clauses of `adefs`: record on each clause the names
+    it calls, in order of first call, and return the nodes that carry a type
+    instance, in pre-order."""
+    nodes: list = []
     for adef in adefs:
         for cl in adef.clauses:
-            stack = [cl.body, *reversed(cl.patterns)]
-            while stack:
-                node = stack.pop()
-                yield node
-                if isinstance(node, (APConstr, ABConstr)):
-                    stack.append(node.arg)
-                elif isinstance(node, (APRecord, ABRecord)):
-                    stack.extend(sub for _, sub in reversed(node.fields))
-                elif isinstance(node, ABProj):
-                    stack.append(node.sub)
+            calls: dict = {}
+            for node in clause_nodes(cl):
+                if isinstance(node, _INSTANCE_NODES):
+                    nodes.append(node)
                 elif isinstance(node, ABCall):
-                    stack.extend(reversed(node.args))
+                    calls[node.fname] = None
+            cl.calls = tuple(calls)
+    return nodes
 
 
 @dataclass
 class AClause:
     patterns: tuple
     body: object
+    calls: tuple = ()  # set by `index_clauses`
 
 
 @dataclass
@@ -140,6 +175,12 @@ class ADef:
     clauses: tuple
     line: int = 0
     col: int = 0
+
+    @property
+    def calls(self) -> tuple:
+        """The names the clauses call, in order of first call."""
+        return tuple(dict.fromkeys(
+            name for cl in self.clauses for name in cl.calls))
 
 
 @dataclass
@@ -461,6 +502,11 @@ class GroupChecker:
                 fields.append((fname, self.check_pattern(
                     sub, subst_type(info.result, mapping), var_env, cl)))
             return APRecord(tuple(fields), instance=inst)
+        if isinstance(p, PNum) and p.arg is not None:
+            nat = TApp("nat", ())
+            self.u.unify(expected, nat, cl.line, cl.col)
+            return APNum(p.value, self.check_pattern(
+                p.arg, self.env.ctors["Zero"].arg, var_env, cl), instance=nat)
         raise TypeCheckError("pattern not desugared: %r" % (p,),
                              cl.line, cl.col)
 
@@ -511,6 +557,11 @@ class GroupChecker:
             self.u.unify(expected, subst_type(info.result, mapping),
                          cl.line, cl.col)
             return ABProj(sub, e.fname, instance=inst)
+        if isinstance(e, ENum) and e.arg is not None:
+            nat = TApp("nat", ())
+            self.u.unify(expected, nat, cl.line, cl.col)
+            return ABNum(e.value, self.check_expr(
+                e.arg, self.env.ctors["Zero"].arg, var_env, cl), instance=nat)
         if isinstance(e, ENum):
             raise TypeCheckError("numeral not desugared", cl.line, cl.col)
         raise TypeCheckError("unknown expression %r" % (e,), cl.line, cl.col)
@@ -568,19 +619,17 @@ def _canonical_names(used: list) -> dict:
     return out
 
 
-def _resolve_instances(adefs, u: Unifier):
+def _resolve_instances(nodes, u: Unifier):
     order: list = []
-    for node in clause_nodes(adefs):
-        if isinstance(node, _INSTANCE_NODES):
-            node.instance = u.deep(node.instance)
-            type_vars(node.instance, order)
+    for node in nodes:
+        node.instance = u.deep(node.instance)
+        type_vars(node.instance, order)
 
     rename = _canonical_names(order)
     if not rename:
         return
-    for node in clause_nodes(adefs):
-        if isinstance(node, _INSTANCE_NODES):
-            node.instance = subst_type(node.instance, rename)
+    for node in nodes:
+        node.instance = subst_type(node.instance, rename)
 
 
 def _proper_subexprs(t):
@@ -604,8 +653,9 @@ def _nodes(t, limit: int) -> int:
     return count
 
 
-def dominance(adefs, env: DeclEnv):
-    """Reachable instances and, per instance, the instances it must exceed.
+def dominance(nodes, env: DeclEnv):
+    """Reachable instances and, per instance, the instances it must exceed,
+    from the instance nodes `nodes` (`index_clauses`).
 
     An instance must exceed each instance it is a proper subexpression of,
     and each instance that reaches it in one deconstruction step unless it
@@ -615,9 +665,7 @@ def dominance(adefs, env: DeclEnv):
     # close under subexpressions and one-step deconstruction in FIFO order,
     # recording each instance's deconstruction targets on its visit
     targets: dict = dict.fromkeys(
-        node.instance for node in clause_nodes(adefs)
-        if isinstance(node, _INSTANCE_NODES)
-        and isinstance(node.instance, TApp))
+        node.instance for node in nodes if isinstance(node.instance, TApp))
     order = list(targets)
     added = 0
     for current in order:  # grows while it is read
@@ -655,11 +703,11 @@ def _reachable(start, targets: dict) -> set:
     return seen
 
 
-def assign_priorities(adefs, env: DeclEnv) -> dict:
-    """Priorities for every type instance reachable from the group: each
-    instance gets the least number of its parity above every instance it
-    must exceed, in one topological pass."""
-    universe, must_exceed = dominance(adefs, env)
+def assign_priorities(nodes, env: DeclEnv) -> dict:
+    """Priorities for every type instance reachable from the instance nodes
+    `nodes`: each instance gets the least number of its parity above every
+    instance it must exceed, in one topological pass."""
+    universe, must_exceed = dominance(nodes, env)
     waiting = {t: len(below) for t, below in must_exceed.items()}
     above: dict = {t: [] for t in universe}
     for t, below in must_exceed.items():
@@ -683,13 +731,12 @@ def assign_priorities(adefs, env: DeclEnv) -> dict:
     return values
 
 
-def annotate_priorities(adefs, priorities: dict) -> None:
-    for node in clause_nodes(adefs):
-        if isinstance(node, _INSTANCE_NODES):
-            if node.instance not in priorities:
-                raise PriorityError(
-                    "no priority for instance %s" % type_str(node.instance))
-            node.prio = priorities[node.instance]
+def annotate_priorities(nodes, priorities: dict) -> None:
+    for node in nodes:
+        node.prio = priorities.get(node.instance)
+        if node.prio is None:
+            raise PriorityError(
+                "no priority for instance %s" % type_str(node.instance))
 
 
 def annotate_group(env: DeclEnv, schemes: dict, defs,
@@ -697,14 +744,15 @@ def annotate_group(env: DeclEnv, schemes: dict, defs,
     """Full typing pipeline for one group; extends `schemes` in place."""
     checker = GroupChecker(env, schemes)
     adefs = checker.check(defs)
-    _resolve_instances(adefs, checker.u)
+    nodes = index_clauses(adefs)
+    _resolve_instances(nodes, checker.u)
     for adef in adefs:
         arg_types = tuple(checker.u.deep(t) for t in adef.arg_types)
         result = checker.u.deep(adef.result_type)
         adef.arg_types = arg_types
         adef.result_type = result
-    priorities = assign_priorities(adefs, env)
-    annotate_priorities(adefs, priorities)
+    priorities = assign_priorities(nodes, env)
+    annotate_priorities(nodes, priorities)
     for adef in adefs:
         quantified: list = []
         for t in adef.arg_types + (adef.result_type,):

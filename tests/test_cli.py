@@ -68,11 +68,9 @@ class TestExitCodes:
         assert "ERROR f" in out
 
     @pytest.mark.parametrize("body, first, last", [
-        # desugaring expands the numeral: located at the clause
-        ("600", 20, 20),
         # parsing recurses into the parentheses: located at a token in them
         ("(" * 3000 + "x" + ")" * 3000, 28, 28 + 3000),
-    ], ids=["numeral", "parentheses"])
+    ], ids=["parentheses"])
     def test_deep_input_gives_two(self, tmp_path, capsys, body, first, last):
         deep = tmp_path / "deep.ch"
         deep.write_text("data nat where Zero : nat | Succ : nat -> nat\n"
@@ -203,6 +201,20 @@ class TestPragma:
         assert captured.out == (
             "error: %d:16: pragma bound B must be at least 1\n" % line)
         assert "Traceback" not in captured.err
+
+
+    def test_line_break_in_a_comment_keeps_the_pragma_in_place(
+            self, tmp_path, capsys):
+        path = tmp_path / "pragma.ch"
+        path.write_text("data nat where Zero : nat | Succ : nat -> nat\n"
+                        "-- a form feed \x0c in a comment\n"
+                        "-- totality: B=3, D=3\n"
+                        "val f x = x\n"
+                        "val g x = x\n", encoding="utf-8")
+        code, out = run_cli(capsys, "check", str(path), "--dump-closure")
+        assert code == 0
+        assert "-- closure for f (B=3, D=3)" in out.splitlines()
+        assert "-- closure for g (B=2, D=2)" in out.splitlines()
 
 
 class TestLibraryConfig:

@@ -1,0 +1,87 @@
+"""The one-pattern lexer against the character-at-a-time reference
+(`testkit.reference_lex`): the same tokens, positions and errors."""
+
+import random
+
+import pytest
+
+from conftest import CORPUS, corpus_source
+from totality.surface import SourceError, _lex
+from totality.testkit import reference_lex
+
+
+def lexed(lex, src):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in lex(src)]
+    except SourceError as err:
+        return ("error", err.message, err.line, err.col)
+
+
+def assert_same(src):
+    assert lexed(_lex, src) == lexed(reference_lex, src), repr(src)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+def test_corpus(name):
+    source = corpus_source(name)
+    assert_same(source)
+    assert_same(source.rstrip("\n") + "  -- a comment at the end")
+
+
+def block(i, rng):
+    """A data type, a codata type and two definitions over them, in
+    varied layout: tabs, carriage returns, comments, pragmas, type
+    variables, wildcards, numerals and non-ASCII names."""
+    ctors = ["K%d_%d" % (i, j) for j in range(rng.randint(1, 5))]
+    dtors = ["P%d_%d" % (i, j) for j in range(rng.randint(2, 4))]
+    nl = rng.choice(["\n", "\r\n", "  \n", "\t\n", " -- note\n"])
+    out = ["data d%d('a) where" % i]
+    for j, c in enumerate(ctors):
+        arg = rng.choice(["", "'a -> ", "d%d('a) -> " % i, "nat -> "])
+        out.append("%s%s : %sd%d('a)" % ("  | " if j else "\t", c, arg, i))
+    out.append("codata r%d where" % i)
+    for j, d in enumerate(dtors):
+        out.append("  %s %s : r%d -> nat" % ("|" if j else " ", d, i))
+    if rng.random() < 0.3:
+        out.append("-- totality: B=%d, D=%d" % (rng.randint(1, 4),
+                                                rng.randint(0, 4)))
+    name = rng.choice(["f%d" % i, "é%d" % i, "f%d'" % i, "_f%d" % i])
+    out.append("val %s : r%d -> nat" % (name, i))
+    fields = " ; ".join("%s = %s" % (d, rng.choice(
+        ["_", "x", "%d" % rng.randrange(100), "Succ y", "٣"]))
+        for d in dtors)
+    out.append("  | %s {%s} = %s" % (name, fields, rng.choice(
+        ["x", "y", "0", "Succ (Succ Zero)", "{ }"])))
+    out.append("and h%d x = h%d x.%s" % (i, i, dtors[0]))
+    return nl.join(out)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_program(seed):
+    rng = random.Random(seed)
+    source = "\n\n".join(block(i, rng) for i in range(200))
+    tokens = _lex(source)
+    assert len(tokens) > 10000
+    assert_same(source)
+
+
+# pieces of character soup, tokens and troublemakers alike: a numeric
+# character that is not a decimal digit (²), a decimal digit that is not
+# ASCII (٣), letters that are not ASCII (é, ß), and breaks that
+# `str.splitlines` takes but the lexer does not (\x0c, \u2028)
+SOUP = ["a", "Zero", "x1", "_", "'", "'b", "²", "٣", "é", "ß", "0", "42",
+        "--", "->", "-", " ", "  ", "\t", "\r", "\n", "\n", "\x0c",
+        "\u2028", ":", "|", "=", "(", ")", "{", "}", ";", ",", ".", "val",
+        "data", "codata", "where", "and", "%", "\x85"]
+
+
+def test_character_soups():
+    rng = random.Random(20261018)
+    errors = 0
+    for _ in range(3000):
+        src = "".join(rng.choice(SOUP) for _ in range(rng.randint(0, 40)))
+        assert_same(src)
+        errors += isinstance(lexed(_lex, src), tuple)
+    # both outcomes are exercised
+    assert 300 < errors < 2700

@@ -8,8 +8,10 @@ from totality.surface import (
     Definition,
     EApp,
     EConstr,
+    ENum,
     EVar,
     PConstr,
+    PNum,
     PRecord,
     PVar,
     SourceError,
@@ -93,16 +95,31 @@ class TestDesugar:
         assert once == parse_program(source)
 
     def test_numerals(self):
+        # a numeral stays a count, with the argument of its Zero
         program = desugar(parse_program(NAT + "val f : nat -> nat | f x = 2"))
         (cl,) = program.groups[0].defs[0].clauses
         body = cl.body
-        assert body == EConstr("Succ", (EConstr("Succ", (EConstr(
-            "Zero", (EApp("empty_record", (EVar("x"),)),)),)),))
+        assert body == ENum(2, EApp("empty_record", (EVar("x"),)))
+
+    def test_numeral_pattern_gets_a_dummy(self):
+        program = desugar(parse_program(
+            NAT + "val f : nat -> nat | f 3 = 1"))
+        (cl,) = program.groups[0].defs[0].clauses
+        assert cl.patterns == (PNum(3, PVar("_d0")),)
+        assert cl.body == ENum(1, EVar("_d0"))
+
+    def test_numerals_expand_over_another_nat(self):
+        program = desugar(parse_program(
+            "data nat where Zero : nat | Succ : nat -> nat -> nat\n"
+            "val f : nat -> nat | f x = 1"))
+        (cl,) = program.groups[0].defs[0].clauses
+        assert cl.body == EConstr("Succ", (EConstr(
+            "Zero", (EApp("empty_record", (EVar("x"),)),)),))
 
     def test_zero_arity_clause_uses_plain_empty_record_call(self):
         program = desugar(parse_program(NAT + "val c = 0"))
         (cl,) = program.groups[0].defs[0].clauses
-        assert cl.body == EConstr("Zero", (EVar("empty_record"),))
+        assert cl.body == ENum(0, EVar("empty_record"))
 
     def test_idempotent(self):
         for name in ("nats.ch", "sums.ch", "half.ch", "s1s2.ch", "swap.ch"):
@@ -168,3 +185,14 @@ class TestPragma:
         program = parse_program(source)
         assert program.groups[0].bounds == (1, 0)
         assert program.groups[1].bounds is None
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x0b", "\x1c", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_line_break_in_a_comment_keeps_the_pragma_in_place(self, brk):
+        # str.splitlines breaks lines at these; the lexer only at "\n"
+        source = (NAT + "-- note" + brk + "more\n"
+                  "-- totality: B=3, D=3\n"
+                  "val f x = x\n"
+                  "val g x = x\n")
+        program = parse_program(source)
+        assert [g.bounds for g in program.groups] == [(3, 3), None]

@@ -24,6 +24,7 @@ from totality.typecheck import (
     Unifier,
     assign_priorities,
     dominance,
+    index_clauses,
 )
 
 
@@ -153,7 +154,8 @@ class TestPriorities:
         # dropping any priority by 2 breaks a dominance constraint
         for name in ("nats.ch", "bad_s.ch", "nats_list.ch"):
             for analyzed, env in annotated_groups(name):
-                universe, must_exceed = dominance(analyzed.defs, env)
+                universe, must_exceed = dominance(
+                    index_clauses(analyzed.defs), env)
                 pm = analyzed.priorities
                 for inst, prio in pm.items():
                     lowered = prio - 2
@@ -174,11 +176,11 @@ class TestPriorities:
         for seed in range(500):
             env, adefs = random_declarations(random.Random(seed))
             try:
-                pm = assign_priorities(adefs, env)
+                pm = assign_priorities(index_clauses(adefs), env)
             except PriorityError:
                 continue
             maps += 1
-            universe, must_exceed = dominance(adefs, env)
+            universe, must_exceed = dominance(index_clauses(adefs), env)
             assert list(pm) and set(pm) == set(universe), seed
             for inst, prio in pm.items():
                 assert prio % 2 == env.polarity(inst), (seed, inst)
