@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -329,6 +328,11 @@ MAX_COMPOSITIONS = 2000000
 
 class ClosureCapError(Exception):
     """The closure reached `MAX_EDGES` or `MAX_COMPOSITIONS`."""
+
+
+def _composition_cap() -> ClosureCapError:
+    return ClosureCapError("call graph closure exceeded its composition "
+                           "cap (%d)" % MAX_COMPOSITIONS)
 
 
 def spine_parts(spine: tuple) -> tuple:
@@ -721,61 +725,104 @@ class CallTables:
 def transitive_closure(graph: CallGraph) -> CallGraph:
     """Saturate the graph under collapsed composition.
 
-    Every ordered pair of edges that meet is composed once: first the
-    initial edges pairwise, in order, then each edge k, in the order the
-    edges were found, with itself and the edges before it, by increasing
-    partner i, (i, k) before (k, i).  The edges into and out of each vertex
-    are indexed, so only pairs that meet are visited.  Composites are added
-    in the order `testkit.compose_calls` gives them.  Calls are composed
-    piecewise through `CallTables`; a candidate is known by its endpoints,
-    spine id and argument ids, and only a new one is built.  Each loop's
-    composites with itself are kept for the loop check.  The collapsed
-    space is finite, so the caps only guard against bugs.
+    The initial edges are composed pairwise, in order.  Then each edge k,
+    in the order the edges were found, takes a step with its partners: the
+    edges i <= k into its caller and i < k out of its callee.  A vertex
+    groups its partners by shape, spine id and argument ids, as a bitset of
+    their other endpoints, so `CallTables.combine` runs once per group, and
+    a candidate's new edges are the endpoints in the group that lack it.
+    They are added in the order of composing the partners one by one: by
+    increasing i, (i, k) before (k, i), each composite's candidates in the
+    order `testkit.compose_calls` gives them.  `compositions` counts the
+    ordered pairs of edges that meet.  Each loop's composites with itself
+    are kept for the loop check.  The caps only guard against bugs.
     """
     tables = CallTables(graph.bound_b, graph.bound_d)
     edges: list[Call] = list(graph.edges)
+    vertex = {name: n for n, name in enumerate(graph.vertices)}
+    ends = [(vertex[e.caller], vertex[e.callee]) for e in edges]
     parts = [tables.split(e) for e in edges]
-    # candidate key -> index of its edge
-    seen = {(e.caller, e.callee) + part: k
-            for k, (e, part) in enumerate(zip(edges, parts))}
-    # vertex -> indices of the edges into it and out of it, increasing
-    into, out = defaultdict(list), defaultdict(list)
-    for k, e in enumerate(edges):
-        into[e.callee].append(k)
-        out[e.caller].append(k)
+    # (caller, callee, spine id, argument ids) -> index of its edge
+    seen = {ab + part: k for k, (ab, part) in enumerate(zip(ends, parts))}
+    # callers[(callee, sid, ids)], callees[(caller, sid, ids)]: bitsets of
+    # the other endpoints of the edges of that shape there
+    callers, callees = defaultdict(int), defaultdict(int)
+    starts = defaultdict(list)  # the initial edges out of each vertex
+    for j, ((a, b), (sid, ids)) in enumerate(zip(ends, parts)):
+        callers[b, sid, ids] |= 1 << a
+        callees[a, sid, ids] |= 1 << b
+        starts[a].append(j)
+
+    def edge(a: int, b: int, sid: int, ids: tuple) -> int:
+        """The index of a candidate's edge, added if it is new."""
+        n = seen.get((a, b, sid, ids))
+        if n is None:
+            n = seen[a, b, sid, ids] = len(edges)
+            edges.append(tables.call(graph.vertices[a], sid,
+                                     graph.vertices[b], ids))
+            ends.append((a, b))
+            parts.append((sid, ids))
+            callers[b, sid, ids] |= 1 << a
+            callees[a, sid, ids] |= 1 << b
+            if len(edges) > MAX_EDGES:
+                raise ClosureCapError("call graph closure exceeded its edge "
+                                      "cap (%d)" % MAX_EDGES)
+        return n
+
+    first = len(edges)
+    pairs = [(i, j) for i in range(first) for j in starts[ends[i][1]]]
+    compositions = len(pairs)
+    if compositions > MAX_COMPOSITIONS:
+        raise _composition_cap()
+    for i, j in pairs:
+        sid, choices = tables.combine(parts[i], parts[j])
+        for ids in itertools.product(*choices) if sid else ():
+            edge(ends[i][0], ends[j][1], sid, ids)
+    # into[v][shape], out[u][shape]: bitsets of the callers of the edges
+    # into v and of the callees of the edges out of u, each edge entered
+    # just before and just after its step, and the numbers of those edges
+    into = [{} for _ in graph.vertices]
+    out = [{} for _ in graph.vertices]
+    degree_in, degree_out = [0] * len(into), [0] * len(into)
     self_composites: dict = {}
-    compositions, k = 0, len(edges)
-    # the pairs (i, j) to compose next, each led by its ordering index
-    pairs = [(i, i, j) for i in range(k) for j in out[edges[i].callee]]
-    while True:
-        compositions += len(pairs)
-        if compositions > MAX_COMPOSITIONS:
-            raise ClosureCapError("call graph closure exceeded its "
-                                  "composition cap (%d)" % MAX_COMPOSITIONS)
-        for _, i, j in pairs:
-            sid, choices = tables.combine(parts[i], parts[j])
-            caller, callee = edges[i].caller, edges[j].callee
-            found = []
-            for ids in itertools.product(*choices) if sid else ():
-                key = (caller, callee, sid, ids)
-                n = seen.get(key)
-                if n is None:
-                    n = seen[key] = len(edges)
-                    edges.append(tables.call(caller, sid, callee, ids))
-                    parts.append((sid, ids))
-                    into[callee].append(n)
-                    out[caller].append(n)
-                    if len(edges) > MAX_EDGES:
-                        raise ClosureCapError("call graph closure exceeded "
-                                              "its edge cap (%d)" % MAX_EDGES)
-                found.append(n)
-            if i == j:
-                self_composites[i] = tuple(found)
-        if k == len(edges):
-            break
-        ins, outs = into[edges[k].caller], out[edges[k].callee]
-        pairs = sorted([(i, i, k) for i in ins[:bisect_right(ins, k)]]
-                       + [(i, k, i) for i in outs[:bisect_left(outs, k)]])
+    k = 0
+    while k < len(edges):
+        (u, v), s = ends[k], parts[k]
+        into[v][s] = into[v].get(s, 0) | 1 << u
+        degree_in[v] += 1
+        if k >= first:
+            compositions += degree_in[u] + degree_out[v]
+            if compositions > MAX_COMPOSITIONS:
+                raise _composition_cap()
+            # new candidates, led by their partner's index and 0 for (i, k)
+            # or 1 for (k, i); a stable sort keeps the product's order
+            new = []
+            for t, mask in into[u].items():
+                sid, choices = tables.combine(t, s)
+                for ids in itertools.product(*choices) if sid else ():
+                    fresh = mask & ~callers.get((v, sid, ids), 0)
+                    while fresh:
+                        w = fresh.bit_length() - 1
+                        fresh ^= 1 << w
+                        new.append(((seen[(w, u) + t], 0), w, v, sid, ids))
+            for t, mask in out[v].items():
+                sid, choices = tables.combine(s, t)
+                for ids in itertools.product(*choices) if sid else ():
+                    fresh = mask & ~callees.get((u, sid, ids), 0)
+                    while fresh:
+                        w = fresh.bit_length() - 1
+                        fresh ^= 1 << w
+                        new.append(((seen[(v, w) + t], 1), u, w, sid, ids))
+            new.sort(key=itemgetter(0))
+            for _, a, b, sid, ids in new:
+                edge(a, b, sid, ids)
+        if u == v:
+            sid, choices = tables.combine(s, s)
+            self_composites[k] = tuple([
+                edge(u, u, sid, ids)
+                for ids in (itertools.product(*choices) if sid else ())])
+        out[u][s] = out[u].get(s, 0) | 1 << v
+        degree_out[u] += 1
         k += 1
     stats = {"edges": len(edges), "compositions": compositions}
     return CallGraph(graph.vertices, tuple(edges), graph.bound_b,

@@ -102,8 +102,11 @@ def analyze_program(program: Program, config: Config) -> Report:
             outcome = scp.check_loops(closure)
         except (SourceError, ClosureCapError, InternalError,
                 RecursionError) as err:
+            if isinstance(err, RecursionError):
+                first = group.defs[0]
+                err = SourceError(TOO_DEEP, first.line, first.col)
             reason = str(err)
-            if isinstance(err, (InternalError, RecursionError)):
+            if isinstance(err, InternalError):
                 reason = "internal error: " + reason
             for d in group.defs:
                 verdict = Verdict(d.fname, ERROR, bounds, [reason])

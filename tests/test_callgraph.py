@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,10 +32,14 @@ from totality.terms import (
     Param,
     Sum,
     ZERO,
+    approx,
     compose,
+    constr,
+    constr_dual,
     funapp,
     parse_term,
     project,
+    record,
     substitute,
     sum_of,
     summands,
@@ -301,6 +306,43 @@ def random_graph(rng, vertices, bound_b, bound_d, calls=None):
     return CallGraph(tuple(vertices), tuple(edges), bound_b, bound_d)
 
 
+def forked_graphs(rng, bound, count):
+    """`count` call graphs over three to five vertices at B=D=`bound`, each
+    with one random call per vertex, of two or three arguments, collapsed.
+    An argument is a parameter bare, weighted, destructed, projected or in
+    a record that forks, so that a weight meeting a record forks a
+    composite into several candidates.  A graph whose closure has more
+    than 120 edges is passed over, which keeps the scanning reference
+    quick."""
+    while count:
+        n, arity = rng.randint(3, 5), rng.randint(2, 3)
+        vertices = ["f%d" % i for i in range(n)]
+        params = [Param(j) for j in range(1, arity + 1)]
+        edges = []
+        for _ in range(n):
+            args = []
+            for _ in range(arity):
+                x, y = rng.choice(params), rng.choice(params)
+                args.append(rng.choice([
+                    x, record([("D", x), ("E", y)], 0),
+                    approx(weight({0: rng.choice((-1, 1))}), x),
+                    project(rng.choice("DE"), 0, x),
+                    constr_dual("A", 1, x), constr("A", 1, x)]))
+            call = funapp(rng.choice(vertices), args)
+            call = rng.choice([call, constr("A", 1, call),
+                               constr_dual("A", 1, call),
+                               record([("D", call)], 0)])
+            caller = rng.choice(vertices)
+            for s in summands(collapse_call_term(call, bound, bound)):
+                edge = call_of_term(caller, s, set(vertices))
+                if edge not in edges:
+                    edges.append(edge)
+        graph = CallGraph(tuple(vertices), tuple(edges), bound, bound)
+        if len(transitive_closure(graph).edges) <= 120:
+            count -= 1
+            yield graph
+
+
 class TestPiecewiseClosure:
     """The closure composes spines and arguments apart; these compare it
     with composing whole terms."""
@@ -342,12 +384,16 @@ class TestPiecewiseClosure:
             assert closure.stats["compositions"] == compositions
 
 
-def ordered_reference_closure(graph):
+def ordered_reference_closure(graph, paths=None):
     """The closure in its pair order, found by scanning: the initial edges
     pairwise, then each edge k, in the order the edges were found, with
     every edge i <= k that meets it, (i, k) before (k, i).  Composites come
     from `compose_calls`, in order.  Returns the edge list, the loops'
-    self-composites and the number of pairs composed."""
+    self-composites and the number of pairs composed.
+
+    A Counter `paths` counts, after the initial pairs, the pairs that give
+    several candidates ("multi") and the candidates that an earlier pair
+    of the same step added ("duplicate")."""
     edges = list(graph.edges)
     index = {e: k for k, e in enumerate(edges)}
     k = len(edges)
@@ -355,12 +401,18 @@ def ordered_reference_closure(graph):
              if edges[i].callee == edges[j].caller]
     self_composites = {}
     compositions = 0
+    step = None  # the number of edges when the step began
     while True:
         for i, j in pairs:
             compositions += 1
             found = []
-            for c in compose_calls(edges[i], edges[j], graph.bound_b,
-                                   graph.bound_d):
+            composites = compose_calls(edges[i], edges[j], graph.bound_b,
+                                       graph.bound_d)
+            if paths is not None and step is not None:
+                paths["multi"] += len(composites) > 1
+                paths["duplicate"] += sum(index.get(c, -1) >= step
+                                          for c in composites)
+            for c in composites:
                 if c not in index:
                     index[c] = len(edges)
                     edges.append(c)
@@ -369,6 +421,7 @@ def ordered_reference_closure(graph):
                 self_composites[i] = tuple(found)
         if k == len(edges):
             return edges, self_composites, compositions
+        step = len(edges)
         pairs = []
         for i in range(k + 1):
             if edges[i].callee == edges[k].caller:
@@ -383,15 +436,20 @@ codata st where hd : st -> nat | Tail : st -> st
 """
 
 
-def stream_ring(rng, members):
+def stream_ring(rng, members, consumers=None):
     """A ring of mutually recursive streams: each member is a producer
     `{ hd = Zero ; Tail = next }` or a consumer `next.Tail`, where next is
-    the following member, with the members named in a random order."""
+    the following member, with the members named in a random order.  Each
+    member consumes with probability 0.3, or exactly `consumers` members
+    chosen at random do."""
     names = ["s%d" % k for k in rng.sample(range(members), members)]
+    eating = (None if consumers is None
+              else set(rng.sample(range(members), consumers)))
     lines = []
     for i, name in enumerate(names):
         succ = names[(i + 1) % members]
-        body = ("%s.Tail" % succ if rng.random() < 0.3
+        eats = rng.random() < 0.3 if eating is None else i in eating
+        body = ("%s.Tail" % succ if eats
                 else "{ hd = Zero ; Tail = %s }" % succ)
         lines.append("%s %s = %s" % ("and" if lines else "val", name, body))
     return STREAM_DECLS + "\n".join(lines) + "\n"
@@ -432,6 +490,74 @@ class TestClosureOrder:
                               *group.bounds)
             assert len(group.names) == members
             assert self.check(graph) > members
+
+    def test_long_stream_rings(self):
+        rng = random.Random(8100)
+        for members, consumers in ((24, 3), (32, 2), (40, 1)):
+            graph = ring_graph(stream_ring(rng, members, consumers))
+            assert self.check(graph) > members
+
+    def test_forked_records(self):
+        """A pair can give several candidates, and two partners in one
+        step the same new edge; the reference counts that both occur."""
+        paths, sizes = Counter(), []
+        for bound in (1, 2):
+            for graph in forked_graphs(random.Random(7200 + bound), bound, 8):
+                sizes.append(self.check(graph) - len(graph.edges))
+                ordered_reference_closure(graph, paths)
+        assert sum(sizes) >= 100, sizes
+        assert paths["multi"] and paths["duplicate"], paths
+
+
+def ring_graph(source):
+    """The initial call graph of a stream ring at B=D=2."""
+    (group,) = analyze_source(source, Config(2, 2)).groups
+    return CallGraph(tuple(sorted(group.names)), group.callgraph,
+                     *group.bounds)
+
+
+def meeting_pairs(edges):
+    """The ordered pairs of edges that meet: the sum over the vertices of
+    the edges into it times the edges out of it."""
+    into = Counter(e.callee for e in edges)
+    out = Counter(e.caller for e in edges)
+    return sum(into[v] * out[v] for v in into)
+
+
+class TestCompositionCount:
+    """`compositions` counts the ordered pairs of closure edges that meet,
+    each of which the scanning reference composes once."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_corpus(self, bound):
+        for path in sorted(CORPUS.glob("*.ch")):
+            for analyzed, _ in annotated_groups(path.name):
+                closure = transitive_closure(
+                    build_callgraph(analyzed.defs, bound, bound))
+                assert closure.stats["compositions"] == meeting_pairs(
+                    closure.edges), (path.name, bound)
+
+    def test_stream_rings(self):
+        rng = random.Random(8100)
+        for members, consumers in ((24, 3), (32, 2), (40, 1), (40, 12)):
+            closure = transitive_closure(
+                ring_graph(stream_ring(rng, members, consumers)))
+            assert closure.stats["compositions"] == meeting_pairs(
+                closure.edges), (members, consumers)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_random_graphs(self, bound):
+        """The random graphs of `TestClosureOrder`."""
+        rng = random.Random(7000 + bound)
+        graphs = [random_graph(rng, ["f%d" % i for i in range(n)], bound,
+                               bound, calls=n + 2)
+                  for n in (4, 5, 6, 7, 8, 4, 6, 8)]
+        if bound < 3:
+            graphs += forked_graphs(random.Random(7200 + bound), bound, 8)
+        for graph in graphs:
+            closure = transitive_closure(graph)
+            assert closure.stats["compositions"] == meeting_pairs(
+                closure.edges)
 
 
 class TestBuiltEdges:

@@ -7,9 +7,17 @@ import re
 import pytest
 
 from conftest import CORPUS, corpus_source
-from totality import callgraph
+from totality import callgraph, checker
 from totality.checker import Config, analyze_source
 from totality.cli import main
+from totality.terms import InternalError
+
+
+# 380 written-out `Succ` in a call argument
+DEEP_ARGUMENT = (
+    "data nat where Zero : nat | Succ : nat -> nat\n"
+    "val f : nat -> nat | f (Succ x) = f (%sZero%s) | f x = x\n"
+    "val g : nat -> nat | g x = x\n" % ("Succ (" * 380, ")" * 380))
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +90,18 @@ class TestExitCodes:
                           r"analyze", captured.out)
         assert match, captured.out
         assert first <= int(match.group(1)) <= last
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_deep_call_argument_gives_two(self, tmp_path, capsys):
+        # parsing and typing pass, but extracting the call recurses into
+        # its argument: located at the group's first definition
+        deep = tmp_path / "deep.ch"
+        deep.write_text(DEEP_ARGUMENT)
+        code = main(["check", str(deep)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == [
+            "ERROR f: 2:5: input nests too deeply to analyze", "TOTAL g"]
         assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("body, col", [("\u00b2", 28), ("1\u00b2", 29)],
@@ -215,6 +235,64 @@ class TestPragma:
         assert code == 0
         assert "-- closure for f (B=3, D=3)" in out.splitlines()
         assert "-- closure for g (B=2, D=2)" in out.splitlines()
+
+
+RING = ("data nat where Zero : nat | Succ : nat -> nat\n"
+        "codata st where hd : st -> nat | Tail : st -> st\n"
+        "val s0 = s1.Tail\n"
+        + "".join("and s%d = { hd = Zero ; Tail = s%d }\n" % (i, (i + 1) % 8)
+                  for i in range(1, 8)))
+
+
+@pytest.mark.parametrize("cap,value,phrase", [
+    ("MAX_EDGES", 40, "edge cap (40)"),
+    ("MAX_COMPOSITIONS", 400, "composition cap (400)"),
+])
+class TestRingClosureCaps:
+    """The caps on a group of several vertices: the 8-member stream ring
+    `RING` at B=D=2 has 8 initial edges and closes to 105 edges in 1,361
+    compositions, so both caps below are reached after the initial
+    pairs."""
+
+    def test_library(self, monkeypatch, cap, value, phrase):
+        monkeypatch.setattr(callgraph, cap, value)
+        report = analyze_source(RING, Config(2, 2))
+        reason = "call graph closure exceeded its " + phrase
+        assert [(v.fname, v.result, v.reasons) for v in report.verdicts] == [
+            ("s%d" % i, "error", [reason]) for i in range(8)]
+        assert report.exit_code() == 2
+
+    def test_cli(self, monkeypatch, capsys, tmp_path, cap, value, phrase):
+        monkeypatch.setattr(callgraph, cap, value)
+        path = tmp_path / "ring.ch"
+        path.write_text(RING)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == [
+            "ERROR s%d: call graph closure exceeded its %s" % (i, phrase)
+            for i in range(8)]
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestGroupErrors:
+    """Faults inside one group's analysis give that group ERROR and leave
+    the other groups their verdicts."""
+
+    def test_deep_input_is_located(self):
+        report = analyze_source(DEEP_ARGUMENT, Config())
+        assert [(v.fname, v.result, v.reasons) for v in report.verdicts] == [
+            ("f", "error", ["2:5: input nests too deeply to analyze"]),
+            ("g", "total", [])]
+        assert report.exit_code() == 2
+
+    def test_internal_error_is_named(self, monkeypatch):
+        def fail(*args):
+            raise InternalError("broken invariant")
+        monkeypatch.setattr(checker, "build_callgraph", fail)
+        report = analyze_source(corpus_source("nats.ch"), Config())
+        assert [(v.result, v.reasons) for v in report.verdicts] == [
+            ("error", ["internal error: broken invariant"])]
 
 
 class TestLibraryConfig:
