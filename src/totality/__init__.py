@@ -6,11 +6,7 @@ from .terms import (
     INF,
     Weight,
     ZERO,
-    coef_leq,
-    compose,
-    nf,
     parse_term,
-    substitute,
     term_str,
     weight,
     weight_add,
@@ -18,6 +14,6 @@ from .terms import (
 
 __all__ = [
     "Config", "Report", "Verdict", "analyze_source",
-    "INF", "Weight", "ZERO", "coef_leq", "compose", "nf",
-    "parse_term", "substitute", "term_str", "weight", "weight_add",
+    "INF", "Weight", "ZERO", "parse_term", "term_str", "weight",
+    "weight_add",
 ]

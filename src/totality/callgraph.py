@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
-from .collapse import clamp
 from .terms import (
+    INF,
     Approx,
     Constr,
     ConstrDual,
@@ -33,7 +33,6 @@ from .terms import (
     map_children,
     project,
     record,
-    sort_key,
     sum_of,
     summands,
     term_str,
@@ -87,7 +86,8 @@ class Call:
     `spine` is the word of items above the callee occurrence, outermost
     first, and `args` are the occurrence's arguments as trees (`arg_tree`).
     The four fields determine the term, which is built, once, only to print
-    the call and to compare loops by `sqcoh`."""
+    the call: the checker composes, collapses, sorts, weighs and compares
+    calls on their items."""
 
     caller: str
     callee: str
@@ -298,7 +298,7 @@ def collapsed_calls(caller: str, raw: Term, group: set, bound_b: int,
         found += [tables.call(caller, sid, call.callee, ids)
                   for ids in itertools.product(*choices)]
     return (found if len(found) < 2
-            else sorted(set(found), key=lambda c: sort_key(c.term)))
+            else sorted(set(found), key=lambda c: item_key(call_node(c))))
 
 
 def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
@@ -352,6 +352,16 @@ _CANCELS = {"d": "c", "j": "r"}
 # what an item adds at its priority when absorbed into a spine's weight;
 # in an argument's weight it adds the opposite
 _ABSORBED = {"c": -1, "r": -1, "d": 1, "j": 1}
+
+
+def clamp(bound_b: int, value):
+    """`value` clamped into [-B, B), with everything at or above B made
+    infinite."""
+    if value < -bound_b:
+        return -bound_b
+    if value >= bound_b:
+        return INF
+    return value
 
 
 def weigh(middles, folded, sign: int, bound_b=None) -> tuple:
@@ -416,10 +426,11 @@ def tree_term(tree: tuple) -> Term:
 
 def _rebuild(tree: tuple, f) -> list:
     """The summands of a constructor or record whose children are replaced
-    by the summands `f` gives them; a record takes their product."""
+    by the summands `f` gives them; a record takes the product of its
+    fields' distinct summands."""
     if tree[0] == "c":
         return [("c", tree[1], tree[2], s) for s in f(tree[3])]
-    choices = [[(n, s) for s in f(v)] for n, v in tree[2]]
+    choices = [[(n, s) for s in dict.fromkeys(f(v))] for n, v in tree[2]]
     return [("r", tree[1], fields) for fields in itertools.product(*choices)]
 
 
@@ -518,6 +529,93 @@ def _map_middles(tree: tuple, f) -> tuple:
         return ("r", tree[1],
                 tuple((n, _map_middles(v, f)) for n, v in tree[2]))
     return ("x", f(tree[1])) + tree[2:]
+
+
+# ---------------------------------------------------------------------------
+# the item view
+#
+# A read-only view of a call's items as the nodes of its term.  A node is an
+# argument tree, or a word (items, i, end): items[i:] over its end, which is
+# the call (callee, args) or a leaf's parameter index (0 for `_`).  `head`
+# gives a node's head and its children; the head of a record lists its
+# field names, and a word at its end heads ("call", callee, arity),
+# ("x", index) or ("_",).
+
+def call_node(call: Call) -> tuple:
+    """The node of a call's term."""
+    return call.spine, 0, (call.callee, call.args)
+
+
+def head(node: tuple) -> tuple:
+    """The head of `node` and its children."""
+    if node[0] == "c":
+        return node[:3], node[3:]
+    if node[0] == "r":
+        return (("r", node[1], tuple(n for n, _ in node[2])),
+                tuple(v for _, v in node[2]))
+    if node[0] == "x":
+        _, middle, word, end = node
+        node = ((middle,) + word if middle else word), 0, end
+    items, i, end = node
+    if i < len(items):
+        item, child = items[i], ((items, i + 1, end),)
+        return (("r", item[2], (item[1],)) if item[0] == "r" else item), child
+    if type(end) is int:
+        return ("x", end) if end else ("_",), ()
+    return ("call", end[0], len(end[1])), end[1]
+
+
+def daimon_args(node: tuple) -> list:
+    """The arguments of the Daimons that `terms.daimon` makes of the term:
+    constructors, records and weights dissolve, a Daimon stays."""
+    top, children = head(node)
+    if top[0] in ("c", "r", "w"):
+        return [a for c in children for a in daimon_args(c)]
+    return list(children) if top == DAIMON else [node]
+
+
+def strip(node: tuple):
+    """`node` and every node below it through destructors and calls."""
+    yield node
+    top, children = head(node)
+    if top[0] in ("d", "j", "call"):
+        for c in children:
+            yield from strip(c)
+
+
+def sqcoh(a, b) -> bool:
+    """Weak coherence of two calls, or nodes: the rules of the reference
+    `testkit.sqcoh` on their terms.  Two Daimons cohere when stripping
+    destructors and calls off either one makes them cohere; a weight or a
+    Daimon on either side turns both into Daimons (`daimon_args`), and
+    otherwise the heads must be equal and the children cohere."""
+    if isinstance(a, Call):
+        a, b = call_node(a), call_node(b)
+    ha, ca = head(a)
+    hb, cb = head(b)
+    if ha[0] in ("w", "daimon") or hb[0] in ("w", "daimon"):
+        return any(any(sqcoh(t, v) for t in strip(u))
+                   or any(sqcoh(u, t) for t in strip(v))
+                   for u in daimon_args(a) for v in daimon_args(b))
+    return ha == hb and all(map(sqcoh, ca, cb))
+
+
+# the leading tag of each kind of head in `item_key`, as `terms._TAGS` has
+# it for the node of the term
+_TAGS = {"x": 0, "_": 1, "c": 2, "r": 3, "d": 4, "j": 5, "call": 6,
+         "daimon": 7, "w": 8}
+
+
+def item_key(node: tuple) -> tuple:
+    """A sort key of `node` in the order of `terms.sort_key` on its term."""
+    top, children = head(node)
+    keys = tuple(map(item_key, children))
+    tag = _TAGS[top[0]]
+    if top[0] == "r":
+        return tag, top[1], tuple(zip(top[2], keys))
+    if top[0] == "call":
+        return tag, top[1], keys
+    return (tag,) + top[1:] + keys
 
 
 class CallTables:
@@ -707,8 +805,7 @@ class CallTables:
                         self._weigh))
             ids.update(dict.fromkeys(got))
         if len(ids) > 1:
-            return tuple(sorted(
-                ids, key=lambda a: sort_key(tree_term(self.args[a]))))
+            return tuple(sorted(ids, key=lambda a: item_key(self.args[a])))
         return tuple(ids)
 
     def _weigh(self, middles, folded, sign: int, bound_b=None) -> int:

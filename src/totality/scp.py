@@ -1,18 +1,26 @@
 """Size-change verdicts for the loops of a closed call graph.
 
 A self-loop only needs checking when its self-composition, which the
-closure records, is compatible with it (otherwise the loop cannot repeat
-forever).  A checked loop must either produce output at some even priority
-that dominates everything the loop does above it, or consume one of its
-own arguments at a dominating odd priority.
+closure records, is weakly coherent with it (otherwise the loop cannot
+repeat forever); `sqcoh` decides that on the calls' items.  A checked
+loop must either produce output at some even priority that dominates
+everything the loop does above it, or consume one of its own arguments at
+a dominating odd priority.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .callgraph import DAIMON, Call, CallGraph, leaf_paths, spine_parts, weigh
-from .order import sqcoh
+from .callgraph import (
+    DAIMON,
+    Call,
+    CallGraph,
+    leaf_paths,
+    spine_parts,
+    sqcoh,
+    weigh,
+)
 from .terms import term_str
 
 
@@ -79,14 +87,15 @@ def check_condition2(call: Call):
 
 
 def check_loops(closure: CallGraph) -> GroupOutcome:
-    """Check every loop of a closure whose self-composition is compatible
-    with it; a loop whose self-composition errors out cannot repeat."""
+    """Check every loop of a closure whose self-composition is weakly
+    coherent with it; a loop whose self-composition errors out cannot
+    repeat."""
     outcome = GroupOutcome(total=True)
     edges = closure.edges
     for k, loop in enumerate(edges):
         if loop.caller != loop.callee:
             continue
-        if not any(sqcoh(loop.term, edges[c].term)
+        if not any(sqcoh(loop, edges[c])
                    for c in closure.self_composites[k]):
             continue
         outcome.checked_loops += 1

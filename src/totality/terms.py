@@ -88,18 +88,6 @@ def weight_add(a: Weight, b: Weight) -> Weight:
     return weight(acc)
 
 
-def coef_leq(a: Weight, b: Weight) -> bool:
-    """Order used when comparing approximations: pointwise >= on entries.
-
-    The entry order is reversed on purpose: a weight with larger entries
-    bounds fewer shapes, hence stands for a smaller (more precise) sum.
-    """
-    for p in set(a.priorities()) | set(b.priorities()):
-        if not a.get(p) >= b.get(p):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # terms
 
@@ -359,78 +347,6 @@ _MAP_CHILDREN = {
     Approx: lambda t, f: approx(t.wt, f(t.arg)),
     Sum: lambda t, f: sum_of(f(p) for p in t.parts),
 }
-
-
-def rewrap(dtors, inner: Term) -> Term:
-    """Apply the destructor nodes `dtors`, outermost first, around `inner`."""
-    for node in reversed(dtors):
-        wrap = constr_dual if isinstance(node, ConstrDual) else project
-        inner = wrap(node.name, node.priority, inner)
-    return inner
-
-
-def nf(t: Term) -> Term:
-    """Normal form under the rightmost-first strategy.
-
-    Canonical terms are already normal, so this simply rebuilds; it is the
-    entry point for terms coming from the parser or constructed raw.
-    """
-    return map_children(t, nf)
-
-
-def is_normal(t: Term, top: bool = True) -> bool:
-    """Check the normal-form grammar: constructors / records above, then at
-    most one Daimon or weight, then destructors down to a leaf or call."""
-    if isinstance(t, Sum):
-        if not top:
-            return False
-        ps = t.parts
-        return (list(ps) == sorted(set(ps), key=sort_key)
-                and all(is_normal(p, top=False) for p in ps))
-    if isinstance(t, (Param, Unknown)):
-        return True
-    if isinstance(t, Constr):
-        return is_normal(t.arg, top=False)
-    if isinstance(t, Record):
-        names = [n for n, _ in t.fields]
-        return (len(t.fields) > 0 and names == sorted(names)
-                and all(is_normal(v, top=False) for _, v in t.fields))
-    if isinstance(t, FunApp):
-        return all(is_normal(a, top=False) for a in t.args)
-    if isinstance(t, (ConstrDual, Project)):
-        return (isinstance(t.arg, (ConstrDual, Project, Param, Unknown, FunApp))
-                and is_normal(t.arg, top=False))
-    if isinstance(t, (Daimon, Approx)):
-        return (isinstance(t.arg, (ConstrDual, Project, Param, Unknown, FunApp))
-                and is_normal(t.arg, top=False))
-    return False
-
-
-# ---------------------------------------------------------------------------
-# substitution and composition
-
-def substitute(t: Term, bindings: dict) -> Term:
-    """Simultaneous substitution of parameters; result is canonical."""
-    def go(s: Term) -> Term:
-        if isinstance(s, Param):
-            return bindings.get(s.index, s)
-        return map_children(s, go)
-
-    return go(t)
-
-
-def compose(t1: Term, t2: Term, fname: str) -> Term:
-    """Plug t2 in for every application of `fname` inside t1.
-
-    An application fname(a1, ..., an) is replaced by t2 with its parameter
-    xj substituted by (aj composed with t2); every other node commutes.
-    """
-    def go(t: Term) -> Term:
-        if isinstance(t, FunApp) and t.fname == fname:
-            return substitute(t2, {j + 1: go(a) for j, a in enumerate(t.args)})
-        return map_children(t, go)
-
-    return go(t1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ only to cross-check the syntax-directed `sleq` on normal-form pairs.
 `surface._lex` replaced; the tests compare their tokens, positions and
 errors.
 
-`collapse_call_term`, `compose_calls` and `is_checked_loop` are the term
-path: they compose and collapse whole terms, and the tests compare the
-initial calls, the closure's piecewise composition and its recorded
-self-composites with them.  `compose_spines` and `substitute_tree` are
+The term reference is the paper's algebra on whole terms: `nf`,
+`is_normal`, `substitute`, `compose`, the order `sleq`, weak coherence
+`sqcoh` and the collapse.  The checker never uses it; it composes,
+collapses, sorts and compares calls on their items, and the tests compare
+those with it.  `collapse_call_term`, `compose_calls` and
+`is_checked_loop` are the term path: they compose and collapse whole
+terms, and the tests compare the initial calls, the closure's piecewise
+composition and its recorded self-composites with them.  `compose_spines` and `substitute_tree` are
 the item path: they compose spines and substitute argument trees on
 items, adding weights with `weigh`, and the tests compare `CallTables`,
 which does both on interned ids, with them.
@@ -30,11 +34,10 @@ from .callgraph import (
     _collapse,
     _subst,
     call_of_term,
+    clamp,
     tree_term,
     weigh,
 )
-from .collapse import collapse_depth, collapse_weights
-from .order import sleq, sqcoh
 from .surface import _KEYWORDS, SourceError, Token
 from .terms import (
     INF,
@@ -49,19 +52,17 @@ from .terms import (
     Record,
     Sum,
     Term,
+    Unknown,
     Weight,
     ZERO,
     ZEROW,
     approx,
-    coef_leq,
-    compose,
     constr,
     constr_dual,
     contains_funapp,
     daimon,
     funapp,
-    is_normal,
-    nf,
+    map_children,
     project,
     record,
     sort_key,
@@ -139,6 +140,291 @@ def reference_lex(src: str) -> list:
         raise SourceError("unexpected character %r" % c, line, col)
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# the term reference
+#
+# The paper's algebra on whole terms: normal forms, substitution and
+# composition, the syntax-directed order, weak coherence and the collapse.
+# Weights are clamped into [-B, B) with everything at or above B replaced
+# by infinity; depth collapsing keeps the D outermost constructor layers
+# and, on every destructor spine, the D destructors closest to the spine's
+# end, absorbing the rest into inserted zero weights.
+
+def coef_leq(a: Weight, b: Weight) -> bool:
+    """Order used when comparing approximations: pointwise >= on entries.
+
+    The entry order is reversed on purpose: a weight with larger entries
+    bounds fewer shapes, hence stands for a smaller (more precise) sum.
+    """
+    for p in set(a.priorities()) | set(b.priorities()):
+        if not a.get(p) >= b.get(p):
+            return False
+    return True
+
+
+def rewrap(dtors, inner: Term) -> Term:
+    """Apply the destructor nodes `dtors`, outermost first, around `inner`."""
+    for node in reversed(dtors):
+        wrap = constr_dual if isinstance(node, ConstrDual) else project
+        inner = wrap(node.name, node.priority, inner)
+    return inner
+
+
+def nf(t: Term) -> Term:
+    """Normal form under the rightmost-first strategy.
+
+    Canonical terms are already normal, so this simply rebuilds; it is the
+    entry point for terms coming from the parser or constructed raw.
+    """
+    return map_children(t, nf)
+
+
+def is_normal(t: Term, top: bool = True) -> bool:
+    """Check the normal-form grammar: constructors / records above, then at
+    most one Daimon or weight, then destructors down to a leaf or call."""
+    if isinstance(t, Sum):
+        if not top:
+            return False
+        ps = t.parts
+        return (list(ps) == sorted(set(ps), key=sort_key)
+                and all(is_normal(p, top=False) for p in ps))
+    if isinstance(t, (Param, Unknown)):
+        return True
+    if isinstance(t, Constr):
+        return is_normal(t.arg, top=False)
+    if isinstance(t, Record):
+        names = [n for n, _ in t.fields]
+        return (len(t.fields) > 0 and names == sorted(names)
+                and all(is_normal(v, top=False) for _, v in t.fields))
+    if isinstance(t, FunApp):
+        return all(is_normal(a, top=False) for a in t.args)
+    if isinstance(t, (ConstrDual, Project)):
+        return (isinstance(t.arg, (ConstrDual, Project, Param, Unknown, FunApp))
+                and is_normal(t.arg, top=False))
+    if isinstance(t, (Daimon, Approx)):
+        return (isinstance(t.arg, (ConstrDual, Project, Param, Unknown, FunApp))
+                and is_normal(t.arg, top=False))
+    return False
+
+
+def substitute(t: Term, bindings: dict) -> Term:
+    """Simultaneous substitution of parameters; result is canonical."""
+    def go(s: Term) -> Term:
+        if isinstance(s, Param):
+            return bindings.get(s.index, s)
+        return map_children(s, go)
+
+    return go(t)
+
+
+def compose(t1: Term, t2: Term, fname: str) -> Term:
+    """Plug t2 in for every application of `fname` inside t1.
+
+    An application fname(a1, ..., an) is replaced by t2 with its parameter
+    xj substituted by (aj composed with t2); every other node commutes.
+    """
+    def go(t: Term) -> Term:
+        if isinstance(t, FunApp) and t.fname == fname:
+            return substitute(t2, {j + 1: go(a) for j, a in enumerate(t.args)})
+        return map_children(t, go)
+
+    return go(t1)
+
+
+def sleq(s: Term, t: Term) -> bool:
+    """Decide s <= t for normal forms s, t."""
+    if s == t:
+        return True
+    # sums: every summand of t is bounded by some summand of s
+    if isinstance(t, Sum):
+        return all(sleq(s, tj) for tj in t.parts)
+    if isinstance(s, Sum):
+        if any(sleq(si, t) for si in s.parts):
+            return True
+        # a sum of Daimon-headed terms may be routed below t collectively
+        if (s.parts and all(isinstance(si, Daimon) for si in s.parts)
+                and not isinstance(t, Daimon)):
+            return sleq(s, daimon(t))
+        return False
+    if isinstance(s, Param) or isinstance(s, Unknown):
+        return False  # equality already handled
+    if isinstance(s, FunApp):
+        return (isinstance(t, FunApp) and s.fname == t.fname
+                and len(s.args) == len(t.args)
+                and all(sleq(a, b) for a, b in zip(s.args, t.args)))
+    if isinstance(s, Constr):
+        return (isinstance(t, Constr) and s.name == t.name
+                and s.priority == t.priority and sleq(s.arg, t.arg))
+    if isinstance(s, Record):
+        return (isinstance(t, Record) and s.priority == t.priority
+                and [n for n, _ in s.fields] == [n for n, _ in t.fields]
+                and all(sleq(a, b)
+                        for (_, a), (_, b) in zip(s.fields, t.fields)))
+    if isinstance(s, ConstrDual):
+        return (isinstance(t, ConstrDual) and s.name == t.name
+                and s.priority == t.priority and sleq(s.arg, t.arg))
+    if isinstance(s, Project):
+        return (isinstance(t, Project) and s.name == t.name
+                and s.priority == t.priority and sleq(s.arg, t.arg))
+    if isinstance(s, Daimon):
+        if isinstance(t, Daimon):
+            # strip any destructor / call prefix from t's body
+            return any(sleq(s.arg, tail) for tail in _strip_prefixes(t.arg))
+        return sleq(s, daimon(t))
+    if isinstance(s, Approx):
+        if isinstance(t, Approx):
+            for delta, tail in _dtor_splits(t.arg):
+                lifted = approx(t.wt, rewrap(delta, approx(ZEROW, tail)))
+                if (isinstance(lifted, Approx) and lifted.arg == tail
+                        and coef_leq(s.wt, lifted.wt) and sleq(s.arg, tail)):
+                    return True
+            return False
+        if isinstance(t, Daimon):
+            return False  # wrapping t in a zero weight makes no progress
+        return sleq(s, approx(ZEROW, t))
+    raise InternalError("unknown term node %r" % (s,))
+
+
+def _strip_prefixes(t: Term):
+    """All tails of t reachable by removing destructors and calls."""
+    yield t
+    if isinstance(t, (ConstrDual, Project)):
+        yield from _strip_prefixes(t.arg)
+    elif isinstance(t, FunApp):
+        for a in t.args:
+            yield from _strip_prefixes(a)
+
+
+def _dtor_splits(t: Term):
+    """Decompositions of t as destructor-prefix plus tail."""
+    yield (), t
+    if isinstance(t, (ConstrDual, Project)):
+        for delta, tail in _dtor_splits(t.arg):
+            yield (t,) + delta, tail
+
+
+def sqcoh(u: Term, v: Term) -> bool:
+    """Weak compatibility of two normal forms; loops whose self-composition
+    is compatible with the loop must satisfy the size-change conditions."""
+    if isinstance(u, Sum) or isinstance(v, Sum):
+        return any(sqcoh(a, b) for a in summands(u) for b in summands(v))
+    if isinstance(u, Daimon) and isinstance(v, Daimon):
+        # destructor and call prefixes strip on either side, as in the
+        # corresponding rule of the order
+        for tail in _strip_prefixes(u.arg):
+            if sqcoh(tail, v.arg):
+                return True
+        for tail in _strip_prefixes(v.arg):
+            if sqcoh(u.arg, tail):
+                return True
+        return False
+    if isinstance(u, Approx) or isinstance(v, Approx) \
+            or isinstance(u, Daimon) or isinstance(v, Daimon):
+        du, dv = daimon(u), daimon(v)
+        if (du, dv) == (u, v):
+            return False
+        return sqcoh(du, dv)
+    if isinstance(u, Param):
+        return isinstance(v, Param) and u.index == v.index
+    if isinstance(u, Unknown):
+        return isinstance(v, Unknown)
+    if isinstance(u, Constr):
+        return (isinstance(v, Constr) and u.name == v.name
+                and u.priority == v.priority and sqcoh(u.arg, v.arg))
+    if isinstance(u, ConstrDual):
+        return (isinstance(v, ConstrDual) and u.name == v.name
+                and u.priority == v.priority and sqcoh(u.arg, v.arg))
+    if isinstance(u, Project):
+        return (isinstance(v, Project) and u.name == v.name
+                and u.priority == v.priority and sqcoh(u.arg, v.arg))
+    if isinstance(u, FunApp):
+        return (isinstance(v, FunApp) and u.fname == v.fname
+                and len(u.args) == len(v.args)
+                and all(sqcoh(a, b) for a, b in zip(u.args, v.args)))
+    if isinstance(u, Record):
+        return (isinstance(v, Record) and u.priority == v.priority
+                and [n for n, _ in u.fields] == [n for n, _ in v.fields]
+                and all(sqcoh(a, b)
+                        for (_, a), (_, b) in zip(u.fields, v.fields)))
+    raise InternalError("unknown term node %r" % (u,))
+
+
+def clamp_weight(bound_b: int, w: Weight) -> Weight:
+    return weight({p: clamp(bound_b, v) for p, v in w.items})
+
+
+def collapse_weights(bound_b: int, t: Term) -> Term:
+    """Clamp every stored weight component into the B band."""
+    if bound_b < 1:
+        raise ValueError("weight bound must be at least 1")
+
+    def go(s: Term) -> Term:
+        if isinstance(s, Approx):
+            return approx(clamp_weight(bound_b, s.wt), go(s.arg))
+        return map_children(s, go)
+
+    return go(t)
+
+
+def collapse_depth(bound_d: int, t: Term) -> Term:
+    """Truncate constructor depth and destructor spines at D."""
+    if bound_d < 0:
+        raise ValueError("depth bound must be nonnegative")
+    return _depth(t, bound_d, bound_d)
+
+
+def _depth(t: Term, budget: int, bound_d: int) -> Term:
+    if isinstance(t, Sum):
+        return sum_of(_depth(p, budget, bound_d) for p in t.parts)
+    if isinstance(t, Constr) and budget > 0:
+        return constr(t.name, t.priority, _depth(t.arg, budget - 1, bound_d))
+    if isinstance(t, Record) and budget > 0:
+        return record(
+            [(n, _depth(v, budget - 1, bound_d)) for n, v in t.fields], t.priority
+        )
+    if isinstance(t, (Constr, Record)):
+        # budget exhausted: a zero weight absorbs the remaining layers,
+        # then the resulting spine is truncated
+        return _spine(approx(ZEROW, t), bound_d)
+    return _spine(t, bound_d)
+
+
+def _spine(t: Term, bound_d: int) -> Term:
+    """Collapse a destructor spine, keeping the D destructors nearest its
+    end; the end's call arguments are collapsed at full depth."""
+    if isinstance(t, Sum):
+        return sum_of(_spine(p, bound_d) for p in t.parts)
+
+    prefix = None
+    if isinstance(t, (Daimon, Approx)):
+        prefix, t = t, t.arg
+
+    items = []
+    while isinstance(t, (ConstrDual, Project)):
+        items.append(t)
+        t = t.arg
+
+    if isinstance(t, FunApp):
+        end: Term = funapp(
+            t.fname, [_depth(a, bound_d, bound_d) for a in t.args]
+        )
+    elif isinstance(t, (Param, Unknown)):
+        end = t
+    else:
+        raise InternalError("malformed spine at %r" % (t,))
+
+    cut = max(0, len(items) - bound_d)
+    out = rewrap(items[cut:], end)
+    if cut:
+        out = rewrap(items[:cut], approx(ZEROW, out))
+
+    if isinstance(prefix, Daimon):
+        return daimon(out)
+    if isinstance(prefix, Approx):
+        return approx(prefix.wt, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

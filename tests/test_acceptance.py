@@ -17,19 +17,25 @@ from totality.callgraph import (
     transitive_closure,
     weigh,
 )
-from totality.collapse import collapse_depth, collapse_weights
-from totality.order import sleq
 from totality.scp import check_condition1, check_condition2
 from totality.terms import (
     Sum,
     ZERO,
-    compose,
-    is_normal,
     parse_term,
     sum_of,
     weight,
 )
-from totality.testkit import OrderOracle, UniverseConfig, gen_call, gen_term
+from totality.testkit import (
+    OrderOracle,
+    UniverseConfig,
+    collapse_depth,
+    collapse_weights,
+    compose,
+    gen_call,
+    gen_term,
+    is_normal,
+    sleq,
+)
 
 
 def t(text):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 from collections import Counter
 
 import pytest
@@ -14,10 +15,12 @@ from totality.callgraph import (
     CallTables,
     arg_tree,
     build_callgraph,
+    call_node,
     call_of_term,
     collapsed_calls,
     definition_term,
     extract_calls,
+    item_key,
     pattern_bindings,
     plug,
     spine_parts,
@@ -33,14 +36,13 @@ from totality.terms import (
     Sum,
     ZERO,
     approx,
-    compose,
     constr,
     constr_dual,
     funapp,
     parse_term,
     project,
     record,
-    substitute,
+    sort_key,
     sum_of,
     summands,
     term_str,
@@ -49,10 +51,12 @@ from totality.terms import (
 from totality.testkit import (
     GenConfig,
     collapse_call_term,
+    compose,
     compose_calls,
     compose_spines,
     gen_call,
     gen_term,
+    substitute,
     substitute_tree,
 )
 
@@ -508,6 +512,27 @@ class TestClosureOrder:
         assert sum(sizes) >= 100, sizes
         assert paths["multi"] and paths["duplicate"], paths
 
+    def test_duplicated_record_fields(self):
+        """A self-call `f2({D@0 = x1; E@0 = x1})` at B=D=3 doubles the
+        summands of each record field per composition; a record takes the
+        product of its fields' distinct summands, so the closure ends at
+        once, where the product of all summands ran for minutes."""
+        rng = random.Random(7400)
+        graphs = [random_graph(rng, ["f%d" % i for i in range(n)], bound,
+                               bound, calls=n + 2)
+                  for bound in (1, 2, 3) for n in (4, 6, 8)]
+
+        def stalled(signum, frame):
+            raise TimeoutError("the closure stalled")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(20)
+        try:
+            assert self.check(graphs[8]) == 28
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 def ring_graph(source):
     """The initial call graph of a stream ring at B=D=2."""
@@ -811,3 +836,67 @@ class TestInternedTables:
             b = Call("f", "f", (), (arg_tree(b),))
             assert table_composite(t, a, b) == \
                 item_composite(a, b, bound_b, bound_d), (a, b)
+
+
+class TestItemKey:
+    """`item_key` sorts summands on their items; these compare its order
+    with `terms.sort_key` on their terms."""
+
+    @staticmethod
+    def check(nodes, key, term_of):
+        shuffled = random.Random(len(nodes)).sample(nodes, len(nodes))
+        assert sorted(shuffled, key=key) == sorted(
+            nodes, key=lambda n: sort_key(term_of(n))), nodes
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_corpus_summand_lists(self, bound, monkeypatch):
+        """Every summand list that the corpus closures and
+        `collapsed_calls` sort, and the closures of graphs with forked
+        records, where a substitution gives several summands: the corpus
+        has none."""
+        trees, calls = [], []
+
+        class Recorded(CallTables):
+            def _substitute(self, b, ids):
+                out = super()._substitute(b, ids)
+                trees.append([self.args[a] for a in out])
+                return out
+
+        def recorded_calls(*args):
+            out = collapsed_calls(*args)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(callgraph, "CallTables", Recorded)
+        monkeypatch.setattr(callgraph, "collapsed_calls", recorded_calls)
+        for path in sorted(CORPUS.glob("*.ch")):
+            for analyzed, _ in annotated_groups(path.name):
+                transitive_closure(build_callgraph(analyzed.defs, bound,
+                                                   bound))
+        if bound < 3:
+            for _ in forked_graphs(random.Random(7200 + bound), bound, 4):
+                pass
+        for got in trees:
+            assert got == sorted(got, key=lambda s: sort_key(tree_term(s)))
+        for got in calls:
+            assert got == sorted(got, key=lambda c: sort_key(c.term))
+        assert any(len(got) > 1 for got in calls)
+        assert bound > 2 or any(len(got) > 1 for got in trees)
+
+    def test_random_trees(self):
+        rng = random.Random(20261019)
+        cfg = GenConfig(n_params=2, allow_funapp=False, allow_sum=False)
+        for _ in range(1000):
+            found = {gen_term(rng.randint(1, 8), rng=rng, cfg=cfg)
+                     for _ in range(rng.randint(2, 6))}
+            self.check([arg_tree(s) for s in found if not isinstance(s, Sum)],
+                       item_key, tree_term)
+
+    def test_random_calls(self):
+        rng = random.Random(20261019)
+        for _ in range(1000):
+            arity = rng.randint(1, 2)
+            found = {gen_call(rng, rng.choice("fg"), arity)
+                     for _ in range(rng.randint(2, 6))}
+            self.check(list(found), lambda c: item_key(call_node(c)),
+                       lambda c: c.term)

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import totality
 from conftest import CORPUS, corpus_source
 from totality import callgraph, checker
 from totality.checker import Config, analyze_source
@@ -372,3 +376,43 @@ class TestClosureCaps:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
         assert [d["result"] for d in doc["definitions"]] == ["total", "error"]
+
+
+# the runtime on every corpus file, then the modules it imported
+RUNTIME_IMPORTS = """
+import contextlib, importlib.util, io, sys
+from totality.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for path in sys.argv[1:]:
+        main(["check", path, "--dump-priorities", "--dump-callgraph",
+              "--dump-closure"])
+        main(["check", path, "--json"])
+print(sorted(name for name in sys.modules if name.startswith("totality")))
+print([name for name in ("totality.order", "totality.collapse")
+       if importlib.util.find_spec(name) is not None])
+"""
+
+
+class TestPackage:
+    def test_runtime_leaves_the_reference_alone(self):
+        """The checker never imports `testkit`, which holds the term
+        reference, and the modules that held it are gone."""
+        src = str(pathlib.Path(totality.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", RUNTIME_IMPORTS,
+             *sorted(str(p) for p in CORPUS.glob("*.ch"))],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": src, "PATH": ""})
+        assert done.returncode == 0, done.stderr
+        imported, present = done.stdout.splitlines()
+        assert "totality.cli" in imported
+        assert "totality.testkit" not in imported
+        assert present == "[]"
+
+    def test_exports(self):
+        assert totality.__all__ == [
+            "Config", "Report", "Verdict", "analyze_source",
+            "INF", "Weight", "ZERO", "parse_term", "term_str", "weight",
+            "weight_add",
+        ]
+        assert all(hasattr(totality, name) for name in totality.__all__)

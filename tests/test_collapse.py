@@ -1,7 +1,8 @@
 """Weight clamping and depth truncation."""
 
-from totality.collapse import clamp, collapse_depth, collapse_weights
-from totality.terms import INF, compose, parse_term, weight
+from totality.callgraph import clamp
+from totality.terms import INF, parse_term, weight
+from totality.testkit import collapse_depth, collapse_weights, compose
 
 
 def t(text):

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from conftest import CORPUS
-from totality import collapse, terms
+from totality import terms, testkit
 from totality.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -52,17 +52,21 @@ def test_json_matches_golden(name, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_dumps_need_no_term_path(name, capsys, monkeypatch):
-    """The checker composes and collapses spines as words and arguments
-    as trees: with `terms.compose`, `terms.substitute`,
-    `collapse.collapse_depth` and `collapse.collapse_weights` raising
-    wherever they are bound, every dump still matches its golden file."""
+    """The checker composes, collapses, sorts and compares calls on their
+    items: with the reference `testkit.compose`, `testkit.substitute`,
+    `testkit.collapse_depth`, `testkit.collapse_weights`, `testkit.sqcoh`
+    and `testkit.sleq` raising wherever they are bound, and `terms.sort_key`
+    wherever it is bound outside `terms`, every dump still matches its
+    golden file."""
     def refuse(*args):
         raise AssertionError("the checker used the term path")
 
-    originals = [terms.compose, terms.substitute, collapse.collapse_depth,
-                 collapse.collapse_weights]
+    originals = [testkit.compose, testkit.substitute, testkit.collapse_depth,
+                 testkit.collapse_weights, testkit.sqcoh, testkit.sleq,
+                 terms.sort_key]
     for module in list(sys.modules.values()):
-        if module is None or not module.__name__.startswith("totality"):
+        if (module is None or module is terms
+                or not module.__name__.startswith("totality")):
             continue
         for attr, fn in list(vars(module).items()):
             if any(fn is f for f in originals):

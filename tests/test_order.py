@@ -3,17 +3,22 @@ syntax-directed order and weak coherence."""
 
 import random
 
+import pytest
+
+from conftest import CORPUS, annotated_groups
+from totality import callgraph
 from totality.callgraph import (
     DAIMON,
     arg_tree,
+    build_callgraph,
     call_of_term,
     leaf_paths,
+    transitive_closure,
     weigh,
 )
-from totality.order import sleq, sqcoh
 from totality.scp import check_condition2
 from totality.terms import INF, ZERO, daimon, parse_term, weight
-from totality.testkit import gen_term
+from totality.testkit import gen_call, gen_term, sleq, sqcoh
 
 
 def t(text):
@@ -155,3 +160,64 @@ class TestOracleAgreement:
         for s in lhs:
             for u in rhs:
                 assert sleq(s, u) == oracle.leq(s, u), (s, u)
+
+
+def call(text):
+    return call_of_term("f", t(text), {"f", "g"})
+
+
+class TestItemSqcoh:
+    """`callgraph.sqcoh` decides weak coherence on the calls' items; these
+    compare it with the reference `sqcoh` on their terms."""
+
+    @staticmethod
+    def check(a, b):
+        got = callgraph.sqcoh(a, b)
+        assert got == sqcoh(a.term, b.term), (str(a), str(b))
+        return got
+
+    def test_rules(self):
+        # equal heads: names, priorities and record fields
+        assert self.check(call("{D@0 = f(C@1 x1)}"), call("{D@0 = f(C@1 x1)}"))
+        assert not self.check(call("f(C@1 x1)"), call("f(B@1 x1)"))
+        assert not self.check(call("f({D@0 = x1})"), call("f({D@1 = x1})"))
+        assert not self.check(call("{D@0 = f(x1)}"), call("{D@1 = f(x1)}"))
+        assert not self.check(call("f({D@0 = x1; E@0 = x1})"),
+                              call("f({D@0 = x1; F@0 = x1})"))
+        assert not self.check(call("f(x1)"), call("g(x1)"))
+        # a weight or a Daimon turns both sides into Daimons
+        assert self.check(call("<{0:-1}> f(x1)"), call("<{0:-7}> f(x1)"))
+        assert self.check(call("C@1 f(x1)"), call("<{1:-1}> f(x1)"))
+        assert self.check(call("f({D@0 = x1; E@0 = x1})"), call("f(? x1)"))
+        # two Daimons strip destructors, and calls into their arguments
+        assert self.check(call("? .Tail@0 f(x1)"), call("? f(x1)"))
+        assert self.check(call("B-@1 f(x1)"), call("<{}> A-@1 f(? x1)"))
+        assert not self.check(call("? f(x1)"), call("? f(A@1 x1)"))
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_corpus_loop_pairs(self, bound):
+        """Every ordered pair of loops of every closure of the corpus."""
+        pairs = coherent = 0
+        for path in sorted(CORPUS.glob("*.ch")):
+            for analyzed, _ in annotated_groups(path.name):
+                closure = transitive_closure(
+                    build_callgraph(analyzed.defs, bound, bound))
+                loops = [e for e in closure.edges if e.caller == e.callee]
+                for a in loops:
+                    for b in loops:
+                        pairs += 1
+                        coherent += self.check(a, b)
+        assert 0 < coherent < pairs
+
+    def test_random_calls(self):
+        """Random calls of one or two arguments, with weights and Daimons,
+        each pair compared both ways and each call with itself."""
+        rng = random.Random(7)
+        compared = coherent = 0
+        for _ in range(20000):
+            arity = rng.randint(1, 2)
+            a, b = gen_call(rng, arity=arity), gen_call(rng, arity=arity)
+            for u, v in ((a, b), (b, a), (a, a)):
+                compared += 1
+                coherent += self.check(u, v)
+        assert compared // 4 < coherent < compared // 2

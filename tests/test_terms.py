@@ -10,23 +10,19 @@ from totality.terms import (
     ZERO,
     ZEROW,
     approx,
-    coef_leq,
-    compose,
     constr,
     constr_dual,
     daimon,
     funapp,
-    is_normal,
-    nf,
     parse_term,
     project,
     record,
-    substitute,
     sum_of,
     term_str,
     weight,
     weight_add,
 )
+from totality.testkit import coef_leq, compose, is_normal, nf, substitute
 
 
 def t(text):

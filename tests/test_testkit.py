@@ -1,6 +1,6 @@
 """The property harness itself: reproducibility and bug sensitivity."""
 
-from totality import collapse
+from totality import testkit
 from totality.terms import INF, ZERO, Param, parse_term
 from totality.testkit import gen_term, leq_oracle, run_property_suite
 
@@ -15,7 +15,7 @@ class TestGenTerm:
         assert gen_term(6, seed=42) == gen_term(6, seed=42)
 
     def test_generated_terms_are_canonical(self):
-        from totality.terms import nf
+        from totality.testkit import nf
 
         for seed in range(200):
             term = gen_term(6, seed=seed)
@@ -55,7 +55,7 @@ class TestPropertySuite:
                 return -bound_b
             return value
 
-        monkeypatch.setattr(collapse, "clamp", broken_clamp)
+        monkeypatch.setattr(testkit, "clamp", broken_clamp)
         report = run_property_suite(quick=True)
         runs, failures, first = report["collapse_below_composition"]
         assert failures > 0
