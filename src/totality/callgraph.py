@@ -10,41 +10,26 @@ from operator import itemgetter
 
 from .terms import (
     INF,
-    Approx,
-    Constr,
-    ConstrDual,
-    Daimon,
-    FunApp,
     InternalError,
     Param,
-    Project,
-    Record,
-    Sum,
     Term,
     Unknown,
     Weight,
     approx,
     constr,
     constr_dual,
-    contains_funapp,
     daimon,
     funapp,
-    fun_names,
-    map_children,
     project,
     record,
-    sum_of,
-    summands,
     term_str,
 )
 from .typecheck import (
-    ABCall,
     ABConstr,
     ABNum,
     ABProj,
     ABRecord,
     ABVar,
-    ADef,
     APConstr,
     APNum,
     APRecord,
@@ -57,15 +42,6 @@ from .typecheck import (
 # ("d", name, p) constructor-destructor, ("j", name, p) projection,
 # ("w", Weight) approximation, and the Daimon's item:
 DAIMON = ("daimon",)
-
-# the item of each single-child node, keyed by node type
-BRANCH_ITEMS = {
-    Constr: lambda t: ("c", t.name, t.priority),
-    ConstrDual: lambda t: ("d", t.name, t.priority),
-    Project: lambda t: ("j", t.name, t.priority),
-    Approx: lambda t: ("w", t.wt),
-    Daimon: lambda t: DAIMON,
-}
 
 # the node each item stands for, built around `t` by its smart constructor
 ITEM_NODES = {
@@ -84,10 +60,11 @@ class Call:
     of the callee, applied to argument summaries.
 
     `spine` is the word of items above the callee occurrence, outermost
-    first, and `args` are the occurrence's arguments as trees (`arg_tree`).
-    The four fields determine the term, which is built, once, only to print
-    the call: the checker composes, collapses, sorts, weighs and compares
-    calls on their items."""
+    first, and `args` are the occurrence's arguments as trees.  The initial
+    calls are read off the annotated clauses as items (`clause_calls`), and
+    the four fields determine the term, which is built, once, only to print
+    the call: the checker extracts, composes, collapses, sorts, weighs and
+    compares calls on their items."""
 
     caller: str
     callee: str
@@ -103,111 +80,14 @@ class Call:
         return "%s -> %s: %s" % (self.caller, self.callee, term_str(self.term))
 
 
-def call_of_term(caller: str, t: Term, group: set) -> Call:
-    """The call `t` of `caller`, split into its spine and argument trees.
-
-    One walk down the spine checks the invariants.  A bad term is reported
-    by the first fault in this order: not exactly one function name, a
-    callee outside the group, a forked record or other malformed spine, a
-    function name inside an argument."""
-    items, node, fault = [], t, None
-    while not isinstance(node, FunApp):
-        if isinstance(node, Record):
-            if len(node.fields) != 1:
-                fault = "call spine through a forked record"
-                break
-            (name, value), = node.fields
-            items.append(("r", name, node.priority))
-            node = value
-            continue
-        item = BRANCH_ITEMS.get(type(node))
-        if item is None:
-            fault = "malformed call term %s" % term_str(t)
-            break
-        items.append(item(node))
-        node = node.arg
-    else:
-        if any(contains_funapp(a) for a in node.args):
-            fault = "call argument contains a function name"
-    if fault is not None:
-        names = fun_names(t)
-        if len(names) != 1:
-            raise InternalError(
-                "call term must mention exactly one function: %s"
-                % term_str(t))
-        callee = names.pop()
-        if callee not in group:
-            raise InternalError("call to %r escapes the group" % callee)
-        raise InternalError(fault)
-    if node.fname not in group:
-        raise InternalError("call to %r escapes the group" % node.fname)
-    return Call(caller, node.fname, tuple(items),
-                tuple(arg_tree(a) for a in node.args))
-
-
 # ---------------------------------------------------------------------------
-# clause translation
-
-def pattern_bindings(patterns, counts=None) -> dict:
-    """Variable -> term over the caller's parameters, built by peeling the
-    argument patterns with matching destructors.  A numeral n peels
-    counts[n] `Succ`, or n without `counts` (`numeral_counts`)."""
-    bindings: dict[str, Term] = {}
-
-    def walk(p, ctx: Term) -> None:
-        if isinstance(p, APVar):
-            bindings[p.name] = ctx
-        elif isinstance(p, APConstr):
-            walk(p.arg, constr_dual(p.name, p.prio, ctx))
-        elif isinstance(p, APNum):
-            for _ in range(counts[p.value] if counts else p.value):
-                ctx = constr_dual("Succ", p.prio, ctx)
-            walk(p.arg, constr_dual("Zero", p.prio, ctx))
-        elif isinstance(p, APRecord):
-            for name, sub in p.fields:
-                walk(sub, project(name, p.prio, ctx))
-        else:
-            raise InternalError("unknown pattern node %r" % (p,))
-
-    for j, p in enumerate(patterns, start=1):
-        walk(p, Param(j))
-    return bindings
-
-
-def body_term(body, bindings: dict, counts=None) -> Term:
-    """The term of a clause body; a numeral n builds counts[n] `Succ`, or n
-    without `counts`."""
-    if isinstance(body, ABVar):
-        return bindings[body.name]
-    if isinstance(body, ABConstr):
-        return constr(body.name, body.prio,
-                      body_term(body.arg, bindings, counts))
-    if isinstance(body, ABNum):
-        t = constr("Zero", body.prio, body_term(body.arg, bindings, counts))
-        for _ in range(counts[body.value] if counts else body.value):
-            t = constr("Succ", body.prio, t)
-        return t
-    if isinstance(body, ABRecord):
-        return record([(n, body_term(v, bindings, counts))
-                       for n, v in body.fields], body.prio)
-    if isinstance(body, ABProj):
-        return project(body.name, body.prio,
-                       body_term(body.sub, bindings, counts))
-    if isinstance(body, ABCall):
-        return funapp(body.fname,
-                      [body_term(a, bindings, counts) for a in body.args])
-    raise InternalError("unknown body node %r" % (body,))
-
-
-def clause_term(cl, counts=None) -> Term:
-    """A clause body with pattern variables replaced by destructor chains."""
-    return body_term(cl.body, pattern_bindings(cl.patterns, counts), counts)
-
-
-def definition_term(adef: ADef) -> Term:
-    """Interpretation of a definition: the sum of its clause terms."""
-    return sum_of(clause_term(cl) for cl in adef.clauses)
-
+# call extraction
+#
+# The calls of a clause are read off its annotated nodes as items.  Each
+# walk applies the head reductions that the smart constructors of `terms`
+# apply to the clause's term, in which every call inside an argument is
+# blinded to a Daimon, so the calls are those of the paper's reading
+# (`testkit.extract_calls` on `testkit.clause_term` is the reference).
 
 def numeral_counts(clauses, bound_b: int, bound_d: int) -> dict:
     """The number of `Succ` that each numeral of `clauses` builds, so that
@@ -235,36 +115,108 @@ def numeral_counts(clauses, bound_b: int, bound_d: int) -> dict:
     return counts
 
 
-# ---------------------------------------------------------------------------
-# call extraction
+def pattern_leaves(patterns, counts: dict) -> dict:
+    """Variable -> its leaf ("x", None, word, j): the destructors that peel
+    parameter j down to it, outermost first.  A numeral n peels `Zero`,
+    then counts[n] `Succ` (`numeral_counts`), and a record field projects."""
+    leaves = {}
 
-def _blind(t: Term) -> Term:
-    """Replace every function application by a Daimon over its arguments."""
-    if isinstance(t, FunApp):
-        return daimon(sum_of(_blind(a) for a in t.args) if t.args
-                      else Unknown())
-    if isinstance(t, Approx):
-        raise InternalError("approximation before call extraction")
-    return map_children(t, _blind)
+    def walk(p, word: tuple, j: int) -> None:
+        if isinstance(p, APVar):
+            leaves[p.name] = ("x", None, word, j)
+        elif isinstance(p, APConstr):
+            walk(p.arg, (("d", p.name, p.prio),) + word, j)
+        elif isinstance(p, APNum):
+            walk(p.arg, (("d", "Zero", p.prio),)
+                 + (("d", "Succ", p.prio),) * counts[p.value] + word, j)
+        elif isinstance(p, APRecord):
+            for name, sub in p.fields:
+                walk(sub, (("j", name, p.prio),) + word, j)
+        else:
+            raise InternalError("unknown pattern node %r" % (p,))
+
+    for j, p in enumerate(patterns, start=1):
+        walk(p, (), j)
+    return leaves
 
 
-def extract_calls(t: Term, group: set) -> list:
-    """Split a clause interpretation into its independent recursive calls."""
-    if isinstance(t, Sum):
-        return [c for p in t.parts for c in extract_calls(p, group)]
-    if isinstance(t, (Param, Unknown)):
-        return []
-    if isinstance(t, FunApp):
-        own = [funapp(t.fname, [_blind(a) for a in t.args])]
-        return (own if t.fname in group else []) + [
-            daimon(c) for a in t.args for c in extract_calls(a, group)]
-    if isinstance(t, (Constr, ConstrDual, Project)):
-        return [map_children(t, lambda _: c)
-                for c in extract_calls(t.arg, group)]
-    if isinstance(t, Record):
-        return [record([(name, c)], t.priority) for name, value in t.fields
-                for c in extract_calls(value, group)]
-    raise InternalError("unexpected node during call extraction: %r" % (t,))
+def _ctor_items(node, counts: dict) -> tuple:
+    """The items of a constructor or numeral node, outermost first."""
+    if isinstance(node, ABConstr):
+        return (("c", node.name, node.prio),)
+    return ((("c", "Succ", node.prio),) * counts[node.value]
+            + (("c", "Zero", node.prio),))
+
+
+def _selected(node):
+    """`node`, or the field it selects when it projects a record literal."""
+    if isinstance(node, ABProj):
+        sub = _selected(node.sub)
+        if isinstance(sub, ABRecord):
+            return _selected(dict(sub.fields)[node.name])
+    return node
+
+
+def clause_calls(caller: str, cl, group: set, counts: dict) -> list:
+    """The calls of clause `cl` of `caller` to members of `group`, one list
+    per call occurrence, in order: the product of the occurrence's
+    arguments' summands, uncollapsed.
+
+    A call inside an argument of any call is blinded: its arguments become
+    the Daimon leaves of their trees, and a call to a member of the group
+    found there loses the constructors and fields above it to the Daimon,
+    under which the projections of the outer spine vanish."""
+    leaves = pattern_leaves(cl.patterns, counts)
+
+    def trees(node) -> list:
+        """The distinct summand trees of a call argument."""
+        node = _selected(node)
+        if isinstance(node, ABVar):
+            return [leaves[node.name]]
+        if isinstance(node, (ABConstr, ABNum)):
+            out = trees(node.arg)
+            for item in reversed(_ctor_items(node, counts)):
+                out = [item + (s,) for s in out]
+            return out
+        if isinstance(node, ABRecord):
+            return [("r", node.prio, fields) for fields in itertools.product(
+                *[[(n, s) for s in trees(v)]
+                  for n, v in sorted(node.fields, key=itemgetter(0))])]
+        if isinstance(node, ABProj):  # of a constructor it is zero
+            item = ("j", node.name, node.prio)
+            return [s if s[1] == DAIMON else ("x", None, (item,) + s[2], s[3])
+                    for s in trees(node.sub) if s[0] == "x"]
+        if not node.args:  # a call, blinded
+            return [("x", DAIMON, (), 0)]
+        return list(dict.fromkeys(
+            leaf for a in node.args for s in trees(a)
+            for leaf in _approx(DAIMON, s, weigh)))
+
+    def occurrences(node) -> list:
+        """(spine, (callee, argument choices)) of each call in `node`."""
+        node = _selected(node)
+        if isinstance(node, (ABConstr, ABNum)):
+            items = _ctor_items(node, counts)
+            return [(items + spine, end)
+                    for spine, end in occurrences(node.arg)]
+        if isinstance(node, ABRecord):
+            return [((("r", n, node.prio),) + spine, end)
+                    for n, v in sorted(node.fields, key=itemgetter(0))
+                    for spine, end in occurrences(v)]
+        if isinstance(node, ABProj):
+            item = ("j", node.name, node.prio)
+            return [(spine if spine[:1] == (DAIMON,) else (item,) + spine, end)
+                    for spine, end in occurrences(node.sub)]
+        if isinstance(node, ABVar):
+            return []
+        own = ([((), (node.fname, [trees(a) for a in node.args]))]
+               if node.fname in group else [])
+        return own + [((DAIMON,) + spine_parts(spine)[2], end)
+                      for a in node.args for spine, end in occurrences(a)]
+
+    return [[Call(caller, callee, spine, args)
+             for args in itertools.product(*choices)]
+            for spine, (callee, choices) in occurrences(cl.body)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,41 +234,35 @@ class CallGraph:
     self_composites: dict = field(default_factory=dict)
 
 
-def collapsed_calls(caller: str, raw: Term, group: set, bound_b: int,
-                    bound_d: int) -> list:
-    """The calls of `raw`, a call term of `caller`, collapsed and in the
-    order of their terms.  Each summand is collapsed as the closure
-    collapses its composite with the identity call."""
+def collapsed_calls(calls, bound_b: int, bound_d: int) -> list:
+    """The distinct collapsed forms of `calls`, in the order of their terms.
+    Each call is collapsed as the closure collapses its composite with the
+    identity call."""
     tables = CallTables(bound_b, bound_d)
     found = []
-    for s in summands(raw):
-        call = call_of_term(caller, s, group)
+    for call in calls:
         identity = Call(call.callee, call.callee, (), tuple(
             ("x", None, (), j) for j in range(1, len(call.args) + 1)))
         sid, choices = tables.combine(tables.split(call),
                                       tables.split(identity))
-        found += [tables.call(caller, sid, call.callee, ids)
+        found += [tables.call(call.caller, sid, call.callee, ids)
                   for ids in itertools.product(*choices)]
     return (found if len(found) < 2
             else sorted(set(found), key=lambda c: item_key(call_node(c))))
 
 
 def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
-    """The collapsed calls of `definition_term` of each definition, in order.
-    A clause that calls no member of the group gives no call, so only the
-    clauses that do (`AClause.calls`) are built."""
+    """The collapsed calls of the clauses of `adefs`, in source order, each
+    occurrence's in the order of their terms (`clause_calls`).  A clause
+    that calls no member of the group gives no call, so only the clauses
+    that do (`AClause.calls`) are read."""
     group = {d.fname for d in adefs}
-    calling = {adef.fname: [cl for cl in adef.clauses
-                            if not group.isdisjoint(cl.calls)]
-               for adef in adefs}
-    counts = numeral_counts(
-        [cl for cls in calling.values() for cl in cls], bound_b, bound_d)
-    edges = [call for adef in adefs if calling[adef.fname]
-             for raw in extract_calls(sum_of(
-                 clause_term(cl, counts) for cl in calling[adef.fname]),
-                 group)
-             for call in collapsed_calls(adef.fname, raw, group, bound_b,
-                                         bound_d)]
+    calling = [(adef.fname, cl) for adef in adefs for cl in adef.clauses
+               if not group.isdisjoint(cl.calls)]
+    counts = numeral_counts([cl for _, cl in calling], bound_b, bound_d)
+    edges = [call for caller, cl in calling
+             for calls in clause_calls(caller, cl, group, counts)
+             for call in collapsed_calls(calls, bound_b, bound_d)]
     return CallGraph(tuple(sorted(group)), tuple(dict.fromkeys(edges)),
                      bound_b, bound_d)
 
@@ -394,24 +340,6 @@ def plug(spine: tuple, occurrence: Term) -> Term:
 # sorted by name, and ("x", middle, word, end) a leaf.  The middle is None,
 # a weight item ("w", Weight) or DAIMON, the word holds destructor items,
 # outermost first, and the end is a parameter index, or 0 for `_`.
-
-def arg_tree(t: Term) -> tuple:
-    """The tree of a call argument."""
-    if isinstance(t, Constr):
-        return ("c", t.name, t.priority, arg_tree(t.arg))
-    if isinstance(t, Record):
-        return ("r", t.priority, tuple((n, arg_tree(v)) for n, v in t.fields))
-    middle = None
-    if isinstance(t, (Approx, Daimon)):
-        middle, t = BRANCH_ITEMS[type(t)](t), t.arg
-    word = []
-    while isinstance(t, (ConstrDual, Project)):
-        word.append(BRANCH_ITEMS[type(t)](t))
-        t = t.arg
-    if not isinstance(t, (Param, Unknown)):
-        raise InternalError("malformed call argument %s" % term_str(t))
-    return ("x", middle, tuple(word), getattr(t, "index", 0))
-
 
 def tree_term(tree: tuple) -> Term:
     """The term of an argument tree."""
@@ -621,7 +549,7 @@ def item_key(node: tuple) -> tuple:
 class CallTables:
     """Tables for composing calls piecewise, as a spine and its arguments.
 
-    Spines (`Call.spine`) and argument trees (`arg_tree`) get small int
+    Spines (`Call.spine`) and argument trees (`Call.args`) get small int
     ids, spine id 0 standing for the zero composite, and only a new edge is
     built, as a `Call` (`call`).
 

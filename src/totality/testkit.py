@@ -12,15 +12,19 @@ errors.
 
 The term reference is the paper's algebra on whole terms: `nf`,
 `is_normal`, `substitute`, `compose`, the order `sleq`, weak coherence
-`sqcoh` and the collapse.  The checker never uses it; it composes,
-collapses, sorts and compares calls on their items, and the tests compare
-those with it.  `collapse_call_term`, `compose_calls` and
-`is_checked_loop` are the term path: they compose and collapse whole
-terms, and the tests compare the initial calls, the closure's piecewise
-composition and its recorded self-composites with them.  `compose_spines` and `substitute_tree` are
-the item path: they compose spines and substitute argument trees on
-items, adding weights with `weigh`, and the tests compare `CallTables`,
-which does both on interned ids, with them.
+`sqcoh` and the collapse.  The checker never uses it; it extracts,
+composes, collapses, sorts and compares calls on their items, and the
+tests compare those with it.  `clause_term`, `extract_calls` and
+`call_of_term` are the term path of call extraction: they build each
+clause as a term, split its calls off it and read them back as items, and
+the tests compare `callgraph.clause_calls` with them.
+`collapse_call_term`, `compose_calls` and `is_checked_loop` are the term
+path of the closure: they compose and collapse whole terms, and the tests
+compare the initial collapse, the closure's piecewise composition and its
+recorded self-composites with them.  `compose_spines` and
+`substitute_tree` are the item path: they compose spines and substitute
+argument trees on items, adding weights with `weigh`, and the tests
+compare `CallTables`, which does both on interned ids, with them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .callgraph import (
     Call,
     _collapse,
     _subst,
-    call_of_term,
     clamp,
     tree_term,
     weigh,
@@ -61,6 +64,7 @@ from .terms import (
     constr_dual,
     contains_funapp,
     daimon,
+    fun_names,
     funapp,
     map_children,
     project,
@@ -68,8 +72,22 @@ from .terms import (
     sort_key,
     sum_of,
     summands,
+    term_str,
     weight,
     weight_add,
+)
+from .typecheck import (
+    ABCall,
+    ABConstr,
+    ABNum,
+    ABProj,
+    ABRecord,
+    ABVar,
+    ADef,
+    APConstr,
+    APNum,
+    APRecord,
+    APVar,
 )
 
 # ---------------------------------------------------------------------------
@@ -425,6 +443,173 @@ def _spine(t: Term, bound_d: int) -> Term:
     if isinstance(prefix, Approx):
         return approx(prefix.wt, out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the term path of call extraction
+#
+# Each clause as a term through the smart constructors, its calls split off
+# that term and read back as items.  `callgraph.clause_calls` reads the same
+# calls off the annotated clause directly; the tests compare the two.
+
+# the item of each single-child node, keyed by node type
+BRANCH_ITEMS = {
+    Constr: lambda t: ("c", t.name, t.priority),
+    ConstrDual: lambda t: ("d", t.name, t.priority),
+    Project: lambda t: ("j", t.name, t.priority),
+    Approx: lambda t: ("w", t.wt),
+    Daimon: lambda t: DAIMON,
+}
+
+
+def call_of_term(caller: str, t: Term, group: set) -> Call:
+    """The call `t` of `caller`, split into its spine and argument trees.
+
+    One walk down the spine checks the invariants.  A bad term is reported
+    by the first fault in this order: not exactly one function name, a
+    callee outside the group, a forked record or other malformed spine, a
+    function name inside an argument."""
+    items, node, fault = [], t, None
+    while not isinstance(node, FunApp):
+        if isinstance(node, Record):
+            if len(node.fields) != 1:
+                fault = "call spine through a forked record"
+                break
+            (name, value), = node.fields
+            items.append(("r", name, node.priority))
+            node = value
+            continue
+        item = BRANCH_ITEMS.get(type(node))
+        if item is None:
+            fault = "malformed call term %s" % term_str(t)
+            break
+        items.append(item(node))
+        node = node.arg
+    else:
+        if any(contains_funapp(a) for a in node.args):
+            fault = "call argument contains a function name"
+    if fault is not None:
+        names = fun_names(t)
+        if len(names) != 1:
+            raise InternalError(
+                "call term must mention exactly one function: %s"
+                % term_str(t))
+        callee = names.pop()
+        if callee not in group:
+            raise InternalError("call to %r escapes the group" % callee)
+        raise InternalError(fault)
+    if node.fname not in group:
+        raise InternalError("call to %r escapes the group" % node.fname)
+    return Call(caller, node.fname, tuple(items),
+                tuple(arg_tree(a) for a in node.args))
+
+
+def pattern_bindings(patterns, counts=None) -> dict:
+    """Variable -> term over the caller's parameters, built by peeling the
+    argument patterns with matching destructors.  A numeral n peels
+    counts[n] `Succ`, or n without `counts` (`callgraph.numeral_counts`)."""
+    bindings: dict[str, Term] = {}
+
+    def walk(p, ctx: Term) -> None:
+        if isinstance(p, APVar):
+            bindings[p.name] = ctx
+        elif isinstance(p, APConstr):
+            walk(p.arg, constr_dual(p.name, p.prio, ctx))
+        elif isinstance(p, APNum):
+            for _ in range(counts[p.value] if counts else p.value):
+                ctx = constr_dual("Succ", p.prio, ctx)
+            walk(p.arg, constr_dual("Zero", p.prio, ctx))
+        elif isinstance(p, APRecord):
+            for name, sub in p.fields:
+                walk(sub, project(name, p.prio, ctx))
+        else:
+            raise InternalError("unknown pattern node %r" % (p,))
+
+    for j, p in enumerate(patterns, start=1):
+        walk(p, Param(j))
+    return bindings
+
+
+def body_term(body, bindings: dict, counts=None) -> Term:
+    """The term of a clause body; a numeral n builds counts[n] `Succ`, or n
+    without `counts`."""
+    if isinstance(body, ABVar):
+        return bindings[body.name]
+    if isinstance(body, ABConstr):
+        return constr(body.name, body.prio,
+                      body_term(body.arg, bindings, counts))
+    if isinstance(body, ABNum):
+        t = constr("Zero", body.prio, body_term(body.arg, bindings, counts))
+        for _ in range(counts[body.value] if counts else body.value):
+            t = constr("Succ", body.prio, t)
+        return t
+    if isinstance(body, ABRecord):
+        return record([(n, body_term(v, bindings, counts))
+                       for n, v in body.fields], body.prio)
+    if isinstance(body, ABProj):
+        return project(body.name, body.prio,
+                       body_term(body.sub, bindings, counts))
+    if isinstance(body, ABCall):
+        return funapp(body.fname,
+                      [body_term(a, bindings, counts) for a in body.args])
+    raise InternalError("unknown body node %r" % (body,))
+
+
+def clause_term(cl, counts=None) -> Term:
+    """A clause body with pattern variables replaced by destructor chains."""
+    return body_term(cl.body, pattern_bindings(cl.patterns, counts), counts)
+
+
+def definition_term(adef: ADef) -> Term:
+    """Interpretation of a definition: the sum of its clause terms."""
+    return sum_of(clause_term(cl) for cl in adef.clauses)
+
+
+def _blind(t: Term) -> Term:
+    """Replace every function application by a Daimon over its arguments."""
+    if isinstance(t, FunApp):
+        return daimon(sum_of(_blind(a) for a in t.args) if t.args
+                      else Unknown())
+    if isinstance(t, Approx):
+        raise InternalError("approximation before call extraction")
+    return map_children(t, _blind)
+
+
+def extract_calls(t: Term, group: set) -> list:
+    """Split a clause interpretation into its independent recursive calls."""
+    if isinstance(t, Sum):
+        return [c for p in t.parts for c in extract_calls(p, group)]
+    if isinstance(t, (Param, Unknown)):
+        return []
+    if isinstance(t, FunApp):
+        own = [funapp(t.fname, [_blind(a) for a in t.args])]
+        return (own if t.fname in group else []) + [
+            daimon(c) for a in t.args for c in extract_calls(a, group)]
+    if isinstance(t, (Constr, ConstrDual, Project)):
+        return [map_children(t, lambda _: c)
+                for c in extract_calls(t.arg, group)]
+    if isinstance(t, Record):
+        return [record([(name, c)], t.priority) for name, value in t.fields
+                for c in extract_calls(value, group)]
+    raise InternalError("unexpected node during call extraction: %r" % (t,))
+
+
+def arg_tree(t: Term) -> tuple:
+    """The tree of a call argument."""
+    if isinstance(t, Constr):
+        return ("c", t.name, t.priority, arg_tree(t.arg))
+    if isinstance(t, Record):
+        return ("r", t.priority, tuple((n, arg_tree(v)) for n, v in t.fields))
+    middle = None
+    if isinstance(t, (Approx, Daimon)):
+        middle, t = BRANCH_ITEMS[type(t)](t), t.arg
+    word = []
+    while isinstance(t, (ConstrDual, Project)):
+        word.append(BRANCH_ITEMS[type(t)](t))
+        t = t.arg
+    if not isinstance(t, (Param, Unknown)):
+        raise InternalError("malformed call argument %s" % term_str(t))
+    return ("x", middle, tuple(word), getattr(t, "index", 0))
 
 
 # ---------------------------------------------------------------------------

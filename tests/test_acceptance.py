@@ -6,8 +6,6 @@ Each test prints a PASS line when its assertions hold; run with
 
 import random
 
-import pytest
-
 from conftest import analyze_corpus, annotated_groups
 from totality.callgraph import (
     DAIMON,
@@ -18,13 +16,7 @@ from totality.callgraph import (
     weigh,
 )
 from totality.scp import check_condition1, check_condition2
-from totality.terms import (
-    Sum,
-    ZERO,
-    parse_term,
-    sum_of,
-    weight,
-)
+from totality.terms import Sum, parse_term, weight
 from totality.testkit import (
     OrderOracle,
     UniverseConfig,

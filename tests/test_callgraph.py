@@ -10,18 +10,17 @@ import pytest
 from conftest import CORPUS, annotated_groups
 from totality import callgraph
 from totality.callgraph import (
+    DAIMON,
     Call,
     CallGraph,
     CallTables,
-    arg_tree,
     build_callgraph,
     call_node,
-    call_of_term,
+    clause_calls,
     collapsed_calls,
-    definition_term,
-    extract_calls,
     item_key,
-    pattern_bindings,
+    numeral_counts,
+    pattern_leaves,
     plug,
     spine_parts,
     transitive_closure,
@@ -50,14 +49,33 @@ from totality.terms import (
 )
 from totality.testkit import (
     GenConfig,
+    arg_tree,
+    call_of_term,
+    clause_term,
     collapse_call_term,
     compose,
     compose_calls,
     compose_spines,
+    definition_term,
+    extract_calls,
     gen_call,
     gen_term,
+    pattern_bindings,
     substitute,
     substitute_tree,
+)
+from totality.typecheck import (
+    ABCall,
+    ABConstr,
+    ABNum,
+    ABProj,
+    ABRecord,
+    ABVar,
+    AClause,
+    APConstr,
+    APNum,
+    APRecord,
+    APVar,
 )
 
 
@@ -168,6 +186,26 @@ def term_path_calls(caller, raw, group, bound_b, bound_d):
     return out
 
 
+def reference_clause_calls(caller, cl, group, counts):
+    """The term path of one clause: its calls split off its term, each
+    occurrence's summands read back as items."""
+    return [[call_of_term(caller, s, group) for s in summands(raw)]
+            for raw in extract_calls(clause_term(cl, counts), group)]
+
+
+def reference_initial_edges(adefs, bound_b, bound_d):
+    """The initial edges by the term path, applied clause by clause in
+    source order, each call term collapsed as a whole."""
+    group = {d.fname for d in adefs}
+    calling = [(adef.fname, cl) for adef in adefs for cl in adef.clauses
+               if not group.isdisjoint(cl.calls)]
+    counts = numeral_counts([cl for _, cl in calling], bound_b, bound_d)
+    return list(dict.fromkeys(
+        c for caller, cl in calling
+        for raw in extract_calls(clause_term(cl, counts), group)
+        for c in term_path_calls(caller, raw, group, bound_b, bound_d)))
+
+
 class TestInitialCollapse:
     """`build_callgraph` collapses each extracted call on its spine word
     and argument trees; these compare it with collapsing the whole term,
@@ -176,17 +214,22 @@ class TestInitialCollapse:
     @pytest.mark.parametrize(
         "name", sorted(p.name for p in CORPUS.glob("*.ch")))
     def test_corpus_initial_edges(self, name):
+        """The term path applied clause by clause gives the edges in their
+        order; the sum of each definition's clause terms gives the same
+        set."""
         for analyzed, _ in annotated_groups(name):
             group = {d.fname for d in analyzed.defs}
             for bound_b in (1, 2, 3, 4):
                 for bound_d in (0, 1, 2, 3, 4):
-                    want = list(dict.fromkeys(
+                    want = reference_initial_edges(analyzed.defs, bound_b,
+                                                   bound_d)
+                    graph = build_callgraph(analyzed.defs, bound_b, bound_d)
+                    assert list(graph.edges) == want, (name, bound_b, bound_d)
+                    assert set(want) == {
                         c for adef in analyzed.defs
                         for raw in extract_calls(definition_term(adef), group)
                         for c in term_path_calls(adef.fname, raw, group,
-                                                 bound_b, bound_d)))
-                    graph = build_callgraph(analyzed.defs, bound_b, bound_d)
-                    assert list(graph.edges) == want, (name, bound_b, bound_d)
+                                                 bound_b, bound_d)}
 
     def test_random_calls(self):
         """Random calls of one or two arguments, a third of them summed
@@ -201,12 +244,136 @@ class TestInitialCollapse:
                     raw = sum_of([gen_call(rng, arity=arity).term
                                   for _ in range(rng.choice((1, 1, 2)))])
                     want = term_path_calls("f", raw, {"f"}, bound_b, bound_d)
-                    got = collapsed_calls("f", raw, {"f"}, bound_b, bound_d)
+                    got = collapsed_calls(
+                        [call_of_term("f", s, {"f"}) for s in summands(raw)],
+                        bound_b, bound_d)
                     assert got == want, raw
                     calls += 1
                     several += len(want) > 1
         assert calls == 6000
         assert several >= 1000
+
+
+def random_clause(rng, depth=4):
+    """A random annotated clause of `f`, in the group {f, g}, with one or
+    two parameters, typed with one codata type whose field D holds data
+    and whose field E holds codata.  Record literals are projected on
+    their own fields, nested; calls of f, g and the outside h, of arity 0
+    to 2, sit in call arguments, under projections, constructors, numerals
+    and records."""
+    names = []
+
+    def pattern(d):
+        roll = rng.random()
+        if d == 0 or roll < 0.35:
+            names.append("v%d" % len(names))
+            return APVar(names[-1])
+        if roll < 0.6:
+            return APConstr(rng.choice("AB"), pattern(d - 1), prio=1)
+        if roll < 0.75:
+            return APNum(rng.randint(0, 3), pattern(d - 1), prio=1)
+        return APRecord(tuple((n, pattern(d - 1))
+                              for n in rng.sample("DE", 2)), prio=0)
+
+    def leaf():
+        if rng.random() < 0.8:
+            return ABVar(rng.choice(names))
+        return ABCall(rng.choice("fgh"), ())
+
+    def call(d):
+        return ABCall(rng.choice("ffgh"), tuple(
+            rng.choice((data, codata))(d - 1)
+            for _ in range(rng.choice((0, 1, 1, 2, 2)))))
+
+    def codata(d):
+        roll = rng.random()
+        if d <= 0 or roll < 0.15:
+            return leaf()
+        if roll < 0.5:
+            fields = {"D": data(d - 1), "E": codata(d - 1)}
+            return ABRecord(tuple((n, fields[n]) for n in rng.sample("DE", 2)),
+                            prio=0)
+        if roll < 0.75:
+            return call(d)
+        return ABProj(codata(d - 1), "E", prio=0)
+
+    def data(d):
+        roll = rng.random()
+        if d <= 0 or roll < 0.15:
+            return leaf()
+        if roll < 0.3:
+            return ABConstr(rng.choice("AB"), data(d - 1), prio=1)
+        if roll < 0.4:
+            return ABNum(rng.randint(0, 3), data(d - 1), prio=1)
+        if roll < 0.75:
+            return call(d)
+        return ABProj(codata(d - 1), "D", prio=0)
+
+    patterns = tuple(pattern(2) for _ in range(rng.randint(1, 2)))
+    return AClause(patterns, rng.choice((data, codata))(depth))
+
+
+class TestClauseCalls:
+    """`build_callgraph` reads the calls off the annotated clauses as
+    items (`clause_calls`); these compare it with the term path, which
+    builds each clause as a term and splits its calls off it."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_corpus_pattern_leaves(self, name):
+        for analyzed, _ in annotated_groups(name):
+            for adef in analyzed.defs:
+                for cl in adef.clauses:
+                    counts = numeral_counts([cl], 2, 2)
+                    leaves = pattern_leaves(cl.patterns, counts)
+                    terms = pattern_bindings(cl.patterns, counts)
+                    assert leaves == {v: arg_tree(s)
+                                      for v, s in terms.items()}, name
+
+    def test_blinded_calls(self):
+        """A call in the argument of any call loses the constructors and
+        fields above it to the Daimon, under which the projections of the
+        outer spine vanish; a record literal's projection selects."""
+        x = ABVar("x")
+        cl = AClause((APVar("x"),), ABConstr("C", ABProj(ABCall("h", (
+            ABRecord((("E", x), ("D", ABConstr("C", ABCall("f", (x,)),
+                                                prio=1))), prio=0),)),
+            "D", prio=0), prio=1))
+        assert clause_calls("f", cl, {"f"}, {}) == [[Call(
+            "f", "f", (("c", "C", 1), DAIMON), (("x", None, (), 1),))]]
+        selected = AClause((APVar("x"),), ABProj(ABRecord((
+            ("E", ABCall("f", ())), ("D", ABCall("f", (x,)))), prio=0),
+            "D", prio=0))
+        assert clause_calls("f", selected, {"f"}, {}) == [[Call(
+            "f", "f", (), (("x", None, (), 1),))]]
+
+    def test_random_clauses(self):
+        """Every occurrence's summands as a set, and its collapsed calls
+        in order, against the term path, at B in 1-4 and D in 0-4."""
+        rng = random.Random(20261019)
+        group = {"f", "g"}
+        seen = Counter()
+        for _ in range(4000):
+            cl = random_clause(rng)
+            bound_b, bound_d = rng.randint(1, 4), rng.randint(0, 4)
+            counts = numeral_counts([cl], bound_b, bound_d)
+            got = clause_calls("f", cl, group, counts)
+            want = reference_clause_calls("f", cl, group, counts)
+            assert [set(c) for c in got] == [set(c) for c in want], cl
+            assert [collapsed_calls(c, bound_b, bound_d) for c in got] == [
+                term_path_calls("f", raw, group, bound_b, bound_d)
+                for raw in extract_calls(clause_term(cl, counts), group)], cl
+            for calls in got:
+                seen["occurrences"] += 1
+                seen["several"] += len(calls) > 1
+                for call in calls:
+                    seen["blinded"] += DAIMON in call.spine
+                    seen["built above the Daimon"] += DAIMON in call.spine[1:]
+                    seen["projected"] += any(
+                        item[0] == "j" for item in call.spine)
+                    seen["0-ary"] += not call.args
+        assert min(seen.values()) >= 200, seen
+        assert seen["occurrences"] >= 4000, seen
 
 
 class TestClosure:

@@ -96,16 +96,18 @@ class TestExitCodes:
         assert first <= int(match.group(1)) <= last
         assert "Traceback" not in captured.out + captured.err
 
-    def test_deep_call_argument_gives_two(self, tmp_path, capsys):
-        # parsing and typing pass, but extracting the call recurses into
-        # its argument: located at the group's first definition
+    def test_deep_call_argument_gives_one(self, tmp_path, capsys):
+        # f (Succ x) calls f on 380 Succ over Zero, which loops forever;
+        # the collapse sees D layers of the argument, so its depth does
+        # not matter
         deep = tmp_path / "deep.ch"
         deep.write_text(DEEP_ARGUMENT)
         code = main(["check", str(deep)])
         captured = capsys.readouterr()
-        assert code == 2
+        assert code == 1
         assert captured.out.splitlines() == [
-            "ERROR f: 2:5: input nests too deeply to analyze", "TOTAL g"]
+            "UNKNOWN f: loop f(Succ@1 Succ@1 ? Succ-@1 x1) fails both "
+            "size-change conditions", "TOTAL g"]
         assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("body, col", [("\u00b2", 28), ("1\u00b2", 29)],
@@ -283,7 +285,16 @@ class TestGroupErrors:
     """Faults inside one group's analysis give that group ERROR and leave
     the other groups their verdicts."""
 
-    def test_deep_input_is_located(self):
+    def test_deep_input_is_located(self, monkeypatch):
+        # a group whose analysis runs out of stack is located at its first
+        # definition, and the other groups keep their verdicts
+        def deep(adefs, *bounds):
+            if adefs[0].fname == "f":
+                raise RecursionError("maximum recursion depth exceeded")
+            return build_callgraph(adefs, *bounds)
+
+        build_callgraph = checker.build_callgraph
+        monkeypatch.setattr(checker, "build_callgraph", deep)
         report = analyze_source(DEEP_ARGUMENT, Config())
         assert [(v.fname, v.result, v.reasons) for v in report.verdicts] == [
             ("f", "error", ["2:5: input nests too deeply to analyze"]),

@@ -52,18 +52,22 @@ def test_json_matches_golden(name, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_dumps_need_no_term_path(name, capsys, monkeypatch):
-    """The checker composes, collapses, sorts and compares calls on their
-    items: with the reference `testkit.compose`, `testkit.substitute`,
-    `testkit.collapse_depth`, `testkit.collapse_weights`, `testkit.sqcoh`
-    and `testkit.sleq` raising wherever they are bound, and `terms.sort_key`
-    wherever it is bound outside `terms`, every dump still matches its
-    golden file."""
+    """The checker extracts, composes, collapses, sorts and compares calls
+    on their items: with the reference `testkit.compose`,
+    `testkit.substitute`, `testkit.collapse_depth`,
+    `testkit.collapse_weights`, `testkit.sqcoh`, `testkit.sleq`,
+    `testkit.extract_calls`, `testkit.clause_term` and
+    `testkit.call_of_term` raising wherever they are bound, and
+    `terms.sort_key`, `terms.sum_of` and `terms.map_children` wherever they
+    are bound outside `terms`, every dump still matches its golden file."""
     def refuse(*args):
         raise AssertionError("the checker used the term path")
 
     originals = [testkit.compose, testkit.substitute, testkit.collapse_depth,
                  testkit.collapse_weights, testkit.sqcoh, testkit.sleq,
-                 terms.sort_key]
+                 testkit.extract_calls, testkit.clause_term,
+                 testkit.call_of_term, terms.sort_key, terms.sum_of,
+                 terms.map_children]
     for module in list(sys.modules.values()):
         if (module is None or module is terms
                 or not module.__name__.startswith("totality")):

@@ -9,16 +9,21 @@ from conftest import CORPUS, annotated_groups
 from totality import callgraph
 from totality.callgraph import (
     DAIMON,
-    arg_tree,
     build_callgraph,
-    call_of_term,
     leaf_paths,
     transitive_closure,
     weigh,
 )
 from totality.scp import check_condition2
-from totality.terms import INF, ZERO, daimon, parse_term, weight
-from totality.testkit import gen_call, gen_term, sleq, sqcoh
+from totality.terms import ZERO, parse_term, weight
+from totality.testkit import (
+    arg_tree,
+    call_of_term,
+    gen_call,
+    gen_term,
+    sleq,
+    sqcoh,
+)
 
 
 def t(text):

@@ -8,7 +8,6 @@ from conftest import CORPUS, annotated_groups
 from totality.callgraph import (
     DAIMON,
     build_callgraph,
-    call_of_term,
     leaf_paths,
     spine_parts,
     transitive_closure,
@@ -36,7 +35,12 @@ from totality.terms import (
     weight,
     weight_add,
 )
-from totality.testkit import compose_calls, gen_call, is_checked_loop
+from totality.testkit import (
+    call_of_term,
+    compose_calls,
+    gen_call,
+    is_checked_loop,
+)
 
 
 def t(text):

@@ -4,15 +4,12 @@ import pytest
 
 from conftest import corpus_source
 from totality.surface import (
-    Clause,
-    Definition,
     EApp,
     EConstr,
     ENum,
     EVar,
     PConstr,
     PNum,
-    PRecord,
     PVar,
     SourceError,
     desugar,

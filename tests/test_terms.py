@@ -6,16 +6,11 @@ from totality.terms import (
     INF,
     NotationError,
     Param,
-    Sum,
     ZERO,
     ZEROW,
     approx,
-    constr,
-    constr_dual,
     daimon,
-    funapp,
     parse_term,
-    project,
     record,
     sum_of,
     term_str,

@@ -1,7 +1,7 @@
 """The property harness itself: reproducibility and bug sensitivity."""
 
 from totality import testkit
-from totality.terms import INF, ZERO, Param, parse_term
+from totality.terms import ZERO, Param, parse_term
 from totality.testkit import gen_term, leq_oracle, run_property_suite
 
 
