@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
+from .records import Frozen, Struct
 from .terms import (
     INF,
     InternalError,
@@ -54,8 +54,10 @@ ITEM_NODES = {
 }
 
 
-@dataclass(frozen=True)
-class Call:
+_set = object.__setattr__
+
+
+class Call(Frozen):
     """One edge of the call graph: a normal form with a single occurrence
     of the callee, applied to argument summaries.
 
@@ -66,10 +68,14 @@ class Call:
     the call: the checker extracts, composes, collapses, sorts, weighs and
     compares calls on their items."""
 
-    caller: str
-    callee: str
-    spine: tuple
-    args: tuple
+    # a `__dict__` holds the cached `term`
+    __slots__ = ("caller", "callee", "spine", "args", "__dict__")
+
+    def __init__(self, caller: str, callee: str, spine: tuple, args: tuple):
+        _set(self, "caller", caller)
+        _set(self, "callee", callee)
+        _set(self, "spine", spine)
+        _set(self, "args", args)
 
     @cached_property
     def term(self) -> Term:
@@ -222,16 +228,22 @@ def clause_calls(caller: str, cl, group: set, counts: dict) -> list:
 # ---------------------------------------------------------------------------
 # the graph and its closure
 
-@dataclass
-class CallGraph:
-    vertices: tuple
-    edges: tuple
-    bound_b: int
-    bound_d: int
-    stats: dict = field(default_factory=dict)
-    # on a closure: loop index -> indices of the edges of its collapsed
-    # composite with itself, in order
-    self_composites: dict = field(default_factory=dict)
+class CallGraph(Struct):
+    __slots__ = ("vertices", "edges", "bound_b", "bound_d", "stats",
+                 "self_composites")
+
+    def __init__(self, vertices: tuple, edges: tuple, bound_b: int,
+                 bound_d: int, stats: dict | None = None,
+                 self_composites: dict | None = None):
+        self.vertices = vertices
+        self.edges = edges
+        self.bound_b = bound_b
+        self.bound_d = bound_d
+        self.stats = {} if stats is None else stats
+        # on a closure: loop index -> indices of the edges of its collapsed
+        # composite with itself, in order
+        self.self_composites = ({} if self_composites is None
+                                else self_composites)
 
 
 def collapsed_calls(calls, bound_b: int, bound_d: int) -> list:

@@ -1,0 +1,73 @@
+"""Plain record classes with value equality.
+
+Syntax trees, terms and calls are small records.  Declaring them with
+`dataclasses` cost more than half of the package's import time, which a
+one-file check pays in full, so each is a plain class instead: it lists
+its fields in `__slots__`, sets them in its own `__init__`, and takes
+equality, hashing and `repr` from `Struct` or `Frozen`, which behave as a
+dataclass and a frozen dataclass do.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+def _tuple_getter(names: tuple):
+    """A function from a record to the tuple of its fields `names`, read in
+    C where `attrgetter` gives a tuple."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+class Struct:
+    """A mutable record, unhashable, equal to another of the same class
+    whose compared fields are equal.  The fields are the class's own
+    `__slots__` (a `__dict__` entry aside), in order, and are compared
+    unless named in `_uncompared`."""
+
+    __slots__ = ()
+    _uncompared: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__dict__.get("__slots__", ())
+                            if name != "__dict__")
+        cls._key = staticmethod(_tuple_getter(tuple(
+            name for name in cls._fields if name not in cls._uncompared)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+class Frozen(Struct):
+    """A hashable record whose fields cannot be assigned once `__init__`
+    has set them with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # copied and pickled through `__init__`, which takes the fields in
+        # order, since restoring the slots one by one would assign them
+        return type(self), tuple(getattr(self, name) for name in self._fields)

@@ -10,8 +10,6 @@ a dominating odd priority.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .callgraph import (
     DAIMON,
     Call,
@@ -21,23 +19,29 @@ from .callgraph import (
     sqcoh,
     weigh,
 )
+from .records import Struct
 from .terms import term_str
 
 
-@dataclass
-class LoopFailure:
-    loop: Call
-    explanation: str
+class LoopFailure(Struct):
+    __slots__ = ("loop", "explanation")
+
+    def __init__(self, loop: Call, explanation: str):
+        self.loop = loop
+        self.explanation = explanation
 
     def __str__(self) -> str:
         return "loop %s %s" % (term_str(self.loop.term), self.explanation)
 
 
-@dataclass
-class GroupOutcome:
-    total: bool
-    failures: list = field(default_factory=list)
-    checked_loops: int = 0
+class GroupOutcome(Struct):
+    __slots__ = ("total", "failures", "checked_loops")
+
+    def __init__(self, total: bool, failures: list | None = None,
+                 checked_loops: int = 0):
+        self.total = total
+        self.failures = [] if failures is None else failures
+        self.checked_loops = checked_loops
 
 
 def _dominant(weight, parity: int):

@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 import string
 from collections import namedtuple
-from dataclasses import dataclass, field
+
+from .records import Struct
 
 
 class SourceError(Exception):
@@ -82,112 +83,148 @@ def uncurry(t, n: int):
 # ---------------------------------------------------------------------------
 # surface AST
 
-@dataclass
-class TypeDecl:
-    name: str
-    params: tuple
-    is_codata: bool
-    items: tuple  # (item name, declared TypeExpr)
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class TypeDecl(Struct):
+    __slots__ = ("name", "params", "is_codata", "items", "line", "col")
+    _uncompared = ("line", "col")
+
+    def __init__(self, name: str, params: tuple, is_codata: bool,
+                 items: tuple, line: int = 0, col: int = 0):
+        self.name = name
+        self.params = params
+        self.is_codata = is_codata
+        self.items = items  # (item name, declared TypeExpr)
+        self.line = line
+        self.col = col
 
 
-@dataclass
-class PVar:
-    name: str
+class PVar(Struct):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
-class PWild:
-    pass
+class PWild(Struct):
+    __slots__ = ()
 
 
-@dataclass
-class PNum:
-    value: int
-    arg: object = None  # after `desugar`: the pattern of its Zero's argument
+class PNum(Struct):
+    __slots__ = ("value", "arg")
+
+    def __init__(self, value: int, arg: object = None):
+        self.value = value
+        self.arg = arg  # after `desugar`: the pattern of its Zero's argument
 
 
-@dataclass
-class PConstr:
-    name: str
-    args: tuple  # as written; desugar normalises to exactly one
+class PConstr(Struct):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args  # as written; desugar normalises to exactly one
 
 
-@dataclass
-class PRecord:
-    fields: tuple  # (field name, pattern)
+class PRecord(Struct):
+    __slots__ = ("fields",)
+
+    def __init__(self, fields: tuple):
+        self.fields = fields  # (field name, pattern)
 
 
-@dataclass
-class EVar:
-    name: str
+class EVar(Struct):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
-class ENum:
-    value: int
-    arg: object = None  # after `desugar`: its Zero's argument
+class ENum(Struct):
+    __slots__ = ("value", "arg")
+
+    def __init__(self, value: int, arg: object = None):
+        self.value = value
+        self.arg = arg  # after `desugar`: its Zero's argument
 
 
-@dataclass
-class EConstr:
-    name: str
-    args: tuple
+class EConstr(Struct):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args
 
 
-@dataclass
-class ERecord:
-    fields: tuple
+class ERecord(Struct):
+    __slots__ = ("fields",)
+
+    def __init__(self, fields: tuple):
+        self.fields = fields
 
 
-@dataclass
-class EProj:
-    sub: object
-    fname: str
+class EProj(Struct):
+    __slots__ = ("sub", "fname")
+
+    def __init__(self, sub: object, fname: str):
+        self.sub = sub
+        self.fname = fname
 
 
-@dataclass
-class EApp:
-    fname: str
-    args: tuple
+class EApp(Struct):
+    __slots__ = ("fname", "args")
+
+    def __init__(self, fname: str, args: tuple):
+        self.fname = fname
+        self.args = args
 
 
-@dataclass
-class Clause:
-    fname: str
-    patterns: tuple
-    body: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Clause(Struct):
+    __slots__ = ("fname", "patterns", "body", "line", "col")
+    _uncompared = ("line", "col")
+
+    def __init__(self, fname: str, patterns: tuple, body: object,
+                 line: int = 0, col: int = 0):
+        self.fname = fname
+        self.patterns = patterns
+        self.body = body
+        self.line = line
+        self.col = col
 
 
-@dataclass
-class Definition:
-    fname: str
-    signature: object  # TypeExpr or None
-    clauses: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Definition(Struct):
+    __slots__ = ("fname", "signature", "clauses", "line", "col")
+    _uncompared = ("line", "col")
+
+    def __init__(self, fname: str, signature: object, clauses: tuple,
+                 line: int = 0, col: int = 0):
+        self.fname = fname
+        self.signature = signature  # TypeExpr or None
+        self.clauses = clauses
+        self.line = line
+        self.col = col
 
     @property
     def arity(self) -> int:
         return len(self.clauses[0].patterns) if self.clauses else 0
 
 
-@dataclass
-class Group:
+class Group(Struct):
     """One `val ... and ...` block; members may be mutually recursive."""
 
-    defs: tuple
-    line: int = field(default=0, compare=False)
-    bounds: object = field(default=None, compare=False)  # pragma override
+    __slots__ = ("defs", "line", "bounds")
+    _uncompared = ("line", "bounds")
+
+    def __init__(self, defs: tuple, line: int = 0, bounds: object = None):
+        self.defs = defs
+        self.line = line
+        self.bounds = bounds  # pragma override
 
 
-@dataclass
-class Program:
-    decls: tuple
-    groups: tuple
+class Program(Struct):
+    __slots__ = ("decls", "groups")
+
+    def __init__(self, decls: tuple, groups: tuple):
+        self.decls = decls
+        self.groups = groups
 
     def definitions(self):
         for g in self.groups:
@@ -758,11 +795,13 @@ def desugar(program: Program) -> Program:
 # ---------------------------------------------------------------------------
 # restriction checks
 
-@dataclass
-class Violation:
-    message: str
-    line: int = 0
-    col: int = 0
+class Violation(Struct):
+    __slots__ = ("message", "line", "col")
+
+    def __init__(self, message: str, line: int = 0, col: int = 0):
+        self.message = message
+        self.line = line
+        self.col = col
 
     def __str__(self) -> str:
         return "%d:%d: %s" % (self.line, self.col, self.message)

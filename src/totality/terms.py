@@ -6,8 +6,10 @@ sums (multilinearity, so a term containing an empty sum collapses to ZERO),
 record fields are sorted by name, and all head reductions between
 destructors, constructors, the Daimon and weight approximations have been
 applied.  Construction therefore goes through the smart constructors
-(`constr`, `record`, `project`, ... ) below; the raw dataclasses are only
-instantiated by this module.
+(`constr`, `record`, `project`, ... ) below.  The node classes themselves
+are plain records with value equality (`records.Frozen`); outside this
+module they are built directly only for the leaves `Param` and `Unknown`,
+and by the order oracle of `testkit`, whose universe holds raw terms.
 
 Weight absorption is direction sensitive: inside the part of a term that
 sits *above* a function application (the output side of a recursive call)
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
+
+from .records import Frozen
 
 INF = float("inf")
 
@@ -91,76 +94,98 @@ def weight_add(a: Weight, b: Weight) -> Weight:
 # ---------------------------------------------------------------------------
 # terms
 
-class Term:
+class Term(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class Param(Term):
     """Parameter of the caller; 1-based index, printed x1, x2, ..."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
 class Unknown(Term):
     """Opaque leaf used for calls of unknown 0-ary functions; printed `_`."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Constr(Term):
-    name: str
-    priority: int
-    arg: Term
+    __slots__ = ("name", "priority", "arg")
+
+    def __init__(self, name: str, priority: int, arg: Term):
+        _set(self, "name", name)
+        _set(self, "priority", priority)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Record(Term):
-    fields: tuple[tuple[str, Term], ...]  # nonempty, sorted by field name
-    priority: int
+    __slots__ = ("fields", "priority")
+
+    def __init__(self, fields: tuple[tuple[str, Term], ...], priority: int):
+        _set(self, "fields", fields)  # nonempty, sorted by field name
+        _set(self, "priority", priority)
 
 
-@dataclass(frozen=True)
 class ConstrDual(Term):
     """Pattern-matching destructor C-: strips the constructor C."""
 
-    name: str
-    priority: int
-    arg: Term
+    __slots__ = ("name", "priority", "arg")
+
+    def __init__(self, name: str, priority: int, arg: Term):
+        _set(self, "name", name)
+        _set(self, "priority", priority)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Project(Term):
     """Record projection .D"""
 
-    name: str
-    priority: int
-    arg: Term
+    __slots__ = ("name", "priority", "arg")
+
+    def __init__(self, name: str, priority: int, arg: Term):
+        _set(self, "name", name)
+        _set(self, "priority", priority)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class FunApp(Term):
-    fname: str
-    args: tuple[Term, ...]
+    __slots__ = ("fname", "args")
+
+    def __init__(self, fname: str, args: tuple[Term, ...]):
+        _set(self, "fname", fname)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Daimon(Term):
     """Defined-but-unknown result; absorbs constructors below and
     destructors above."""
 
-    arg: Term
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Approx(Term):
-    wt: Weight
-    arg: Term
+    __slots__ = ("wt", "arg")
+
+    def __init__(self, wt: Weight, arg: Term):
+        _set(self, "wt", wt)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Sum(Term):
-    parts: tuple[Term, ...]  # flat, deduplicated, sorted; () is Zero
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Term, ...]):
+        _set(self, "parts", parts)  # flat, deduplicated, sorted; () is Zero
 
 
 ZERO = Sum(())

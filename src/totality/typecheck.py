@@ -14,8 +14,8 @@ instance that it cannot deconstruct back to.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from .records import Struct
 from .surface import (
     Definition,
     EApp,
@@ -49,75 +49,106 @@ class PriorityError(SourceError):
 # ---------------------------------------------------------------------------
 # annotated clause trees
 
-@dataclass
-class APVar:
-    name: str
+# Each node that carries a type gets its result type `instance` during
+# annotation and its priority `prio` once the group's priorities are known.
+
+class APVar(Struct):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
-class APConstr:
-    name: str
-    arg: object
-    instance: object = None  # result type instance
-    prio: object = None
+class APConstr(Struct):
+    __slots__ = ("name", "arg", "instance", "prio")
+
+    def __init__(self, name: str, arg: object, instance: object = None,
+                 prio: object = None):
+        self.name = name
+        self.arg = arg
+        self.instance = instance
+        self.prio = prio
 
 
-@dataclass
-class APNum:
+class APNum(Struct):
     """The numeral `value`: that many `Succ` over `Zero arg`."""
-    value: int
-    arg: object
-    instance: object = None
-    prio: object = None
+
+    __slots__ = ("value", "arg", "instance", "prio")
+
+    def __init__(self, value: int, arg: object, instance: object = None,
+                 prio: object = None):
+        self.value = value
+        self.arg = arg
+        self.instance = instance
+        self.prio = prio
 
 
-@dataclass
-class APRecord:
-    fields: tuple
-    instance: object = None
-    prio: object = None
+class APRecord(Struct):
+    __slots__ = ("fields", "instance", "prio")
+
+    def __init__(self, fields: tuple, instance: object = None,
+                 prio: object = None):
+        self.fields = fields
+        self.instance = instance
+        self.prio = prio
 
 
-@dataclass
-class ABVar:
-    name: str
+class ABVar(Struct):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
-class ABConstr:
-    name: str
-    arg: object
-    instance: object = None
-    prio: object = None
+class ABConstr(Struct):
+    __slots__ = ("name", "arg", "instance", "prio")
+
+    def __init__(self, name: str, arg: object, instance: object = None,
+                 prio: object = None):
+        self.name = name
+        self.arg = arg
+        self.instance = instance
+        self.prio = prio
 
 
-@dataclass
-class ABNum:
-    value: int
-    arg: object
-    instance: object = None
-    prio: object = None
+class ABNum(Struct):
+    __slots__ = ("value", "arg", "instance", "prio")
+
+    def __init__(self, value: int, arg: object, instance: object = None,
+                 prio: object = None):
+        self.value = value
+        self.arg = arg
+        self.instance = instance
+        self.prio = prio
 
 
-@dataclass
-class ABRecord:
-    fields: tuple
-    instance: object = None
-    prio: object = None
+class ABRecord(Struct):
+    __slots__ = ("fields", "instance", "prio")
+
+    def __init__(self, fields: tuple, instance: object = None,
+                 prio: object = None):
+        self.fields = fields
+        self.instance = instance
+        self.prio = prio
 
 
-@dataclass
-class ABProj:
-    sub: object
-    name: str
-    instance: object = None
-    prio: object = None
+class ABProj(Struct):
+    __slots__ = ("sub", "name", "instance", "prio")
+
+    def __init__(self, sub: object, name: str, instance: object = None,
+                 prio: object = None):
+        self.sub = sub
+        self.name = name
+        self.instance = instance
+        self.prio = prio
 
 
-@dataclass
-class ABCall:
-    fname: str
-    args: tuple
+class ABCall(Struct):
+    __slots__ = ("fname", "args")
+
+    def __init__(self, fname: str, args: tuple):
+        self.fname = fname
+        self.args = args
 
 
 _INSTANCE_NODES = (APConstr, ABConstr, APNum, ABNum, APRecord, ABRecord,
@@ -159,22 +190,29 @@ def index_clauses(adefs) -> list:
     return nodes
 
 
-@dataclass
-class AClause:
-    patterns: tuple
-    body: object
-    calls: tuple = ()  # set by `index_clauses`
+class AClause(Struct):
+    __slots__ = ("patterns", "body", "calls")
+
+    def __init__(self, patterns: tuple, body: object, calls: tuple = ()):
+        self.patterns = patterns
+        self.body = body
+        self.calls = calls  # set by `index_clauses`
 
 
-@dataclass
-class ADef:
-    fname: str
-    arity: int
-    arg_types: tuple
-    result_type: object
-    clauses: tuple
-    line: int = 0
-    col: int = 0
+class ADef(Struct):
+    __slots__ = ("fname", "arity", "arg_types", "result_type", "clauses",
+                 "line", "col")
+
+    def __init__(self, fname: str, arity: int, arg_types: tuple,
+                 result_type: object, clauses: tuple, line: int = 0,
+                 col: int = 0):
+        self.fname = fname
+        self.arity = arity
+        self.arg_types = arg_types
+        self.result_type = result_type
+        self.clauses = clauses
+        self.line = line
+        self.col = col
 
     @property
     def calls(self) -> tuple:
@@ -183,31 +221,39 @@ class ADef:
             name for cl in self.clauses for name in cl.calls))
 
 
-@dataclass
-class AnalyzedGroup:
-    defs: tuple
-    priorities: dict  # canonical instance -> priority
-    recursive: bool = False
-    bounds: object = None
+class AnalyzedGroup(Struct):
+    __slots__ = ("defs", "priorities", "recursive", "bounds")
+
+    def __init__(self, defs: tuple, priorities: dict,
+                 recursive: bool = False, bounds: object = None):
+        self.defs = defs
+        self.priorities = priorities  # canonical instance -> priority
+        self.recursive = recursive
+        self.bounds = bounds
 
 
 # ---------------------------------------------------------------------------
 # declaration environment
 
-@dataclass
-class CtorInfo:
-    decl: str
-    params: tuple
-    arg: object    # single internal argument type
-    result: TApp
+class CtorInfo(Struct):
+    __slots__ = ("decl", "params", "arg", "result")
+
+    def __init__(self, decl: str, params: tuple, arg: object, result: TApp):
+        self.decl = decl
+        self.params = params
+        self.arg = arg  # single internal argument type
+        self.result = result
 
 
-@dataclass
-class DtorInfo:
-    decl: str
-    params: tuple
-    owner: TApp
-    result: object
+class DtorInfo(Struct):
+    __slots__ = ("decl", "params", "owner", "result")
+
+    def __init__(self, decl: str, params: tuple, owner: TApp,
+                 result: object):
+        self.decl = decl
+        self.params = params
+        self.owner = owner
+        self.result = result
 
 
 class DeclEnv:
@@ -413,11 +459,13 @@ class Unifier:
 # ---------------------------------------------------------------------------
 # checking definition groups
 
-@dataclass
-class Scheme:
-    arg_types: tuple
-    result: object
-    quantified: tuple
+class Scheme(Struct):
+    __slots__ = ("arg_types", "result", "quantified")
+
+    def __init__(self, arg_types: tuple, result: object, quantified: tuple):
+        self.arg_types = arg_types
+        self.result = result
+        self.quantified = quantified
 
 
 def _instantiate(scheme: Scheme, u: Unifier):

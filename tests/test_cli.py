@@ -404,21 +404,49 @@ print([name for name in ("totality.order", "totality.collapse")
 """
 
 
+# the runtime on every corpus file, then the dataclasses of the package
+RUNTIME_DATACLASSES = """
+import contextlib, dataclasses, io, sys
+from totality.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for path in sys.argv[1:]:
+        main(["check", path, "--json"])
+print(sorted("%s.%s" % (value.__module__, value.__qualname__)
+             for module in list(sys.modules) if module.startswith("totality")
+             for value in vars(sys.modules[module]).values()
+             if isinstance(value, type) and dataclasses.is_dataclass(value)
+             and value.__module__ == module))
+"""
+
+
+def run_over_corpus(script: str) -> list:
+    """The lines `script` prints, run in a fresh interpreter with the
+    corpus files as its arguments."""
+    src = str(pathlib.Path(totality.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script,
+         *sorted(str(p) for p in CORPUS.glob("*.ch"))],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""})
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
 class TestPackage:
     def test_runtime_leaves_the_reference_alone(self):
         """The checker never imports `testkit`, which holds the term
         reference, and the modules that held it are gone."""
-        src = str(pathlib.Path(totality.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", RUNTIME_IMPORTS,
-             *sorted(str(p) for p in CORPUS.glob("*.ch"))],
-            capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": src, "PATH": ""})
-        assert done.returncode == 0, done.stderr
-        imported, present = done.stdout.splitlines()
+        imported, present = run_over_corpus(RUNTIME_IMPORTS)
         assert "totality.cli" in imported
         assert "totality.testkit" not in imported
         assert present == "[]"
+
+    def test_only_the_results_are_dataclasses(self):
+        """Syntax trees, terms and calls are plain records, which import
+        faster; only the library's result types are dataclasses."""
+        assert run_over_corpus(RUNTIME_DATACLASSES) == [repr([
+            "totality.checker.Config", "totality.checker.GroupReport",
+            "totality.checker.Report", "totality.checker.Verdict"])]
 
     def test_exports(self):
         assert totality.__all__ == [
