@@ -3,10 +3,9 @@ the call graph, and apply the size-change check per definition group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import scp
 from .callgraph import ClosureCapError, build_callgraph, transitive_closure
+from .records import Struct
 from .surface import (
     Program,
     SourceError,
@@ -24,36 +23,51 @@ UNKNOWN = "unknown"
 ERROR = "error"
 
 
-@dataclass
-class Config:
-    bound_b: int = 2
-    bound_d: int = 2
+class Config(Struct):
+    __slots__ = ("bound_b", "bound_d")
+
+    def __init__(self, bound_b: int = 2, bound_d: int = 2):
+        self.bound_b = bound_b
+        self.bound_d = bound_d
 
 
-@dataclass
-class Verdict:
-    fname: str
-    result: str
-    bounds: tuple
-    reasons: list = field(default_factory=list)
-    depends_on_unknown: list = field(default_factory=list)
+class Verdict(Struct):
+    __slots__ = ("fname", "result", "bounds", "reasons", "depends_on_unknown")
+
+    def __init__(self, fname: str, result: str, bounds: tuple,
+                 reasons: list | None = None,
+                 depends_on_unknown: list | None = None):
+        self.fname = fname
+        self.result = result
+        self.bounds = bounds
+        self.reasons = [] if reasons is None else reasons
+        self.depends_on_unknown = ([] if depends_on_unknown is None
+                                   else depends_on_unknown)
 
 
-@dataclass
-class GroupReport:
-    names: tuple
-    bounds: tuple
-    priorities: dict = field(default_factory=dict)
-    callgraph: tuple = ()
-    closure: tuple = ()
-    stats: dict = field(default_factory=dict)
+class GroupReport(Struct):
+    __slots__ = ("names", "bounds", "priorities", "callgraph", "closure",
+                 "stats")
+
+    def __init__(self, names: tuple, bounds: tuple,
+                 priorities: dict | None = None, callgraph: tuple = (),
+                 closure: tuple = (), stats: dict | None = None):
+        self.names = names
+        self.bounds = bounds
+        self.priorities = {} if priorities is None else priorities
+        self.callgraph = callgraph
+        self.closure = closure
+        self.stats = {} if stats is None else stats
 
 
-@dataclass
-class Report:
-    verdicts: list = field(default_factory=list)
-    groups: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
+class Report(Struct):
+    __slots__ = ("verdicts", "groups", "errors")
+
+    def __init__(self, verdicts: list | None = None,
+                 groups: list | None = None, errors: list | None = None):
+        self.verdicts = [] if verdicts is None else verdicts
+        self.groups = [] if groups is None else groups
+        self.errors = [] if errors is None else errors
 
     def exit_code(self) -> int:
         if self.errors or any(v.result == ERROR for v in self.verdicts):

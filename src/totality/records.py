@@ -1,11 +1,14 @@
 """Plain record classes with value equality.
 
-Syntax trees, terms and calls are small records.  Declaring them with
-`dataclasses` cost more than half of the package's import time, which a
-one-file check pays in full, so each is a plain class instead: it lists
-its fields in `__slots__`, sets them in its own `__init__`, and takes
-equality, hashing and `repr` from `Struct` or `Frozen`, which behave as a
-dataclass and a frozen dataclass do.
+Syntax trees, terms, calls and the library's result types (`Config`,
+`Verdict`, `GroupReport`, `Report`) are small records.  Declaring them
+with `dataclasses` cost more than half of the package's import time, which
+a one-file check pays in full, so each is a plain class instead: it lists
+its fields in `__slots__`, sets them in its own `__init__` (making a fresh
+list or dict for a default container), and takes equality, hashing,
+positional matching and `repr` from `Struct` or `Frozen`, which behave as
+a dataclass and a frozen dataclass do.  They copy and pickle, but
+`dataclasses.asdict` and its kin do not apply to them.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ def _tuple_getter(names: tuple):
 class Struct:
     """A mutable record, unhashable, equal to another of the same class
     whose compared fields are equal.  The fields are the class's own
-    `__slots__` (a `__dict__` entry aside), in order, and are compared
-    unless named in `_uncompared`."""
+    `__slots__` (a `__dict__` entry aside), in order, match by position in
+    that order, and are compared unless named in `_uncompared`."""
 
     __slots__ = ()
     _uncompared: tuple = ()
@@ -37,6 +40,7 @@ class Struct:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__dict__.get("__slots__", ())
                             if name != "__dict__")
+        cls.__match_args__ = cls._fields
         cls._key = staticmethod(_tuple_getter(tuple(
             name for name in cls._fields if name not in cls._uncompared)))
 

@@ -12,7 +12,6 @@ the argument of its `Zero`, standing for n `Succ` over that `Zero`.
 from __future__ import annotations
 
 import re
-import string
 from collections import namedtuple
 
 from .records import Struct
@@ -259,8 +258,9 @@ _TOKEN = re.compile(r"([ \t\r]*)(--.*|->|'\w*|\d+|[^\W\d][\w']*"
 # a name or numeral
 _KINDS = {word: word for word in (*_KEYWORDS, *":|=(){};,.", "->")}
 _KINDS["_"] = "wild"
-_STARTS = dict.fromkeys(string.ascii_letters + "_", "name")
-_STARTS.update(dict.fromkeys(string.digits, "int"))
+_STARTS = dict.fromkeys("abcdefghijklmnopqrstuvwxyz"
+                        "ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "name")
+_STARTS.update(dict.fromkeys("0123456789", "int"))
 
 
 def _kind(value: str, line: int, col: int) -> str:

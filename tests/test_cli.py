@@ -1,6 +1,5 @@
 """Driver behaviour: exit codes, reports, dumps, determinism."""
 
-import dataclasses
 import json
 import pathlib
 import re
@@ -312,8 +311,7 @@ class TestGroupErrors:
 
 class TestLibraryConfig:
     def test_config_holds_only_the_bounds(self):
-        assert [f.name for f in dataclasses.fields(Config)] == \
-            ["bound_b", "bound_d"]
+        assert Config.__slots__ == ("bound_b", "bound_d")
 
     def test_defaults(self):
         report = analyze_source(corpus_source("half.ch"), Config())
@@ -404,13 +402,17 @@ print([name for name in ("totality.order", "totality.collapse")
 """
 
 
-# the runtime on every corpus file, then the dataclasses of the package
-RUNTIME_DATACLASSES = """
-import contextlib, dataclasses, io, sys
+# the runtime on every corpus file, then the start-up modules it loaded
+# that the package must not need, then the dataclasses of the package
+RUNTIME_MODULES = """
+import contextlib, io, sys
 from totality.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     for path in sys.argv[1:]:
         main(["check", path, "--json"])
+print([name for name in ("dataclasses", "inspect", "string")
+       if name in sys.modules])
+import dataclasses
 print(sorted("%s.%s" % (value.__module__, value.__qualname__)
              for module in list(sys.modules) if module.startswith("totality")
              for value in vars(sys.modules[module]).values()
@@ -441,12 +443,13 @@ class TestPackage:
         assert "totality.testkit" not in imported
         assert present == "[]"
 
-    def test_only_the_results_are_dataclasses(self):
-        """Syntax trees, terms and calls are plain records, which import
-        faster; only the library's result types are dataclasses."""
-        assert run_over_corpus(RUNTIME_DATACLASSES) == [repr([
-            "totality.checker.Config", "totality.checker.GroupReport",
-            "totality.checker.Report", "totality.checker.Verdict"])]
+    def test_a_check_loads_no_dataclasses(self):
+        """Every record of the package, the result types included, is a
+        plain class, so a check never loads `dataclasses` and the modules
+        it pulls in, nor `string`; the package defines no dataclass."""
+        loaded, found = run_over_corpus(RUNTIME_MODULES)
+        assert loaded == "[]"
+        assert found == "[]"
 
     def test_exports(self):
         assert totality.__all__ == [

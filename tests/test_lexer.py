@@ -2,11 +2,12 @@
 (`testkit.reference_lex`): the same tokens, positions and errors."""
 
 import random
+import string
 
 import pytest
 
 from conftest import CORPUS, corpus_source
-from totality.surface import SourceError, _lex
+from totality.surface import SourceError, _STARTS, _lex
 from totality.testkit import reference_lex
 
 
@@ -19,6 +20,14 @@ def lexed(lex, src):
 
 def assert_same(src):
     assert lexed(_lex, src) == lexed(reference_lex, src), repr(src)
+
+
+def test_ascii_starts():
+    """The ASCII letters and `_` start a name and the digits a numeral,
+    spelt out in `surface` so that it need not import `string`."""
+    assert _STARTS == {
+        **dict.fromkeys(string.ascii_letters + "_", "name"),
+        **dict.fromkeys(string.digits, "int")}
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
-"""The record contract of syntax trees, terms, calls and outcomes: value
-equality within one class, fields left out of it, hashing and immutability
-of the frozen records, fresh default containers and the `repr`."""
+"""The record contract of syntax trees, terms, calls, outcomes and the
+library's result types: value equality within one class, fields left out
+of it, hashing and immutability of the frozen records, fresh default
+containers, copies and pickles, and the `repr`."""
 
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -11,7 +11,13 @@ import pytest
 from conftest import corpus_source
 from totality import terms
 from totality.callgraph import Call, CallGraph
-from totality.checker import Config, analyze_source
+from totality.checker import (
+    Config,
+    GroupReport,
+    Report,
+    Verdict,
+    analyze_source,
+)
 from totality.records import Frozen, Struct
 from totality.scp import GroupOutcome
 from totality.surface import (
@@ -133,12 +139,16 @@ class TestCopies:
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
 
-    def test_reports_convert_to_dicts(self):
+    def test_reports_copy_and_pickle(self):
         report = analyze_source(corpus_source("sums.ch"), Config())
-        doc = dataclasses.asdict(report)
         edges = [e for g in report.groups for e in g.callgraph]
-        assert edges
-        assert [e for g in doc["groups"] for e in g["callgraph"]] == edges
+        assert edges and all(isinstance(e, Call) for e in edges)
+        for other in (copy.deepcopy(report),
+                      pickle.loads(pickle.dumps(report))):
+            assert other is not report and other == report
+            assert [e for g in other.groups for e in g.callgraph] == edges
+            assert other.exit_code() == report.exit_code()
+        assert copy.copy(report).verdicts is report.verdicts
 
 
 class TestDefaults:
@@ -156,6 +166,77 @@ class TestDefaults:
     def test_records_have_no_other_attributes(self):
         with pytest.raises(AttributeError):
             PVar("x").line = 3
+
+    def test_result_containers_are_fresh(self):
+        a, b = Verdict("f", "total", (2, 2)), Verdict("f", "total", (2, 2))
+        assert a.reasons == [] and a.depends_on_unknown == []
+        assert a.reasons is not b.reasons
+        assert a.depends_on_unknown is not b.depends_on_unknown
+        first = GroupReport(("f",), (2, 2))
+        second = GroupReport(("f",), (2, 2))
+        assert first.priorities == {} and first.stats == {}
+        assert first.callgraph == () and first.closure == ()
+        assert first.priorities is not second.priorities
+        assert first.stats is not second.stats
+        one, two = Report(), Report()
+        assert one.verdicts == one.groups == one.errors == []
+        assert one.verdicts is not two.verdicts
+        assert one.groups is not two.groups
+        assert one.errors is not two.errors
+        one.errors.append("bound")
+        assert two.errors == []
+
+
+class TestResults:
+    def test_positional_construction_keeps_the_field_order(self):
+        assert Config(3, 1) == Config(bound_b=3, bound_d=1)
+        assert Config(3) == Config(bound_b=3, bound_d=2)
+        assert Verdict("f", "unknown", (1, 1), ["r"], ["g"]) == Verdict(
+            fname="f", result="unknown", bounds=(1, 1), reasons=["r"],
+            depends_on_unknown=["g"])
+        assert GroupReport(("f",), (1, 1), {"nat": 0}, (call(),), (),
+                           {"edges": 1}) == GroupReport(
+            names=("f",), bounds=(1, 1), priorities={"nat": 0},
+            callgraph=(call(),), closure=(), stats={"edges": 1})
+        verdict = Verdict("f", "total", (2, 2))
+        assert Report([verdict], [], ["e"]) == Report(
+            verdicts=[verdict], groups=[], errors=["e"])
+
+    def test_fields_match_by_position(self):
+        match Verdict("f", "unknown", (1, 1), ["r"]):
+            case Verdict(name, result, bounds, reasons):
+                assert (name, result, bounds, reasons) == \
+                    ("f", "unknown", (1, 1), ["r"])
+            case _:
+                pytest.fail("no match")
+
+    def test_every_field_is_compared(self):
+        assert Config() == Config(2, 2) and Config() != Config(2, 3)
+        assert Verdict("f", "total", (2, 2)) != \
+            Verdict("f", "total", (2, 2), depends_on_unknown=["g"])
+        assert GroupReport(("f",), (2, 2)) != \
+            GroupReport(("f",), (2, 2), stats={"edges": 0})
+        assert Report() != Report(errors=["e"])
+        assert Config() != (2, 2)
+
+    @pytest.mark.parametrize("value", [
+        Config(), Verdict("f", "total", (2, 2)),
+        GroupReport(("f",), (2, 2)), Report()],
+        ids=lambda v: type(v).__name__)
+    def test_results_are_unhashable(self, value):
+        with pytest.raises(TypeError):
+            hash(value)
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(Config()) == "Config(bound_b=2, bound_d=2)"
+        report = analyze_source(corpus_source("magic.ch"), Config())
+        assert repr(report.verdicts[-1]) == (
+            "Verdict(fname='magic', result='total', bounds=(2, 2), "
+            "reasons=[], depends_on_unknown=['bad_s'])")
+        assert repr(GroupReport(("f",), (2, 2))) == (
+            "GroupReport(names=('f',), bounds=(2, 2), priorities={}, "
+            "callgraph=(), closure=(), stats={})")
+        assert repr(Report()) == "Report(verdicts=[], groups=[], errors=[])"
 
 
 class TestRepr:
