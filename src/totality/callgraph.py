@@ -15,6 +15,7 @@ from .terms import (
     Term,
     Unknown,
     Weight,
+    ZEROW,
     approx,
     constr,
     constr_dual,
@@ -196,7 +197,7 @@ def clause_calls(caller: str, cl, group: set, counts: dict) -> list:
             return [("x", DAIMON, (), 0)]
         return list(dict.fromkeys(
             leaf for a in node.args for s in trees(a)
-            for leaf in _approx(DAIMON, s, weigh)))
+            for leaf in daimon_leaves(s)))
 
     def occurrences(node) -> list:
         """(spine, (callee, argument choices)) of each call in `node`."""
@@ -364,16 +365,6 @@ def tree_term(tree: tuple) -> Term:
                 Param(end) if end else Unknown())
 
 
-def _rebuild(tree: tuple, f) -> list:
-    """The summands of a constructor or record whose children are replaced
-    by the summands `f` gives them; a record takes the product of its
-    fields' distinct summands."""
-    if tree[0] == "c":
-        return [("c", tree[1], tree[2], s) for s in f(tree[3])]
-    choices = [[(n, s) for s in dict.fromkeys(f(v))] for n, v in tree[2]]
-    return [("r", tree[1], fields) for fields in itertools.product(*choices)]
-
-
 def leaf_paths(tree: tuple, above: tuple = ()) -> list:
     """The path to each leaf of `tree`, in order: the constructor items
     ("c", name, p) and field items ("r", name, p) above the leaf, outermost
@@ -386,65 +377,25 @@ def leaf_paths(tree: tuple, above: tuple = ()) -> list:
     return [above + (tree,)]
 
 
-def _approx(middle, tree: tuple, weigh) -> list:
-    """The middle `middle` over `tree`, None for a zero weight.  The Daimon
-    gives a Daimon leaf for each leaf of the tree.  A weight absorbs the
-    constructors above a leaf and the leaf's weight, vanishes under the
-    leaf's Daimon, and over a record gives the Daimons of its leaves."""
-    ctors = ()  # their items only: a weight key holds no subtree
-    while tree[0] == "c":
-        ctors += (tree[:3],)
-        tree = tree[3]
-    if middle == DAIMON or tree[0] == "r":
-        return [("x", DAIMON) + path[-1][2:] for path in leaf_paths(tree)]
-    if tree[1] == DAIMON:
-        return [tree]
-    return [("x", weigh((middle, tree[1]), ctors, -1), tree[2], tree[3])]
+def daimon_leaves(tree: tuple) -> list:
+    """The Daimon over `tree`: a Daimon leaf for each leaf of the tree."""
+    return [("x", DAIMON) + path[-1][2:] for path in leaf_paths(tree)]
 
 
-def _subst(tree: tuple, bound: dict, weigh) -> list:
-    """The summands of `tree` with each parameter j that `bound` binds
-    replaced by the tree bound[j], uncollapsed."""
-    if tree[0] != "x":
-        return _rebuild(tree, lambda s: _subst(s, bound, weigh))
-    _, middle, word, end = tree
-    t = bound.get(end)
-    if t is None:
-        return [tree]
-    i = len(word)
-    while i and t[0] != "x":
-        kind, name = word[i - 1][:2]
-        if t[0] == "c":
-            t = t[3] if kind == "d" and name == t[1] else None
-        else:
-            t = next((v for n, v in t[2] if n == name and kind == "j"), None)
-        if t is None:
-            return []
-        i -= 1
-    if i and t[1] is None:
-        t = ("x", None, word[:i] + t[2], t[3])
-    elif i and t[1] != DAIMON:
-        t = ("x", weigh((t[1],), word[:i], -1), t[2], t[3])
-    return [t] if middle is None else _approx(middle, t, weigh)
-
-
-def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int,
-              weigh) -> list:
-    """The summands of `tree` collapsed as `testkit.collapse_call_term`
-    collapses its term, with `budget` constructor layers left: past them a
-    zero weight, then each leaf keeps its D innermost destructors, folds
-    the others into its weight and clamps the weight."""
-    if tree[0] != "x" and budget:
-        return _rebuild(
-            tree, lambda s: _collapse(s, budget - 1, bound_b, bound_d, weigh))
-    if tree[0] != "x":
-        return [c for s in _approx(None, tree, weigh)
-                for c in _collapse(s, 0, bound_b, bound_d, weigh)]
-    _, middle, word, end = tree
-    cut = max(0, len(word) - bound_d)
-    if middle != DAIMON and (cut or middle is not None):
-        middle = weigh((middle,), word[:cut], -1, bound_b)
-    return [("x", middle, word[cut:], end)]
+def _record(tree: tuple, f, arg) -> list:
+    """The summands of record `tree` whose fields are replaced by the
+    summands f(field, arg) gives them: the product of the fields' distinct
+    summands, built at once when each field has one."""
+    single, choices = [], []
+    for n, v in tree[2]:
+        summands = f(v, arg)
+        choices.append((n, summands))
+        if len(summands) == 1:
+            single.append((n, summands[0]))
+    if len(single) == len(choices):
+        return [("r", tree[1], tuple(single))]
+    return [("r", tree[1], product) for product in itertools.product(*[
+        [(n, s) for s in dict.fromkeys(summands)] for n, summands in choices])]
 
 
 class _Ids(dict):
@@ -558,6 +509,9 @@ def item_key(node: tuple) -> tuple:
     return (tag,) + top[1:] + keys
 
 
+_ZERO_WEIGHT = ("w", ZEROW)
+
+
 class CallTables:
     """Tables for composing calls piecewise, as a spine and its arguments.
 
@@ -575,12 +529,20 @@ class CallTables:
     collapsed arguments, and the product of the arguments' sorted summands
     comes out in the sorted order of the whole composite's summands.
 
-    Everything is memoised by ids.  Here a middle is None, the Daimon or
-    the id of a weight item: `trees` holds the argument trees with such
-    middles, `args` the trees themselves, and a weight sum is a lookup
-    (`_weigh`).  A spine is the ids of its `spine_parts`; `composed[ia][ib]`
-    is the id of the composite of spines ia and ib.  A substitution is keyed
-    by the argument id and the ids bound to the parameters it mentions.
+    Everything is memoised by ids, so a composite met for the first time
+    costs lookups.  Here a middle is None, the Daimon or the id of a weight
+    item, 0 for the zero weight: `trees` holds the argument trees with such
+    middles, `args` the trees themselves.  Weight arithmetic is on ids too:
+    `folds` holds the weight of an item word absorbed with a spine's or an
+    argument's signs, `sums` the sum of two weights and `clamps` a weight
+    clamped into [-B, B) (`_weigh` chains them), so a weight is built only
+    when one of them meets a key for the first time.  A spine is the ids of
+    its `spine_parts`; `composed[ia][ib]` is the id of the composite of
+    spines ia and ib, through the steps of `_compose`, whose word work
+    (`cancels`, `cuts`) is keyed by word ids alone.  A substitution is
+    keyed by the argument id and the ids bound to the parameters it
+    mentions.  `after` and `before` compose one call with a row of
+    partners, looking up what the row shares once; `combine` is one pair.
 
     Substituting on trees is exact too.  Above the leaves the smart
     constructors only rebuild nodes, distributing over sums, so a record
@@ -589,23 +551,32 @@ class CallTables:
     destructors, innermost first, and then its middle.  `_subst` applies
     their head reductions with an argument's signs (it holds no call), and
     `_collapse` does to a tree what `testkit.collapse_call_term` does to
-    its term.
+    its term; `testkit.substitute_tree` is the plain walk on weight items.
 
     One instance serves one closure and is dropped with it."""
 
     def __init__(self, bound_b: int, bound_d: int):
         self.bound_b, self.bound_d = bound_b, bound_d
         self.words = _Ids(())
-        self.weights = _Ids()  # None and the Daimon stand for themselves
+        # None and the Daimon stand for themselves
+        self.weights = _Ids(_ZERO_WEIGHT)
         self.weights.update({None: None, DAIMON: DAIMON})
+        # folds[(word, sign)], sums[(a, b)], clamps[a]: weight ids
+        self.folds: dict = {}
         self.sums: dict = {}
+        self.clamps: dict = {}
         self.spine_ids = _Ids(None)
         self.parts: list = self.spine_ids.values
         self.spines: list = [None]
-        self.composed: list[list] = [[]]
-        # steps[(ma, da, cb, mb)]: `_merge`; steps[(ca, merged, db)]: the
-        # spine id `_compose` collapses them to
-        self.steps: dict = {}
+        # composed[ia][ib]: the spine id of the composite, None until met
+        self.composed: list[list] = [[None]]
+        # the steps of `_compose`: cancels[(da, cb)]: `_cancel`;
+        # merges[(ma, da, cb, mb)]: `_merge`; cuts[(ca, xc, xd, db)]:
+        # `_cut`; collapses[(ca, merged, db)]: the spine id of the composite
+        self.cancels: dict = {}
+        self.merges: dict = {}
+        self.cuts: dict = {}
+        self.collapses: dict = {}
         self.arg_ids = _Ids()
         self.trees: list = self.arg_ids.values
         self.args: list = []
@@ -619,12 +590,17 @@ class CallTables:
     def _middle_item(self, middle):
         return self.weights.values[middle] if type(middle) is int else middle
 
-    def _spine_id(self, ctors: tuple, middle, dtors: tuple) -> int:
-        sid = self.spine_ids[self.words[ctors], middle, self.words[dtors]]
+    def _spine_id(self, cw: int, middle, dw: int) -> int:
+        """The id of the spine of constructor word id `cw`, `middle` and
+        destructor word id `dw`."""
+        sid = self.spine_ids[cw, middle, dw]
         if sid == len(self.spines):
-            self.spines.append(ctors + (self._middle_item(middle),)
-                               * (middle is not None) + dtors)
-            self.composed.append([])
+            words = self.words.values
+            self.spines.append(words[cw] + (self._middle_item(middle),)
+                               * (middle is not None) + words[dw])
+            for row in self.composed:
+                row.append(None)
+            self.composed.append([None] * len(self.spines))
         return sid
 
     def _arg_id(self, tree: tuple) -> int:
@@ -639,7 +615,8 @@ class CallTables:
     def split(self, call: Call) -> tuple:
         """Spine id and argument ids of a call."""
         ctors, middle, dtors = spine_parts(call.spine)
-        return (self._spine_id(ctors, self.weights[middle], dtors),
+        return (self._spine_id(self.words[ctors], self.weights[middle],
+                               self.words[dtors]),
                 tuple(self._arg_id(_map_middles(a, self.weights.__getitem__))
                       for a in call.args))
 
@@ -651,8 +628,6 @@ class CallTables:
         ia, ids_a = first
         ib, ids_b = second
         row = self.composed[ia]
-        if ib >= len(row):
-            row.extend([None] * (ib + 1 - len(row)))
         sid = row[ib]
         if sid is None:
             sid = row[ib] = self._compose(ia, ib)
@@ -667,6 +642,57 @@ class CallTables:
             choices.append(ids)
         return sid, choices
 
+    def after(self, first: tuple, partners) -> list:
+        """`combine(first, second)` for each (second, tag) of `partners`, as
+        (second, tag, spine id, choices) for each nonzero composite, in
+        order: one row of composites, with its row of `composed` looked up
+        once."""
+        ia, ids_a = first
+        row, bound, subst = self.composed[ia], self.bound, self.subst
+        found = []
+        for second, tag in partners:
+            ib, ids_b = second
+            sid = row[ib]
+            if sid is None:
+                sid = row[ib] = self._compose(ia, ib)
+            if sid:
+                choices = []
+                for b in ids_b:
+                    key = (b, bound[b](ids_a))
+                    ids = subst.get(key)
+                    if ids is None:
+                        ids = subst[key] = self._substitute(b, ids_a)
+                    choices.append(ids)
+                found.append((second, tag, sid, choices))
+        return found
+
+    def before(self, partners, second: tuple) -> list:
+        """`combine(first, second)` for each (first, tag) of `partners`, as
+        (first, tag, spine id, choices) for each nonzero composite, in
+        order: one column of composites, with the binding getters of the
+        arguments of `second` looked up once."""
+        ib, ids_b = second
+        getters = ids_b and list(zip(ids_b, map(self.bound.__getitem__,
+                                                ids_b)))
+        composed, subst = self.composed, self.subst
+        found = []
+        for first, tag in partners:
+            ia, ids_a = first
+            row = composed[ia]
+            sid = row[ib]
+            if sid is None:
+                sid = row[ib] = self._compose(ia, ib)
+            if sid:
+                choices = []
+                for b, get in getters:
+                    key = (b, get(ids_a))
+                    ids = subst.get(key)
+                    if ids is None:
+                        ids = subst[key] = self._substitute(b, ids_a)
+                    choices.append(ids)
+                found.append((first, tag, sid, choices))
+        return found
+
     def call(self, caller: str, sid: int, callee: str, ids: tuple) -> Call:
         """The edge of a candidate."""
         return Call(caller, callee, self.spines[sid],
@@ -676,87 +702,240 @@ class CallTables:
         """The spine id of Ca Ma Da over Cb Mb Db collapsed, 0 if zero: Ca,
         Ma Da Cb Mb reduced (`_merge` adds weights unclamped) and Db; the D
         outer constructors and D inner destructors stay, the rest fold into
-        the middle, whose weight is clamped once (`testkit.compose_spines`)."""
+        the middle, whose weight is clamped once (`testkit.compose_spines`).
+        Which items stay and what the rest weigh depends on the words alone
+        (`_cut`)."""
         ca, ma, da = self.parts[ia]
         cb, mb, db = self.parts[ib]
         key = (ma, da, cb, mb)
-        merged = self.steps.get(key)
+        merged = self.merges.get(key)
         if merged is None:
-            merged = self.steps[key] = self._merge(*key)
+            merged = self.merges[key] = self._merge(*key)
         if not merged:
             return 0
         key = (ca, merged, db)
-        sid = self.steps.get(key)
+        sid = self.collapses.get(key)
         if sid is None:
             xc, xm, xd = merged
-            words, d = self.words.values, self.bound_d
-            ctors, dtors = words[ca] + words[xc], words[xd] + words[db]
-            cut = max(0, len(dtors) - d)
-            middle = self._add((xm,), ctors[d:] + dtors[:cut], self.bound_b)
-            sid = self.steps[key] = self._spine_id(
-                ctors[:d], middle, dtors[cut:])
+            ends = (ca, xc, xd, db)
+            cut = self.cuts.get(ends)
+            if cut is None:
+                cut = self.cuts[ends] = self._cut(*ends)
+            cw, folded, dw = cut
+            if xm != DAIMON and (folded is not None or xm is not None):
+                w = 0 if folded is None else folded
+                if xm is not None:
+                    w = self._plus(w, xm)
+                xm = self._clamp(w)
+            sid = self.collapses[key] = self._spine_id(cw, xm, dw)
         return sid
 
+    def _cut(self, ca: int, xc: int, xd: int, db: int) -> tuple:
+        """The kept constructor word id of Ca Xc, the weight id of the items
+        folded from Ca Xc and Xd Db (None when none are) and the kept
+        destructor word id of Xd Db."""
+        words, d = self.words.values, self.bound_d
+        ctors, dtors = words[ca] + words[xc], words[xd] + words[db]
+        cut = max(0, len(dtors) - d)
+        folded = ctors[d:] + dtors[:cut]
+        return (self.words[ctors[:d]],
+                self._fold(folded, 1) if folded else None,
+                self.words[dtors[cut:]])
+
     def _merge(self, ma, da: int, cb: int, mb):
-        """The parts of Ma Da Cb Mb reduced, 0 if zero.  Da cancels against Cb,
-        inner end against outer end: "d" cancels "c" and "j" cancels "r" of the
-        same name (`constr_dual` and `project` match on the name only), any
-        other pair is zero.  Leftover destructors stay below Ma when there is
-        no Mb, leftover constructors above Mb when there is no Ma; else all
-        join (`_add`)."""
+        """The parts of Ma Da Cb Mb reduced, 0 if zero (`_cancel`).
+        Leftover destructors stay below Ma when there is no Mb, leftover
+        constructors above Mb when there is no Ma; else all join,
+        unclamped: the Daimon absorbs, and of nothing there is none."""
+        key = (da, cb)
+        cancel = self.cancels.get(key)
+        if cancel is None:
+            cancel = self.cancels[key] = self._cancel(*key)
+        if not cancel:
+            return 0
+        dw, cw, folded = cancel
+        if dw and mb is None:
+            return 0, ma, dw
+        if cw and ma is None:
+            return cw, mb, 0
+        if ma == DAIMON or mb == DAIMON:
+            return 0, DAIMON, 0
+        if folded is None and ma is None and mb is None:
+            return 0, None, 0
+        w = 0 if folded is None else folded
+        if ma is not None:
+            w = self._plus(w, ma)
+        if mb is not None:
+            w = self._plus(w, mb)
+        return 0, w, 0
+
+    def _cancel(self, da: int, cb: int):
+        """Da against Cb, 0 if zero, else the word ids of the destructors
+        and of the constructors left, one of them empty, and the weight id
+        of what is left (None when nothing is).  Da cancels against Cb,
+        inner end against outer end: "d" cancels "c" and "j" cancels "r" of
+        the same name (`constr_dual` and `project` match on the name only),
+        any other pair is zero."""
         d, c = self.words.values[da], self.words.values[cb]
         i, j = len(d), 0
         while i and j < len(c):
             if _CANCELS[d[i - 1][0]] != c[j][0] or d[i - 1][1] != c[j][1]:
                 return 0
             i, j = i - 1, j + 1
-        if i and mb is None:
-            return 0, ma, self.words[d[:i]]
-        if j < len(c) and ma is None:
-            return self.words[c[j:]], mb, 0
-        return 0, self._add((ma, mb), d[:i] + c[j:]), 0
+        left = d[:i] + c[j:]
+        return (self.words[d[:i]], self.words[c[j:]],
+                self._fold(left, 1) if left else None)
 
-    def _add(self, middles: tuple, folded: tuple, bound_b=None):
-        """`middles` and the items `folded` in one middle, with a spine's
-        signs; the Daimon absorbs, and of nothing there is none.  An
-        unclamped sum is `_merge`'s, which `steps` already memoises, so it
-        is weighed without `sums`."""
-        if DAIMON in middles:
-            return DAIMON
-        if not folded and set(middles) == {None}:
-            return None
-        if bound_b is None:
-            return self.weights[weigh(
-                [self._middle_item(m) for m in middles], folded, 1)]
-        return self._weigh(middles, folded, 1, bound_b)
+    def _weigh(self, middles: tuple, folded: tuple, sign: int,
+               clamped: bool = False) -> int:
+        """The id of `weigh(middles, folded, sign)`, with weight ids for
+        middles (None adds nothing), clamped into [-B, B) if `clamped`."""
+        w = self._fold(folded, sign) if folded else 0
+        for m in middles:
+            if m is not None:
+                w = self._plus(w, m)
+        return self._clamp(w) if clamped else w
+
+    def _weight(self, acc: dict) -> int:
+        """The id of the weight with the values `acc` by priority."""
+        return self.weights["w", Weight(tuple(sorted(
+            filter(itemgetter(1), acc.items()))))]
+
+    def _fold(self, word: tuple, sign: int) -> int:
+        """The id of the weight of the items `word`, absorbed with the signs
+        of a spine (`sign` 1) or of an argument (-1)."""
+        key = (word, sign)
+        w = self.folds.get(key)
+        if w is None:
+            acc: dict = {}
+            for item in word:
+                acc[item[2]] = acc.get(item[2], 0) + sign * _ABSORBED[item[0]]
+            w = self.folds[key] = self._weight(acc)
+        return w
+
+    def _plus(self, a: int, b: int) -> int:
+        """The id of the sum of weights a and b, unclamped."""
+        if not a or not b:
+            return a or b
+        key = (a, b)
+        w = self.sums.get(key)
+        if w is None:
+            weights = self.weights.values
+            acc = dict(weights[a][1].items)
+            for p, v in weights[b][1].items:
+                acc[p] = acc.get(p, 0) + v
+            w = self.sums[key] = self._weight(acc)
+        return w
+
+    def _clamp(self, a: int) -> int:
+        """The id of weight a clamped into [-B, B)."""
+        w = self.clamps.get(a)
+        if w is None:
+            w = self.clamps[a] = self._weight({
+                p: clamp(self.bound_b, v)
+                for p, v in self.weights.values[a][1].items})
+        return w
 
     def _substitute(self, b: int, ids: tuple) -> tuple:
         """The summand ids, in the order of their terms, of argument b
         collapsed with each parameter j bound to argument ids[j - 1];
         `testkit.substitute_tree` gives the same summands."""
-        bound = {j: self.trees[a] for j, a in enumerate(ids, start=1)}
-        ids = {}
-        for s in _subst(self.trees[b], bound, self._weigh):
-            got = self.collapsed.get(s)
+        trees, collapsed = self.trees, self.collapsed
+        bound = (None, *map(trees.__getitem__, ids))
+        found = ()
+        for s in self._subst(trees[b], bound):
+            got = collapsed.get(s)
             if got is None:
-                got = self.collapsed[s] = tuple(
-                    self._arg_id(c) for c in _collapse(
-                        s, self.bound_d, self.bound_b, self.bound_d,
-                        self._weigh))
-            ids.update(dict.fromkeys(got))
-        if len(ids) > 1:
-            return tuple(sorted(ids, key=lambda a: item_key(self.args[a])))
-        return tuple(ids)
+                got = collapsed[s] = tuple([
+                    self._arg_id(c) for c in self._collapse(s, self.bound_d)])
+            found += got
+        if len(found) > 1:
+            return tuple(sorted(dict.fromkeys(found),
+                                key=lambda a: item_key(self.args[a])))
+        return found
 
-    def _weigh(self, middles, folded, sign: int, bound_b=None) -> int:
-        """The module's `weigh` on weight ids, looked up by them."""
-        key = (middles, folded, sign, bound_b)
-        wid = self.sums.get(key)
-        if wid is None:
-            items = [self._middle_item(m) for m in middles]
-            item = weigh(items, folded, sign, bound_b)
-            wid = self.sums[key] = self.weights[item]
-        return wid
+    def _subst(self, tree: tuple, bound: tuple) -> list:
+        """The summands of `tree` with each parameter j replaced by the
+        tree bound[j], unless that is None, uncollapsed."""
+        kind = tree[0]
+        if kind == "c":
+            found = self._subst(tree[3], bound)
+            if len(found) == 1:
+                return [("c", tree[1], tree[2], found[0])]
+            return [("c", tree[1], tree[2], s) for s in found]
+        if kind == "r":
+            return _record(tree, self._subst, bound)
+        _, middle, word, end = tree
+        t = bound[end]
+        if t is None:
+            return [tree]
+        i = len(word)
+        while i and t[0] != "x":
+            item = word[i - 1]
+            if t[0] == "c":
+                if item[0] != "d" or item[1] != t[1]:
+                    return []
+                t = t[3]
+            else:
+                if item[0] != "j":
+                    return []
+                name = item[1]
+                for n, v in t[2]:
+                    if n == name:
+                        t = v
+                        break
+                else:
+                    return []
+            i -= 1
+        if i:
+            if t[1] is None:
+                t = ("x", None, word[:i] + t[2], t[3])
+            elif t[1] != DAIMON:
+                t = ("x", self._plus(self._fold(word[:i], -1), t[1]), t[2],
+                     t[3])
+        return [t] if middle is None else self._approx(middle, t)
+
+    def _approx(self, middle, tree: tuple) -> list:
+        """The middle `middle` over `tree`, None for a zero weight.  The
+        Daimon gives a Daimon leaf for each leaf of the tree.  A weight
+        absorbs the constructors above a leaf and the leaf's weight,
+        vanishes under the leaf's Daimon, and over a record gives the
+        Daimons of its leaves."""
+        ctors = ()  # their items only: a weight key holds no subtree
+        while tree[0] == "c":
+            ctors += (tree[:3],)
+            tree = tree[3]
+        if middle == DAIMON or tree[0] == "r":
+            return daimon_leaves(tree)
+        if tree[1] == DAIMON:
+            return [tree]
+        w = 0 if tree[1] is None else tree[1]
+        if middle is not None:
+            w = self._plus(middle, w)
+        if ctors:
+            w = self._plus(self._fold(ctors, -1), w)
+        return [("x", w, tree[2], tree[3])]
+
+    def _collapse(self, tree: tuple, budget: int) -> list:
+        """The summands of `tree` collapsed as `testkit.collapse_call_term`
+        collapses its term, with `budget` constructor layers left: past
+        them a zero weight, then each leaf keeps its D innermost
+        destructors, folds the others into its weight and clamps the
+        weight."""
+        kind = tree[0]
+        if kind == "x":
+            _, middle, word, end = tree
+            cut = max(0, len(word) - self.bound_d)
+            if middle != DAIMON and (cut or middle is not None):
+                middle = self._weigh((middle,), word[:cut], -1, True)
+            return [("x", middle, word[cut:], end)]
+        if not budget:
+            return [c for s in self._approx(None, tree)
+                    for c in self._collapse(s, 0)]
+        if kind == "c":
+            return [("c", tree[1], tree[2], s)
+                    for s in self._collapse(tree[3], budget - 1)]
+        return _record(tree, self._collapse, budget - 1)
 
 
 def transitive_closure(graph: CallGraph) -> CallGraph:
@@ -766,9 +945,12 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
     in the order the edges were found, takes a step with its partners: the
     edges i <= k into its caller and i < k out of its callee.  A vertex
     groups its partners by shape, spine id and argument ids, as a bitset of
-    their other endpoints, so `CallTables.combine` runs once per group, and
-    a candidate's new edges are the endpoints in the group that lack it.
-    They are added in the order of composing the partners one by one: by
+    their other endpoints, and a candidate's new edges are the endpoints in
+    the group that lack it.  Edge k meets its groups in one row loop per
+    side, `CallTables.before` for the edges into its caller and
+    `CallTables.after` for those out of its callee, which compose it with
+    each group once and look up what the side shares once.  The new edges
+    are added in the order of composing the partners one by one: by
     increasing i, (i, k) before (k, i), each composite's candidates in the
     order `testkit.compose_calls` gives them.  `compositions` counts the
     ordered pairs of edges that meet.  Each loop's composites with itself
@@ -788,7 +970,7 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
     for j, ((a, b), (sid, ids)) in enumerate(zip(ends, parts)):
         callers[b, sid, ids] |= 1 << a
         callees[a, sid, ids] |= 1 << b
-        starts[a].append(j)
+        starts[a].append((parts[j], j))
 
     def edge(a: int, b: int, sid: int, ids: tuple) -> int:
         """The index of a candidate's edge, added if it is new."""
@@ -807,14 +989,14 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
         return n
 
     first = len(edges)
-    pairs = [(i, j) for i in range(first) for j in starts[ends[i][1]]]
-    compositions = len(pairs)
+    compositions = sum(len(starts[b]) for _, b in ends)
     if compositions > MAX_COMPOSITIONS:
         raise _composition_cap()
-    for i, j in pairs:
-        sid, choices = tables.combine(parts[i], parts[j])
-        for ids in itertools.product(*choices) if sid else ():
-            edge(ends[i][0], ends[j][1], sid, ids)
+    for i in range(first):
+        a = ends[i][0]
+        for _, j, sid, choices in tables.after(parts[i], starts[ends[i][1]]):
+            for ids in itertools.product(*choices):
+                edge(a, ends[j][1], sid, ids)
     # into[v][shape], out[u][shape]: bitsets of the callers of the edges
     # into v and of the callees of the edges out of u, each edge entered
     # just before and just after its step, and the numbers of those edges
@@ -834,17 +1016,15 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
             # new candidates, led by their partner's index and 0 for (i, k)
             # or 1 for (k, i); a stable sort keeps the product's order
             new = []
-            for t, mask in into[u].items():
-                sid, choices = tables.combine(t, s)
-                for ids in itertools.product(*choices) if sid else ():
+            for t, mask, sid, choices in tables.before(into[u].items(), s):
+                for ids in itertools.product(*choices):
                     fresh = mask & ~callers.get((v, sid, ids), 0)
                     while fresh:
                         w = fresh.bit_length() - 1
                         fresh ^= 1 << w
                         new.append(((seen[(w, u) + t], 0), w, v, sid, ids))
-            for t, mask in out[v].items():
-                sid, choices = tables.combine(s, t)
-                for ids in itertools.product(*choices) if sid else ():
+            for t, mask, sid, choices in tables.after(s, out[v].items()):
+                for ids in itertools.product(*choices):
                     fresh = mask & ~callees.get((u, sid, ids), 0)
                     while fresh:
                         w = fresh.bit_length() - 1

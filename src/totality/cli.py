@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .checker import Config, Report, analyze_source
@@ -124,6 +123,8 @@ def main(argv=None) -> int:
             if text:
                 print(text)
     if args.json:
+        import json  # only here: a text report does not load it
+
         payload = documents[0] if len(documents) == 1 else documents
         print(json.dumps(payload, indent=2, sort_keys=True))
     return worst

@@ -29,17 +29,16 @@ compare `CallTables`, which does both on interned ids, with them.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from .callgraph import (
     DAIMON,
     Call,
-    _collapse,
-    _subst,
     clamp,
+    leaf_paths,
     tree_term,
-    weigh,
 )
 from .surface import _KEYWORDS, SourceError, Token
 from .terms import (
@@ -644,11 +643,106 @@ def is_checked_loop(call: Call, bound_b: int, bound_d: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # the item path
+#
+# `weigh`, `_subst`, `_collapse` and their helpers are the plain item walks
+# on argument trees, with whole weight items; `CallTables` does the same on
+# interned ids with memoised weight arithmetic, and the tests compare the
+# two.
 
 # the constructor item each destructor item cancels
 _CANCELS = {"d": "c", "j": "r"}
 
 _ZERO_WEIGHT = ("w", ZEROW)
+
+# what an item adds at its priority when absorbed into a spine's weight;
+# in an argument's weight it adds the opposite
+_ABSORBED = {"c": -1, "r": -1, "d": 1, "j": 1}
+
+
+def weigh(middles, folded, sign: int, bound_b=None) -> tuple:
+    """The weight item that adds the weight items `middles` (None adds
+    nothing) and the items `folded`, absorbed with the signs of a spine
+    (`sign` 1) or of an argument (-1), clamped when `bound_b` is given."""
+    acc: dict = {}
+    for m in middles:
+        for p, v in m[1].items if m is not None else ():
+            acc[p] = acc.get(p, 0) + v
+    for item in folded:
+        acc[item[2]] = acc.get(item[2], 0) + sign * _ABSORBED[item[0]]
+    if bound_b is not None:
+        acc = {p: clamp(bound_b, v) for p, v in acc.items()}
+    return ("w", Weight(tuple(sorted(kv for kv in acc.items() if kv[1]))))
+
+
+def _rebuild(tree: tuple, f) -> list:
+    """The summands of a constructor or record whose children are replaced
+    by the summands `f` gives them; a record takes the product of its
+    fields' distinct summands."""
+    if tree[0] == "c":
+        return [("c", tree[1], tree[2], s) for s in f(tree[3])]
+    choices = [[(n, s) for s in dict.fromkeys(f(v))] for n, v in tree[2]]
+    return [("r", tree[1], fields) for fields in itertools.product(*choices)]
+
+
+def _approx(middle, tree: tuple, weigh) -> list:
+    """The middle `middle` over `tree`, None for a zero weight.  The Daimon
+    gives a Daimon leaf for each leaf of the tree.  A weight absorbs the
+    constructors above a leaf and the leaf's weight, vanishes under the
+    leaf's Daimon, and over a record gives the Daimons of its leaves."""
+    ctors = ()  # their items only: a weight key holds no subtree
+    while tree[0] == "c":
+        ctors += (tree[:3],)
+        tree = tree[3]
+    if middle == DAIMON or tree[0] == "r":
+        return [("x", DAIMON) + path[-1][2:] for path in leaf_paths(tree)]
+    if tree[1] == DAIMON:
+        return [tree]
+    return [("x", weigh((middle, tree[1]), ctors, -1), tree[2], tree[3])]
+
+
+def _subst(tree: tuple, bound: dict, weigh) -> list:
+    """The summands of `tree` with each parameter j that `bound` binds
+    replaced by the tree bound[j], uncollapsed."""
+    if tree[0] != "x":
+        return _rebuild(tree, lambda s: _subst(s, bound, weigh))
+    _, middle, word, end = tree
+    t = bound.get(end)
+    if t is None:
+        return [tree]
+    i = len(word)
+    while i and t[0] != "x":
+        kind, name = word[i - 1][:2]
+        if t[0] == "c":
+            t = t[3] if kind == "d" and name == t[1] else None
+        else:
+            t = next((v for n, v in t[2] if n == name and kind == "j"), None)
+        if t is None:
+            return []
+        i -= 1
+    if i and t[1] is None:
+        t = ("x", None, word[:i] + t[2], t[3])
+    elif i and t[1] != DAIMON:
+        t = ("x", weigh((t[1],), word[:i], -1), t[2], t[3])
+    return [t] if middle is None else _approx(middle, t, weigh)
+
+
+def _collapse(tree: tuple, budget: int, bound_b: int, bound_d: int,
+              weigh) -> list:
+    """The summands of `tree` collapsed as `collapse_call_term` collapses
+    its term, with `budget` constructor layers left: past them a zero
+    weight, then each leaf keeps its D innermost destructors, folds the
+    others into its weight and clamps the weight."""
+    if tree[0] != "x" and budget:
+        return _rebuild(
+            tree, lambda s: _collapse(s, budget - 1, bound_b, bound_d, weigh))
+    if tree[0] != "x":
+        return [c for s in _approx(None, tree, weigh)
+                for c in _collapse(s, 0, bound_b, bound_d, weigh)]
+    _, middle, word, end = tree
+    cut = max(0, len(word) - bound_d)
+    if middle != DAIMON and (cut or middle is not None):
+        middle = weigh((middle,), word[:cut], -1, bound_b)
+    return [("x", middle, word[cut:], end)]
 
 
 def compose_spines(a: tuple, b: tuple, bound_b: int, bound_d: int):

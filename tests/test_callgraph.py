@@ -25,7 +25,6 @@ from totality.callgraph import (
     spine_parts,
     transitive_closure,
     tree_term,
-    weigh,
 )
 from totality.checker import Config, analyze_source
 from totality.terms import (
@@ -63,6 +62,7 @@ from totality.testkit import (
     pattern_bindings,
     substitute,
     substitute_tree,
+    weigh,
 )
 from totality.typecheck import (
     ABCall,
@@ -973,8 +973,9 @@ class TestInternedTables:
         assert nonzero > 0
 
     def test_weight_sums(self):
-        """Random weight sums through one instance, so that later sums
-        meet its table, against `weigh` on the items."""
+        """Random weight sums through one instance per clamp bound, so that
+        later sums meet its folds, sums and clamps, against `weigh` on the
+        items."""
         rng = random.Random(20261018)
         items = [(kind, name, p) for kind, name in
                  (("c", "C"), ("d", "C"), ("r", "R"), ("j", "R"))
@@ -983,15 +984,16 @@ class TestInternedTables:
             ("w", weight({p: rng.choice((-3, -1, 1, 2, INF))
                           for p in rng.sample(range(3), rng.randint(0, 3))}))
             for _ in range(8)]
-        tables = CallTables(2, 2)
+        tables = {b: CallTables(b or 2, 2) for b in (None, 1, 2, 3)}
         for _ in range(3000):
             ms = tuple(rng.sample(middles, rng.randint(1, 2)))
             folded = tuple(rng.choices(items, k=rng.randint(0, 3)))
             sign, bound_b = rng.choice((1, -1)), rng.choice((None, 1, 2, 3))
-            wid = tables._weigh(tuple(tables.weights[m] for m in ms),
-                                folded, sign, bound_b)
-            assert tables._middle_item(wid) == weigh(ms, folded, sign,
-                                                     bound_b), (ms, folded)
+            t = tables[bound_b]
+            wid = t._weigh(tuple(t.weights[m] for m in ms), folded, sign,
+                           bound_b is not None)
+            assert t._middle_item(wid) == weigh(ms, folded, sign,
+                                                bound_b), (ms, folded)
 
     def test_random_substitutions(self):
         tables = {}
@@ -1003,6 +1005,44 @@ class TestInternedTables:
             b = Call("f", "f", (), (arg_tree(b),))
             assert table_composite(t, a, b) == \
                 item_composite(a, b, bound_b, bound_d), (a, b)
+
+
+class TestKernelWork:
+    """The first-time work of the closures at B=D=4, read off their
+    tables: per closure, the distinct substitutions and substituted trees
+    collapsed, the spine merge and collapse steps, and the weight folds,
+    sums and clamps.  Every other composite is a lookup, so a change that
+    loses memo hits changes these counts, and the pair count with them."""
+
+    # file -> (compositions, (subst, collapsed, merges, collapses, folds,
+    # sums, clamps)) of each group's closure
+    WORK = {
+        "sums.ch": [(0, (0, 0, 0, 0, 0, 0, 0)),
+                    (16900, (3872, 714, 45, 57, 33, 395, 82))],
+        "bad_s.ch": [(15129, (0, 0, 2337, 2006, 24, 752, 94))],
+        "magic.ch": [(15129, (0, 0, 2337, 2006, 24, 752, 94)),
+                     (36, (36, 20, 1, 1, 2, 20, 10)),
+                     (0, (0, 0, 0, 0, 0, 0, 0))],
+    }
+
+    @pytest.mark.parametrize("name", sorted(WORK))
+    def test_first_time_work(self, name, monkeypatch):
+        graphs = [build_callgraph(analyzed.defs, 4, 4)
+                  for analyzed, _ in annotated_groups(name)]
+        made = []
+
+        class Recorded(CallTables):
+            def __init__(self, bound_b, bound_d):
+                super().__init__(bound_b, bound_d)
+                made.append(self)
+
+        monkeypatch.setattr(callgraph, "CallTables", Recorded)
+        compositions = [transitive_closure(graph).stats["compositions"]
+                        for graph in graphs]
+        assert list(zip(compositions, [
+            tuple(map(len, (t.subst, t.collapsed, t.merges, t.collapses,
+                            t.folds, t.sums, t.clamps)))
+            for t in made])) == self.WORK[name]
 
 
 class TestItemKey:

@@ -421,6 +421,20 @@ print(sorted("%s.%s" % (value.__module__, value.__qualname__)
 """
 
 
+# a text report on every corpus file, then whether `json` is loaded; a
+# bare interpreter does not load it
+TEXT_MODULES = """
+import contextlib, io, sys
+from totality.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for path in sys.argv[1:]:
+        main(["check", path])
+        main(["check", path, "--dump-priorities", "--dump-callgraph",
+              "--dump-closure"])
+print("json" in sys.modules)
+"""
+
+
 def run_over_corpus(script: str) -> list:
     """The lines `script` prints, run in a fresh interpreter with the
     corpus files as its arguments."""
@@ -450,6 +464,10 @@ class TestPackage:
         loaded, found = run_over_corpus(RUNTIME_MODULES)
         assert loaded == "[]"
         assert found == "[]"
+
+    def test_a_text_report_loads_no_json(self):
+        """Only `--json` needs `json`, so a text report leaves it out."""
+        assert run_over_corpus(TEXT_MODULES) == ["False"]
 
     def test_exports(self):
         assert totality.__all__ == [
