@@ -1012,7 +1012,8 @@ class TestKernelWork:
     tables: per closure, the distinct substitutions and substituted trees
     collapsed, the spine merge and collapse steps, and the weight folds,
     sums and clamps.  Every other composite is a lookup, so a change that
-    loses memo hits changes these counts, and the pair count with them."""
+    loses memo hits changes these counts while the pair counts, pinned
+    beside them, stay."""
 
     # file -> (compositions, (subst, collapsed, merges, collapses, folds,
     # sums, clamps)) of each group's closure
