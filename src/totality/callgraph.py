@@ -256,9 +256,9 @@ def collapsed_calls(calls, bound_b: int, bound_d: int) -> list:
     for call in calls:
         identity = Call(call.callee, call.callee, (), tuple(
             ("x", None, (), j) for j in range(1, len(call.args) + 1)))
-        sid, choices = tables.combine(tables.split(call),
-                                      tables.split(identity))
         found += [tables.call(call.caller, sid, call.callee, ids)
+                  for _, _, sid, choices in tables.after(
+                      tables.split(call), ((tables.split(identity), 0),))
                   for ids in itertools.product(*choices)]
     return (found if len(found) < 2
             else sorted(set(found), key=lambda c: item_key(call_node(c))))
@@ -323,18 +323,16 @@ def clamp(bound_b: int, value):
     return value
 
 
-def weigh(middles, folded, sign: int, bound_b=None) -> tuple:
+def weigh(middles, folded, sign: int) -> tuple:
     """The weight item that adds the weight items `middles` (None adds
     nothing) and the items `folded`, absorbed with the signs of a spine
-    (`sign` 1) or of an argument (-1), clamped when `bound_b` is given."""
+    (`sign` 1) or of an argument (-1)."""
     acc: dict = {}
     for m in middles:
         for p, v in m[1].items if m is not None else ():
             acc[p] = acc.get(p, 0) + v
     for item in folded:
         acc[item[2]] = acc.get(item[2], 0) + sign * _ABSORBED[item[0]]
-    if bound_b is not None:
-        acc = {p: clamp(bound_b, v) for p, v in acc.items()}
     return ("w", Weight(tuple(sorted(kv for kv in acc.items() if kv[1]))))
 
 
@@ -542,7 +540,7 @@ class CallTables:
     (`cancels`, `cuts`) is keyed by word ids alone.  A substitution is
     keyed by the argument id and the ids bound to the parameters it
     mentions.  `after` and `before` compose one call with a row of
-    partners, looking up what the row shares once; `combine` is one pair.
+    partners, looking up what the row shares once.
 
     Substituting on trees is exact too.  Above the leaves the smart
     constructors only rebuild nodes, distributing over sums, so a record
@@ -620,33 +618,14 @@ class CallTables:
                 tuple(self._arg_id(_map_middles(a, self.weights.__getitem__))
                       for a in call.args))
 
-    def combine(self, first: tuple, second: tuple):
-        """Spine id of the collapsed composite of two split calls, and the
-        summand ids of each of its arguments: the candidates, none for
-        spine id 0, are their `itertools.product`, in the order
-        `testkit.compose_calls` gives them."""
-        ia, ids_a = first
-        ib, ids_b = second
-        row = self.composed[ia]
-        sid = row[ib]
-        if sid is None:
-            sid = row[ib] = self._compose(ia, ib)
-        if not sid:
-            return 0, ()
-        choices = []
-        for b in ids_b:
-            key = (b, self.bound[b](ids_a))
-            ids = self.subst.get(key)
-            if ids is None:
-                ids = self.subst[key] = self._substitute(b, ids_a)
-            choices.append(ids)
-        return sid, choices
-
     def after(self, first: tuple, partners) -> list:
-        """`combine(first, second)` for each (second, tag) of `partners`, as
-        (second, tag, spine id, choices) for each nonzero composite, in
-        order: one row of composites, with its row of `composed` looked up
-        once."""
+        """The collapsed composites of the split call `first` with each
+        (second, tag) of `partners`, as (second, tag, spine id, choices)
+        for each nonzero composite, in order: one row of composites, with
+        its row of `composed` looked up once.  The candidates of a
+        composite are the `itertools.product` of its choices, the summand
+        ids of each of its arguments, in the order `testkit.compose_calls`
+        gives them."""
         ia, ids_a = first
         row, bound, subst = self.composed[ia], self.bound, self.subst
         found = []
@@ -667,10 +646,10 @@ class CallTables:
         return found
 
     def before(self, partners, second: tuple) -> list:
-        """`combine(first, second)` for each (first, tag) of `partners`, as
-        (first, tag, spine id, choices) for each nonzero composite, in
-        order: one column of composites, with the binding getters of the
-        arguments of `second` looked up once."""
+        """`after(first, ((second, tag),))` for each (first, tag) of
+        `partners`, as (first, tag, spine id, choices) for each nonzero
+        composite, in order: one column of composites, with the binding
+        getters of the arguments of `second` looked up once."""
         ib, ids_b = second
         getters = ids_b and list(zip(ids_b, map(self.bound.__getitem__,
                                                 ids_b)))
@@ -1034,10 +1013,10 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
             for _, a, b, sid, ids in new:
                 edge(a, b, sid, ids)
         if u == v:
-            sid, choices = tables.combine(s, s)
             self_composites[k] = tuple([
                 edge(u, u, sid, ids)
-                for ids in (itertools.product(*choices) if sid else ())])
+                for _, _, sid, choices in tables.after(s, ((s, 0),))
+                for ids in itertools.product(*choices)])
         out[u][s] = out[u].get(s, 0) | 1 << v
         degree_out[u] += 1
         k += 1

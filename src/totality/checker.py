@@ -80,7 +80,7 @@ class Report(Struct):
 def analyze_program(program: Program, config: Config) -> Report:
     report = Report()
     desugared = desugar(program)
-    violations, recursive = validate_restrictions(desugared)
+    violations, _ = validate_restrictions(desugared)
     if violations:
         report.errors = [str(v) for v in violations]
         return report
@@ -100,10 +100,7 @@ def analyze_program(program: Program, config: Config) -> Report:
         greport = GroupReport(names, bounds)
         report.groups.append(greport)
         try:
-            analyzed = annotate_group(
-                env, schemes, group.defs,
-                recursive=any(recursive.get(n) for n in names),
-                bounds=bounds)
+            analyzed = annotate_group(env, schemes, group.defs)
             greport.priorities = {
                 type_str(inst): prio
                 for inst, prio in analyzed.priorities.items()

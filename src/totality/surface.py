@@ -50,9 +50,6 @@ class TArrow(namedtuple("TArrow", "dom cod")):
     __slots__ = ()
 
 
-TypeExpr = object
-
-
 def type_str(t) -> str:
     if isinstance(t, TVar):
         return "'" + t.name
@@ -91,7 +88,7 @@ class TypeDecl(Struct):
         self.name = name
         self.params = params
         self.is_codata = is_codata
-        self.items = items  # (item name, declared TypeExpr)
+        self.items = items  # (item name, declared type)
         self.line = line
         self.col = col
 
@@ -196,7 +193,7 @@ class Definition(Struct):
     def __init__(self, fname: str, signature: object, clauses: tuple,
                  line: int = 0, col: int = 0):
         self.fname = fname
-        self.signature = signature  # TypeExpr or None
+        self.signature = signature  # a type, or None
         self.clauses = clauses
         self.line = line
         self.col = col
@@ -224,10 +221,6 @@ class Program(Struct):
     def __init__(self, decls: tuple, groups: tuple):
         self.decls = decls
         self.groups = groups
-
-    def definitions(self):
-        for g in self.groups:
-            yield from g.defs
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +446,7 @@ class _Parser:
             self.take("int")
             return PNum(int(tok.value))
         if tok.kind == "{":
-            return self.pattern_record()
+            return PRecord(self.fields(self.pattern))
         if tok.kind == "(":
             self.take("(")
             p = self.pattern()
@@ -488,20 +481,22 @@ class _Parser:
             return PConstr(name, tuple(args))
         return self.pattern_atom()
 
-    def pattern_record(self):
+    def fields(self, item) -> tuple:
+        """The fields of a record `{ D = ... ; ... }`, each value parsed by
+        `item`."""
         self.take("{")
         fields = []
         if not self.at("}"):
             while True:
                 fname = self.take("name").value
                 self.take("=")
-                fields.append((fname, self.pattern()))
+                fields.append((fname, item()))
                 if self.at(";"):
                     self.take(";")
                     continue
                 break
         self.take("}")
-        return PRecord(tuple(fields))
+        return tuple(fields)
 
     # expressions ----------------------------------------------------------
 
@@ -536,7 +531,7 @@ class _Parser:
                 self.take(")")
                 return args
             self.take(")")
-            args = [self.postfix_of(first)]
+            args = [self.postfix(first)]
         else:
             args = []
         while self.peek().kind in ("name", "int", "{", "("):
@@ -549,7 +544,7 @@ class _Parser:
             self.take("int")
             return self.postfix(ENum(int(tok.value)))
         if tok.kind == "{":
-            return self.postfix(self.expr_record())
+            return self.postfix(ERecord(self.fields(self.expr)))
         if tok.kind == "(":
             self.take("(")
             e = self.expr()
@@ -565,24 +560,6 @@ class _Parser:
             self.take(".")
             e = EProj(e, self.take("name").value)
         return e
-
-    def postfix_of(self, e):
-        return self.postfix(e)
-
-    def expr_record(self):
-        self.take("{")
-        fields = []
-        if not self.at("}"):
-            while True:
-                fname = self.take("name").value
-                self.take("=")
-                fields.append((fname, self.expr()))
-                if self.at(";"):
-                    self.take(";")
-                    continue
-                break
-        self.take("}")
-        return ERecord(tuple(fields))
 
 
 TOO_DEEP = "input nests too deeply to analyze"
@@ -807,8 +784,10 @@ class Violation(Struct):
         return "%d:%d: %s" % (self.line, self.col, self.message)
 
 
-def validate_restrictions(program: Program):
-    """Check the desugared program; returns (violations, recursive_flags)."""
+def validate_restrictions(program: Program) -> tuple:
+    """The violations of the language's restrictions in the desugared
+    `program`, and the arity of each definition by name.  The checker reads
+    only the violations; `perfbench/tests` unpacks the pair."""
     violations: list[Violation] = []
     arities = _ctor_arities(program.decls)
     ctor_names: set = set()
@@ -838,10 +817,8 @@ def validate_restrictions(program: Program):
                     decl.line, decl.col))
 
     fn_arity: dict = {}
-    recursive: dict = {}
 
     for group in program.groups:
-        members = {d.fname for d in group.defs}
         for d in group.defs:
             if d.fname in fn_arity:
                 violations.append(Violation(
@@ -858,7 +835,6 @@ def validate_restrictions(program: Program):
                     violations.append(Violation(
                         "clauses of %r disagree on the number of arguments"
                         % d.fname, cl.line, cl.col))
-        calls_member = False
         for d in group.defs:
             for cl in d.clauses:
                 seen: list = []
@@ -869,13 +845,10 @@ def validate_restrictions(program: Program):
                     violations.append(Violation(
                         "variable %r bound more than once in a clause" % v,
                         cl.line, cl.col))
-                calls_member |= _check_expr(
-                    cl.body, set(seen), fn_arity, members, arities,
-                    cl, violations)
-        for d in group.defs:
-            recursive[d.fname] = calls_member
+                _check_expr(cl.body, set(seen), fn_arity, arities, cl,
+                            violations)
 
-    return violations, recursive
+    return violations, fn_arity
 
 
 def _check_pattern(p, seen: list, arities, cl, violations) -> None:
@@ -905,30 +878,26 @@ def _check_pattern(p, seen: list, arities, cl, violations) -> None:
             _check_pattern(sub, seen, arities, cl, violations)
 
 
-def _check_expr(e, bound: set, fn_arity, members, arities, cl, violations) -> bool:
-    """Returns True when the expression mentions a group member."""
+def _check_expr(e, bound: set, fn_arity, arities, cl, violations) -> None:
     if isinstance(e, ENum) and e.arg is not None:
-        return _check_expr(e.arg, bound, fn_arity, members, arities, cl,
-                           violations)
-    if isinstance(e, ENum):
+        _check_expr(e.arg, bound, fn_arity, arities, cl, violations)
+    elif isinstance(e, ENum):
         violations.append(Violation(
             "numeral needs a `nat` declaration with Zero and Succ",
             cl.line, cl.col))
-        return False
-    if isinstance(e, EVar):
+    elif isinstance(e, EVar):
         if e.name in bound:
-            return False
-        if e.name in members or e.name in fn_arity or e.name == "empty_record":
+            return
+        if e.name in fn_arity or e.name == "empty_record":
             arity = fn_arity.get(e.name, 0)
             if e.name != "empty_record" and arity != 0:
                 violations.append(Violation(
                     "function %r used with 0 arguments (expects %d)"
                     % (e.name, arity), cl.line, cl.col))
-            return e.name in members
+            return
         violations.append(Violation(
             "unbound variable %r" % e.name, cl.line, cl.col))
-        return False
-    if isinstance(e, EConstr):
+    elif isinstance(e, EConstr):
         if e.name not in arities:
             violations.append(Violation(
                 "unknown constructor %r" % e.name, cl.line, cl.col))
@@ -936,25 +905,17 @@ def _check_expr(e, bound: set, fn_arity, members, arities, cl, violations) -> bo
             violations.append(Violation(
                 "constructor %r applied to %d arguments (expects %d)"
                 % (e.name, len(e.args), arities[e.name]), cl.line, cl.col))
-        hit = False
         for a in e.args:
-            hit |= _check_expr(a, bound, fn_arity, members, arities, cl,
-                               violations)
-        return hit
-    if isinstance(e, ERecord):
-        hit = False
+            _check_expr(a, bound, fn_arity, arities, cl, violations)
+    elif isinstance(e, ERecord):
         if not e.fields:
             violations.append(Violation(
                 "empty record survived desugaring", cl.line, cl.col))
         for _, sub in e.fields:
-            hit |= _check_expr(sub, bound, fn_arity, members, arities, cl,
-                               violations)
-        return hit
-    if isinstance(e, EProj):
-        return _check_expr(e.sub, bound, fn_arity, members, arities, cl,
-                           violations)
-    if isinstance(e, EApp):
-        hit = e.fname in members
+            _check_expr(sub, bound, fn_arity, arities, cl, violations)
+    elif isinstance(e, EProj):
+        _check_expr(e.sub, bound, fn_arity, arities, cl, violations)
+    elif isinstance(e, EApp):
         if e.fname in bound:
             violations.append(Violation(
                 "pattern variable %r cannot be applied" % e.fname,
@@ -973,7 +934,6 @@ def _check_expr(e, bound: set, fn_arity, members, arities, cl, violations) -> bo
                 % (e.fname, len(e.args), fn_arity[e.fname]),
                 cl.line, cl.col))
         for a in e.args:
-            hit |= _check_expr(a, bound, fn_arity, members, arities, cl,
-                               violations)
-        return hit
-    raise SourceError("unknown expression %r" % (e,))
+            _check_expr(a, bound, fn_arity, arities, cl, violations)
+    else:
+        raise SourceError("unknown expression %r" % (e,))

@@ -222,35 +222,29 @@ class ADef(Struct):
 
 
 class AnalyzedGroup(Struct):
-    __slots__ = ("defs", "priorities", "recursive", "bounds")
+    __slots__ = ("defs", "priorities")
 
-    def __init__(self, defs: tuple, priorities: dict,
-                 recursive: bool = False, bounds: object = None):
+    def __init__(self, defs: tuple, priorities: dict):
         self.defs = defs
         self.priorities = priorities  # canonical instance -> priority
-        self.recursive = recursive
-        self.bounds = bounds
 
 
 # ---------------------------------------------------------------------------
 # declaration environment
 
 class CtorInfo(Struct):
-    __slots__ = ("decl", "params", "arg", "result")
+    __slots__ = ("params", "arg", "result")
 
-    def __init__(self, decl: str, params: tuple, arg: object, result: TApp):
-        self.decl = decl
+    def __init__(self, params: tuple, arg: object, result: TApp):
         self.params = params
         self.arg = arg  # single internal argument type
         self.result = result
 
 
 class DtorInfo(Struct):
-    __slots__ = ("decl", "params", "owner", "result")
+    __slots__ = ("params", "owner", "result")
 
-    def __init__(self, decl: str, params: tuple, owner: TApp,
-                 result: object):
-        self.decl = decl
+    def __init__(self, params: tuple, owner: TApp, result: object):
         self.params = params
         self.owner = owner
         self.result = result
@@ -280,8 +274,7 @@ class DeclEnv:
                     raise TypeCheckError(
                         "destructor %r must take %s" % (name, type_str(subject)),
                         decl.line, decl.col)
-                self.dtors[name] = DtorInfo(decl.name, decl.params, subject,
-                                            ty.cod)
+                self.dtors[name] = DtorInfo(decl.params, subject, ty.cod)
                 names.append(name)
             self.fieldsets[frozenset(names)] = decl.name
             return
@@ -305,8 +298,7 @@ class DeclEnv:
                 raise TypeCheckError(
                     "constructor %r takes too many arguments" % name,
                     decl.line, decl.col)
-            self.ctors[name] = CtorInfo(decl.name, decl.params, internal,
-                                        subject)
+            self.ctors[name] = CtorInfo(decl.params, internal, subject)
 
     def _unit(self) -> TApp:
         if "unit" not in self.decls:
@@ -327,8 +319,8 @@ class DeclEnv:
                 (("Fst", TArrow(subject, TVar("a"))),
                  ("Snd", TArrow(subject, TVar("b")))))
             self.decls["pair"] = synthetic
-            self.dtors["Fst"] = DtorInfo("pair", ("a", "b"), subject, TVar("a"))
-            self.dtors["Snd"] = DtorInfo("pair", ("a", "b"), subject, TVar("b"))
+            self.dtors["Fst"] = DtorInfo(("a", "b"), subject, TVar("a"))
+            self.dtors["Snd"] = DtorInfo(("a", "b"), subject, TVar("b"))
             self.fieldsets[frozenset(("Fst", "Snd"))] = "pair"
         return TApp("pair", (a, b))
 
@@ -341,8 +333,6 @@ class DeclEnv:
             return []
         if not decl.is_codata:
             types = [self.ctors[name].arg for name, _ in decl.items]
-        elif decl.name == "pair":
-            types = [TVar("a"), TVar("b")]
         else:
             types = [self.dtors[name].result for name, _ in decl.items]
         mapping = dict(zip(decl.params, inst.args))
@@ -515,6 +505,35 @@ class GroupChecker:
         return ADef(d.fname, d.arity, tuple(arg_types), result,
                     tuple(clauses), d.line, d.col)
 
+    def constr_type(self, name: str, expected, cl) -> tuple:
+        """The instance a constructor `name` builds where `expected` is
+        wanted, and the type of its argument there."""
+        info = self.env.ctors.get(name)
+        if info is None:
+            raise TypeCheckError("unknown constructor %r" % name,
+                                 cl.line, cl.col)
+        mapping = {v: self.u.fresh() for v in info.params}
+        result = subst_type(info.result, mapping)
+        self.u.unify(expected, result, cl.line, cl.col)
+        return result, subst_type(info.arg, mapping)
+
+    def record_type(self, fields, expected, cl) -> tuple:
+        """The instance of the codata type with exactly the fields of the
+        record `fields` where `expected` is wanted, and the type of each
+        field there."""
+        names = frozenset(n for n, _ in fields)
+        owner = self.env.fieldsets.get(names)
+        if owner is None:
+            raise TypeCheckError(
+                "no codata type has exactly the fields {%s}"
+                % ", ".join(sorted(names)), cl.line, cl.col)
+        decl = self.env.decls[owner]
+        mapping = {v: self.u.fresh() for v in decl.params}
+        inst = TApp(owner, tuple(mapping[v] for v in decl.params))
+        self.u.unify(expected, inst, cl.line, cl.col)
+        return inst, [subst_type(self.env.dtors[n].result, mapping)
+                      for n, _ in fields]
+
     def check_pattern(self, p, expected, var_env, cl):
         if isinstance(p, PVar):
             if p.name in var_env:
@@ -523,33 +542,14 @@ class GroupChecker:
             var_env[p.name] = expected
             return APVar(p.name)
         if isinstance(p, PConstr):
-            info = self.env.ctors.get(p.name)
-            if info is None:
-                raise TypeCheckError("unknown constructor %r" % p.name,
-                                     cl.line, cl.col)
-            mapping = {v: self.u.fresh() for v in info.params}
-            result = subst_type(info.result, mapping)
-            arg_ty = subst_type(info.arg, mapping)
-            self.u.unify(expected, result, cl.line, cl.col)
-            sub = self.check_pattern(p.args[0], arg_ty, var_env, cl)
-            return APConstr(p.name, sub, instance=result)
+            inst, arg = self.constr_type(p.name, expected, cl)
+            return APConstr(p.name, self.check_pattern(
+                p.args[0], arg, var_env, cl), instance=inst)
         if isinstance(p, PRecord):
-            names = frozenset(n for n, _ in p.fields)
-            owner = self.env.fieldsets.get(names)
-            if owner is None:
-                raise TypeCheckError(
-                    "no codata type has exactly the fields {%s}"
-                    % ", ".join(sorted(names)), cl.line, cl.col)
-            decl = self.env.decls[owner]
-            mapping = {v: self.u.fresh() for v in decl.params}
-            inst = TApp(owner, tuple(mapping[v] for v in decl.params))
-            self.u.unify(expected, inst, cl.line, cl.col)
-            fields = []
-            for fname, sub in p.fields:
-                info = self.env.dtors[fname]
-                fields.append((fname, self.check_pattern(
-                    sub, subst_type(info.result, mapping), var_env, cl)))
-            return APRecord(tuple(fields), instance=inst)
+            inst, types = self.record_type(p.fields, expected, cl)
+            return APRecord(tuple(
+                (fname, self.check_pattern(sub, ty, var_env, cl))
+                for (fname, sub), ty in zip(p.fields, types)), instance=inst)
         if isinstance(p, PNum) and p.arg is not None:
             nat = TApp("nat", ())
             self.u.unify(expected, nat, cl.line, cl.col)
@@ -567,33 +567,14 @@ class GroupChecker:
         if isinstance(e, EApp):
             return self.check_call(e.fname, e.args, expected, var_env, cl)
         if isinstance(e, EConstr):
-            info = self.env.ctors.get(e.name)
-            if info is None:
-                raise TypeCheckError("unknown constructor %r" % e.name,
-                                     cl.line, cl.col)
-            mapping = {v: self.u.fresh() for v in info.params}
-            result = subst_type(info.result, mapping)
-            self.u.unify(expected, result, cl.line, cl.col)
-            sub = self.check_expr(e.args[0], subst_type(info.arg, mapping),
-                                  var_env, cl)
-            return ABConstr(e.name, sub, instance=result)
+            inst, arg = self.constr_type(e.name, expected, cl)
+            return ABConstr(e.name, self.check_expr(
+                e.args[0], arg, var_env, cl), instance=inst)
         if isinstance(e, ERecord):
-            names = frozenset(n for n, _ in e.fields)
-            owner = self.env.fieldsets.get(names)
-            if owner is None:
-                raise TypeCheckError(
-                    "no codata type has exactly the fields {%s}"
-                    % ", ".join(sorted(names)), cl.line, cl.col)
-            decl = self.env.decls[owner]
-            mapping = {v: self.u.fresh() for v in decl.params}
-            inst = TApp(owner, tuple(mapping[v] for v in decl.params))
-            self.u.unify(expected, inst, cl.line, cl.col)
-            fields = []
-            for fname, sub in e.fields:
-                info = self.env.dtors[fname]
-                fields.append((fname, self.check_expr(
-                    sub, subst_type(info.result, mapping), var_env, cl)))
-            return ABRecord(tuple(fields), instance=inst)
+            inst, types = self.record_type(e.fields, expected, cl)
+            return ABRecord(tuple(
+                (fname, self.check_expr(sub, ty, var_env, cl))
+                for (fname, sub), ty in zip(e.fields, types)), instance=inst)
         if isinstance(e, EProj):
             info = self.env.dtors.get(e.fname)
             if info is None:
@@ -787,8 +768,7 @@ def annotate_priorities(nodes, priorities: dict) -> None:
                 "no priority for instance %s" % type_str(node.instance))
 
 
-def annotate_group(env: DeclEnv, schemes: dict, defs,
-                   recursive: bool, bounds=None) -> AnalyzedGroup:
+def annotate_group(env: DeclEnv, schemes: dict, defs) -> AnalyzedGroup:
     """Full typing pipeline for one group; extends `schemes` in place."""
     checker = GroupChecker(env, schemes)
     adefs = checker.check(defs)
@@ -807,4 +787,4 @@ def annotate_group(env: DeclEnv, schemes: dict, defs,
             type_vars(t, quantified)
         schemes[adef.fname] = Scheme(adef.arg_types, adef.result_type,
                                      tuple(quantified))
-    return AnalyzedGroup(tuple(adefs), priorities, recursive, bounds)
+    return AnalyzedGroup(tuple(adefs), priorities)

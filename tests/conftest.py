@@ -21,17 +21,12 @@ def analyze_corpus(name: str, bound_b: int, bound_d: int):
 def annotated_groups(name: str):
     """Typed and priority-annotated groups of a corpus file."""
     program = desugar(parse_program(corpus_source(name)))
-    violations, recursive = validate_restrictions(program)
+    violations, _ = validate_restrictions(program)
     assert not violations, violations
     env = DeclEnv(program.decls)
     schemes: dict = {}
-    out = []
-    for group in program.groups:
-        names = [d.fname for d in group.defs]
-        out.append((annotate_group(
-            env, schemes, group.defs,
-            recursive=any(recursive[n] for n in names)), env))
-    return out
+    return [(annotate_group(env, schemes, group.defs), env)
+            for group in program.groups]
 
 
 @pytest.fixture(scope="session")

@@ -533,10 +533,10 @@ class TestPiecewiseClosure:
                     if a.callee != b.caller:
                         continue
                     pairs += 1
-                    sid, choices = tables.combine(parts[a], parts[b])
                     got = [tables.call(a.caller, sid, b.callee, ids)
-                           for ids in itertools.product(*choices)
-                           ] if sid else []
+                           for _, _, sid, choices in tables.after(
+                               parts[a], ((parts[b], 0),))
+                           for ids in itertools.product(*choices)]
                     want = compose_calls(a, b, bound, bound)
                     assert got == want, (name, a, b)
             assert pairs == closure.stats["compositions"], name
@@ -933,9 +933,10 @@ def item_composite(a, b, bound_b, bound_d):
 
 def table_composite(tables, a, b):
     """The same composite through `tables`, decoded."""
-    sid, choices = tables.combine(tables.split(a), tables.split(b))
-    if not sid:
+    found = tables.after(tables.split(a), ((tables.split(b), 0),))
+    if not found:
         return None
+    (_, _, sid, choices), = found
     return tables.spines[sid], [[tables.args[i] for i in ids]
                                 for ids in choices]
 

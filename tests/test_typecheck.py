@@ -102,7 +102,7 @@ class TestAnnotate:
             "val f : nat -> nat | f x = { Mystery = x }"))
         env = DeclEnv(program.decls)
         with pytest.raises(TypeCheckError):
-            annotate_group(env, {}, program.groups[0].defs, recursive=False)
+            annotate_group(env, {}, program.groups[0].defs)
 
     def test_rigid_signature_variable(self):
         from totality.surface import desugar, parse_program
@@ -113,7 +113,7 @@ class TestAnnotate:
             "val f : 'x -> nat | f Zero = Zero"))
         env = DeclEnv(program.decls)
         with pytest.raises(TypeCheckError):
-            annotate_group(env, {}, program.groups[0].defs, recursive=False)
+            annotate_group(env, {}, program.groups[0].defs)
 
 
 class TestPriorities:
@@ -325,3 +325,47 @@ class TestPriorityErrors:
         assert code == 2
         assert captured.out == "ERROR f: %s\n" % reason
         assert "Traceback" not in captured.err
+
+
+USER_PAIR = (NAT + "codata pair('x, 'y) where Fst : pair('x, 'y) -> 'x"
+             " | Snd : pair('x, 'y) -> 'y\n"
+             "data list where Nil : list | Cons : nat -> list -> list\n"
+             "val len : list -> nat | len Nil = Zero"
+             " | len (Cons x xs) = Succ (len xs)\n")
+USER_PAIR_FIELDS = (NAT + "codata pair('x, 'y) where P1 : pair('x, 'y) -> 'x"
+                    " | P2 : pair('x, 'y) -> 'y\n"
+                    "data list where Nil : list"
+                    " | Cons : pair(nat, list) -> list\n"
+                    "val bad : list | bad = Cons { P1 = Zero ; P2 = bad }\n")
+
+
+class TestUserPair:
+    """A codata type the program names `pair` is deconstructed like any
+    other, whatever its parameters are called."""
+
+    def dump(self, tmp_path, capsys, source):
+        path = tmp_path / "pair.ch"
+        path.write_text(source)
+        code = main(["check", "--dump-priorities", str(path)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured.out
+
+    def test_two_argument_constructor(self, tmp_path, capsys):
+        code, out = self.dump(tmp_path, capsys, USER_PAIR)
+        twin = USER_PAIR.replace("'x", "'a").replace("'y", "'b")
+        assert (code, out) == self.dump(tmp_path, capsys, twin)
+        assert code == 0
+        assert out.splitlines()[0] == "TOTAL len"
+        assert "pair(nat, list) ↦ 0" in out.splitlines()
+
+    def test_record_of_renamed_fields(self):
+        report = analyze_source(USER_PAIR_FIELDS, Config())
+        twin = analyze_source(USER_PAIR_FIELDS.replace("pair", "twin"),
+                              Config())
+        (verdict,), (expected,) = report.verdicts, twin.verdicts
+        assert verdict.result == expected.result == "unknown"
+        assert verdict.reasons == expected.reasons != []
+        assert report.groups[0].priorities == {
+            name.replace("twin", "pair"): prio
+            for name, prio in twin.groups[0].priorities.items()}
