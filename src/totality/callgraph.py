@@ -26,15 +26,11 @@ from .terms import (
     term_str,
 )
 from .typecheck import (
-    ABConstr,
-    ABNum,
-    ABProj,
-    ABRecord,
-    ABVar,
-    APConstr,
-    APNum,
-    APRecord,
-    APVar,
+    AConstr,
+    ANum,
+    AProj,
+    ARecord,
+    AVar,
     clause_nodes,
 )
 
@@ -112,7 +108,7 @@ def numeral_counts(clauses, bound_b: int, bound_d: int) -> dict:
         nodes = list(clause_nodes(cl))
         size = max(size, len(nodes))
         values.update(node.value for node in nodes
-                      if isinstance(node, (APNum, ABNum)))
+                      if isinstance(node, ANum))
     gap = bound_b + 2 * (bound_d + size) + 4
     counts, last, count = {}, 0, 0
     for value in sorted(values):
@@ -129,14 +125,14 @@ def pattern_leaves(patterns, counts: dict) -> dict:
     leaves = {}
 
     def walk(p, word: tuple, j: int) -> None:
-        if isinstance(p, APVar):
+        if isinstance(p, AVar):
             leaves[p.name] = ("x", None, word, j)
-        elif isinstance(p, APConstr):
+        elif isinstance(p, AConstr):
             walk(p.arg, (("d", p.name, p.prio),) + word, j)
-        elif isinstance(p, APNum):
+        elif isinstance(p, ANum):
             walk(p.arg, (("d", "Zero", p.prio),)
                  + (("d", "Succ", p.prio),) * counts[p.value] + word, j)
-        elif isinstance(p, APRecord):
+        elif isinstance(p, ARecord):
             for name, sub in p.fields:
                 walk(sub, (("j", name, p.prio),) + word, j)
         else:
@@ -149,7 +145,7 @@ def pattern_leaves(patterns, counts: dict) -> dict:
 
 def _ctor_items(node, counts: dict) -> tuple:
     """The items of a constructor or numeral node, outermost first."""
-    if isinstance(node, ABConstr):
+    if isinstance(node, AConstr):
         return (("c", node.name, node.prio),)
     return ((("c", "Succ", node.prio),) * counts[node.value]
             + (("c", "Zero", node.prio),))
@@ -157,9 +153,9 @@ def _ctor_items(node, counts: dict) -> tuple:
 
 def _selected(node):
     """`node`, or the field it selects when it projects a record literal."""
-    if isinstance(node, ABProj):
+    if isinstance(node, AProj):
         sub = _selected(node.sub)
-        if isinstance(sub, ABRecord):
+        if isinstance(sub, ARecord):
             return _selected(dict(sub.fields)[node.name])
     return node
 
@@ -178,18 +174,18 @@ def clause_calls(caller: str, cl, group: set, counts: dict) -> list:
     def trees(node) -> list:
         """The distinct summand trees of a call argument."""
         node = _selected(node)
-        if isinstance(node, ABVar):
+        if isinstance(node, AVar):
             return [leaves[node.name]]
-        if isinstance(node, (ABConstr, ABNum)):
+        if isinstance(node, (AConstr, ANum)):
             out = trees(node.arg)
             for item in reversed(_ctor_items(node, counts)):
                 out = [item + (s,) for s in out]
             return out
-        if isinstance(node, ABRecord):
+        if isinstance(node, ARecord):
             return [("r", node.prio, fields) for fields in itertools.product(
                 *[[(n, s) for s in trees(v)]
                   for n, v in sorted(node.fields, key=itemgetter(0))])]
-        if isinstance(node, ABProj):  # of a constructor it is zero
+        if isinstance(node, AProj):  # of a constructor it is zero
             item = ("j", node.name, node.prio)
             return [s if s[1] == DAIMON else ("x", None, (item,) + s[2], s[3])
                     for s in trees(node.sub) if s[0] == "x"]
@@ -202,19 +198,19 @@ def clause_calls(caller: str, cl, group: set, counts: dict) -> list:
     def occurrences(node) -> list:
         """(spine, (callee, argument choices)) of each call in `node`."""
         node = _selected(node)
-        if isinstance(node, (ABConstr, ABNum)):
+        if isinstance(node, (AConstr, ANum)):
             items = _ctor_items(node, counts)
             return [(items + spine, end)
                     for spine, end in occurrences(node.arg)]
-        if isinstance(node, ABRecord):
+        if isinstance(node, ARecord):
             return [((("r", n, node.prio),) + spine, end)
                     for n, v in sorted(node.fields, key=itemgetter(0))
                     for spine, end in occurrences(v)]
-        if isinstance(node, ABProj):
+        if isinstance(node, AProj):
             item = ("j", node.name, node.prio)
             return [(spine if spine[:1] == (DAIMON,) else (item,) + spine, end)
                     for spine, end in occurrences(node.sub)]
-        if isinstance(node, ABVar):
+        if isinstance(node, AVar):
             return []
         own = ([((), (node.fname, [trees(a) for a in node.args]))]
                if node.fname in group else [])

@@ -11,6 +11,7 @@ the argument of its `Zero`, standing for n `Succ` over that `Zero`.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import namedtuple
 
@@ -78,6 +79,11 @@ def uncurry(t, n: int):
 
 # ---------------------------------------------------------------------------
 # surface AST
+#
+# Patterns and expressions are built from one node set, as the paper reads
+# a clause as one term: a variable, numeral, constructor or record means the
+# same on either side of `=`.  Only patterns hold a wildcard `SWild`, and
+# only expressions a projection `SProj` or an application `SApp`.
 
 class TypeDecl(Struct):
     __slots__ = ("name", "params", "is_codata", "items", "line", "col")
@@ -93,48 +99,18 @@ class TypeDecl(Struct):
         self.col = col
 
 
-class PVar(Struct):
+class SVar(Struct):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
 
 
-class PWild(Struct):
+class SWild(Struct):
     __slots__ = ()
 
 
-class PNum(Struct):
-    __slots__ = ("value", "arg")
-
-    def __init__(self, value: int, arg: object = None):
-        self.value = value
-        self.arg = arg  # after `desugar`: the pattern of its Zero's argument
-
-
-class PConstr(Struct):
-    __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple):
-        self.name = name
-        self.args = args  # as written; desugar normalises to exactly one
-
-
-class PRecord(Struct):
-    __slots__ = ("fields",)
-
-    def __init__(self, fields: tuple):
-        self.fields = fields  # (field name, pattern)
-
-
-class EVar(Struct):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class ENum(Struct):
+class SNum(Struct):
     __slots__ = ("value", "arg")
 
     def __init__(self, value: int, arg: object = None):
@@ -142,22 +118,22 @@ class ENum(Struct):
         self.arg = arg  # after `desugar`: its Zero's argument
 
 
-class EConstr(Struct):
+class SConstr(Struct):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple):
         self.name = name
-        self.args = args
+        self.args = args  # as written; desugar normalises to exactly one
 
 
-class ERecord(Struct):
+class SRecord(Struct):
     __slots__ = ("fields",)
 
     def __init__(self, fields: tuple):
-        self.fields = fields
+        self.fields = fields  # (field name, node)
 
 
-class EProj(Struct):
+class SProj(Struct):
     __slots__ = ("sub", "fname")
 
     def __init__(self, sub: object, fname: str):
@@ -165,7 +141,7 @@ class EProj(Struct):
         self.fname = fname
 
 
-class EApp(Struct):
+class SApp(Struct):
     __slots__ = ("fname", "args")
 
     def __init__(self, fname: str, args: tuple):
@@ -441,12 +417,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "wild":
             self.take("wild")
-            return PWild()
+            return SWild()
         if tok.kind == "int":
             self.take("int")
-            return PNum(int(tok.value))
+            return SNum(int(tok.value))
         if tok.kind == "{":
-            return PRecord(self.fields(self.pattern))
+            return SRecord(self.fields(self.pattern))
         if tok.kind == "(":
             self.take("(")
             p = self.pattern()
@@ -454,8 +430,8 @@ class _Parser:
             return p
         name = self.take("name").value
         if name[0].isupper():
-            return PConstr(name, ())
-        return PVar(name)
+            return SConstr(name, ())
+        return SVar(name)
 
     def pattern(self):
         tok = self.peek()
@@ -471,14 +447,14 @@ class _Parser:
                         self.take(",")
                         args.append(self.pattern())
                     self.take(")")
-                    return PConstr(name, tuple(args))
+                    return SConstr(name, tuple(args))
                 self.take(")")
                 args = [first]
             else:
                 args = []
             while self.peek().kind in ("name", "wild", "int", "{", "("):
                 args.append(self.pattern_atom())
-            return PConstr(name, tuple(args))
+            return SConstr(name, tuple(args))
         return self.pattern_atom()
 
     def fields(self, item) -> tuple:
@@ -505,18 +481,18 @@ class _Parser:
         if tok.kind == "name" and tok.value[0].isupper():
             name = self.take("name").value
             args = self.constr_args()
-            return self.postfix(EConstr(name, tuple(args)))
+            return self.postfix(SConstr(name, tuple(args)))
         head = self.expr_atom()
         args = []
         while self.peek().kind in ("name", "int", "{", "("):
             args.append(self.expr_atom())
         if args:
-            if not isinstance(head, EVar):
+            if not isinstance(head, SVar):
                 tok = self.peek()
                 raise SourceError(
                     "only named functions can be applied", tok.line, tok.col
                 )
-            return self.postfix(EApp(head.name, tuple(args)))
+            return self.postfix(SApp(head.name, tuple(args)))
         return head
 
     def constr_args(self):
@@ -542,9 +518,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.take("int")
-            return self.postfix(ENum(int(tok.value)))
+            return self.postfix(SNum(int(tok.value)))
         if tok.kind == "{":
-            return self.postfix(ERecord(self.fields(self.expr)))
+            return self.postfix(SRecord(self.fields(self.expr)))
         if tok.kind == "(":
             self.take("(")
             e = self.expr()
@@ -552,13 +528,13 @@ class _Parser:
             return self.postfix(e)
         name = self.take("name").value
         if name[0].isupper():
-            return self.postfix(EConstr(name, ()))
-        return self.postfix(EVar(name))
+            return self.postfix(SConstr(name, ()))
+        return self.postfix(SVar(name))
 
     def postfix(self, e):
         while self.at("."):
             self.take(".")
-            e = EProj(e, self.take("name").value)
+            e = SProj(e, self.take("name").value)
         return e
 
 
@@ -612,132 +588,79 @@ def _usual_nat(decls) -> bool:
                and _NAT_ITEMS <= set(decl.items) for decl in decls)
 
 
-class _Fresh:
-    def __init__(self, taken):
-        self.taken = set(taken)
-        self.counter = 0
-
-    def name(self) -> str:
-        while True:
-            candidate = "_d%d" % self.counter
-            self.counter += 1
-            if candidate not in self.taken:
-                self.taken.add(candidate)
-                return candidate
+def _fresh_names(taken: set):
+    """The names `_d0`, `_d1`, ... that are not in `taken`, in order."""
+    names = ("_d%d" % i for i in itertools.count())
+    return (name for name in names if name not in taken)
 
 
 def _pattern_vars(p, out):
-    if isinstance(p, PVar):
+    if isinstance(p, SVar):
         out.append(p.name)
-    elif isinstance(p, PConstr):
+    elif isinstance(p, SConstr):
         for sub in p.args:
             _pattern_vars(sub, out)
-    elif isinstance(p, PNum) and p.arg is not None:
+    elif isinstance(p, SNum) and p.arg is not None:
         _pattern_vars(p.arg, out)
-    elif isinstance(p, PRecord):
+    elif isinstance(p, SRecord):
         for _, sub in p.fields:
             _pattern_vars(sub, out)
 
 
 def desugar(program: Program) -> Program:
     """Give numerals the argument of their `Zero`, normalise constructor
-    arities and remove empty records from every clause.  A numeral stays a
-    count over the usual `nat` (`_usual_nat`); over another `nat` it is
-    expanded, so that it fails to type as its expansion does."""
+    arities and remove empty records from every clause, walking patterns and
+    bodies alike.  A numeral stays a count over the usual `nat`
+    (`_usual_nat`); over another `nat` it is expanded, so that it fails to
+    type as its expansion does.  An empty record becomes a fresh dummy
+    variable in a pattern and, in the body, the clause's first dummy or
+    `empty_record`."""
     arities = _ctor_arities(program.decls)
     nat_ok = _has_nat(program.decls)
     counted = _usual_nat(program.decls)
 
-    def num_pattern(n: int):
-        p = PConstr("Zero", (PRecord(()),))
+    def numeral(n: int):
+        node = SConstr("Zero", (SRecord(()),))
         for _ in range(n):
-            p = PConstr("Succ", (p,))
-        return p
+            node = SConstr("Succ", (node,))
+        return node
 
-    def num_expr(n: int):
-        e = EConstr("Zero", (ERecord(()),))
-        for _ in range(n):
-            e = EConstr("Succ", (e,))
-        return e
-
-    def do_pattern(p, fresh, dummies):
-        if isinstance(p, PWild):
-            return PVar(fresh.name())
-        if isinstance(p, PNum):
-            if not nat_ok:
-                return p  # flagged by validation
-            if p.arg is not None:
-                return PNum(p.value, do_pattern(p.arg, fresh, dummies))
-            if counted:
-                dummy = fresh.name()
-                dummies.append(dummy)
-                return PNum(p.value, PVar(dummy))
-            return do_pattern(num_pattern(p.value), fresh, dummies)
-        if isinstance(p, PVar):
-            return p
-        if isinstance(p, PConstr):
-            args = [do_pattern(a, fresh, dummies) for a in p.args]
-            arity = arities.get(p.name)
+    def walk(node, fresh, empty):
+        """`node` desugared, with `empty()` for each empty record."""
+        if isinstance(node, SVar):
+            return node
+        if isinstance(node, SWild):
+            return SVar(next(fresh))
+        if isinstance(node, SConstr):
+            # one argument before the walk: a zero-arity constructor's `{}`
+            # is `empty()`, and a pair walks `Fst` before `Snd`
+            args = node.args
+            arity = arities.get(node.name)
             if arity == 0 and not args:
-                args = [PRecord(())]
+                return SConstr(node.name, (empty(),))
             if len(args) == 2 and (arity == 2 or arity is None):
-                args = [PRecord((("Fst", args[0]), ("Snd", args[1])))]
-            if len(args) == 1 and isinstance(args[0], PRecord) \
-                    and not args[0].fields:
-                dummy = fresh.name()
-                dummies.append(dummy)
-                args = [PVar(dummy)]
-            return PConstr(p.name, tuple(args))
-        if isinstance(p, PRecord):
-            if not p.fields:
-                dummy = fresh.name()
-                dummies.append(dummy)
-                return PVar(dummy)
-            return PRecord(tuple(
-                (n, do_pattern(sub, fresh, dummies)) for n, sub in p.fields
-            ))
-        raise SourceError("unknown pattern %r" % (p,))
-
-    def empty_record_expr(dummies, pvars):
-        if dummies:
-            return EVar(dummies[0])
-        if pvars:
-            return EApp("empty_record", (EVar(pvars[0]),))
-        return EVar("empty_record")  # resolved as a 0-ary library call
-
-    def do_expr(e, dummies, pvars):
-        if isinstance(e, ENum):
+                args = (SRecord((("Fst", args[0]), ("Snd", args[1]))),)
+            return SConstr(node.name,
+                           tuple([walk(a, fresh, empty) for a in args]))
+        if isinstance(node, SNum):
             if not nat_ok:
-                return e
-            if e.arg is not None:
-                return ENum(e.value, do_expr(e.arg, dummies, pvars))
+                return node  # flagged by validation
+            if node.arg is not None:
+                return SNum(node.value, walk(node.arg, fresh, empty))
             if counted:
-                return ENum(e.value, empty_record_expr(dummies, pvars))
-            return do_expr(num_expr(e.value), dummies, pvars)
-        if isinstance(e, EVar):
-            return e
-        if isinstance(e, EConstr):
-            args = [do_expr(a, dummies, pvars) for a in e.args]
-            arity = arities.get(e.name)
-            if arity == 0 and not args:
-                args = [ERecord(())]
-            if len(args) == 2 and (arity == 2 or arity is None):
-                args = [ERecord((("Fst", args[0]), ("Snd", args[1])))]
-            if len(args) == 1 and isinstance(args[0], ERecord) \
-                    and not args[0].fields:
-                args = [empty_record_expr(dummies, pvars)]
-            return EConstr(e.name, tuple(args))
-        if isinstance(e, ERecord):
-            if not e.fields:
-                return empty_record_expr(dummies, pvars)
-            return ERecord(tuple(
-                (n, do_expr(sub, dummies, pvars)) for n, sub in e.fields
-            ))
-        if isinstance(e, EProj):
-            return EProj(do_expr(e.sub, dummies, pvars), e.fname)
-        if isinstance(e, EApp):
-            return EApp(e.fname, tuple(do_expr(a, dummies, pvars) for a in e.args))
-        raise SourceError("unknown expression %r" % (e,))
+                return SNum(node.value, empty())
+            return walk(numeral(node.value), fresh, empty)
+        if isinstance(node, SRecord):
+            if not node.fields:
+                return empty()
+            return SRecord(tuple([
+                (n, walk(sub, fresh, empty)) for n, sub in node.fields]))
+        if isinstance(node, SApp):
+            return SApp(node.fname,
+                        tuple([walk(a, fresh, empty) for a in node.args]))
+        if isinstance(node, SProj):
+            return SProj(walk(node.sub, fresh, empty), node.fname)
+        raise SourceError("unknown node %r" % (node,))
 
     def do_clause(cl: Clause) -> Clause:
         try:
@@ -749,13 +672,26 @@ def desugar(program: Program) -> Program:
         existing: list = []
         for p in cl.patterns:
             _pattern_vars(p, existing)
-        fresh = _Fresh(existing)
+        fresh = _fresh_names(set(existing))
         dummies: list = []
-        patterns = tuple(do_pattern(p, fresh, dummies) for p in cl.patterns)
+
+        def dummy():
+            dummies.append(next(fresh))
+            return SVar(dummies[-1])
+
+        patterns = tuple(walk(p, fresh, dummy) for p in cl.patterns)
         pvars: list = []
         for p in patterns:
             _pattern_vars(p, pvars)
-        body = do_expr(cl.body, dummies, pvars)
+
+        def empty_record():
+            if dummies:
+                return SVar(dummies[0])
+            if pvars:
+                return SApp("empty_record", (SVar(pvars[0]),))
+            return SVar("empty_record")  # resolved as a 0-ary library call
+
+        body = walk(cl.body, fresh, empty_record)
         return Clause(cl.fname, patterns, body, cl.line, cl.col)
 
     groups = tuple(
@@ -852,15 +788,15 @@ def validate_restrictions(program: Program) -> tuple:
 
 
 def _check_pattern(p, seen: list, arities, cl, violations) -> None:
-    if isinstance(p, PVar):
+    if isinstance(p, SVar):
         seen.append(p.name)
-    elif isinstance(p, PNum) and p.arg is not None:
+    elif isinstance(p, SNum) and p.arg is not None:
         _check_pattern(p.arg, seen, arities, cl, violations)
-    elif isinstance(p, PNum):
+    elif isinstance(p, SNum):
         violations.append(Violation(
             "numeral pattern needs a `nat` declaration with Zero and Succ",
             cl.line, cl.col))
-    elif isinstance(p, PConstr):
+    elif isinstance(p, SConstr):
         if p.name not in arities:
             violations.append(Violation(
                 "unknown constructor %r" % p.name, cl.line, cl.col))
@@ -870,7 +806,7 @@ def _check_pattern(p, seen: list, arities, cl, violations) -> None:
                 % (p.name, len(p.args), arities[p.name]), cl.line, cl.col))
         for sub in p.args:
             _check_pattern(sub, seen, arities, cl, violations)
-    elif isinstance(p, PRecord):
+    elif isinstance(p, SRecord):
         if not p.fields:
             violations.append(Violation(
                 "empty record pattern survived desugaring", cl.line, cl.col))
@@ -879,13 +815,13 @@ def _check_pattern(p, seen: list, arities, cl, violations) -> None:
 
 
 def _check_expr(e, bound: set, fn_arity, arities, cl, violations) -> None:
-    if isinstance(e, ENum) and e.arg is not None:
+    if isinstance(e, SNum) and e.arg is not None:
         _check_expr(e.arg, bound, fn_arity, arities, cl, violations)
-    elif isinstance(e, ENum):
+    elif isinstance(e, SNum):
         violations.append(Violation(
             "numeral needs a `nat` declaration with Zero and Succ",
             cl.line, cl.col))
-    elif isinstance(e, EVar):
+    elif isinstance(e, SVar):
         if e.name in bound:
             return
         if e.name in fn_arity or e.name == "empty_record":
@@ -897,7 +833,7 @@ def _check_expr(e, bound: set, fn_arity, arities, cl, violations) -> None:
             return
         violations.append(Violation(
             "unbound variable %r" % e.name, cl.line, cl.col))
-    elif isinstance(e, EConstr):
+    elif isinstance(e, SConstr):
         if e.name not in arities:
             violations.append(Violation(
                 "unknown constructor %r" % e.name, cl.line, cl.col))
@@ -907,15 +843,15 @@ def _check_expr(e, bound: set, fn_arity, arities, cl, violations) -> None:
                 % (e.name, len(e.args), arities[e.name]), cl.line, cl.col))
         for a in e.args:
             _check_expr(a, bound, fn_arity, arities, cl, violations)
-    elif isinstance(e, ERecord):
+    elif isinstance(e, SRecord):
         if not e.fields:
             violations.append(Violation(
                 "empty record survived desugaring", cl.line, cl.col))
         for _, sub in e.fields:
             _check_expr(sub, bound, fn_arity, arities, cl, violations)
-    elif isinstance(e, EProj):
+    elif isinstance(e, SProj):
         _check_expr(e.sub, bound, fn_arity, arities, cl, violations)
-    elif isinstance(e, EApp):
+    elif isinstance(e, SApp):
         if e.fname in bound:
             violations.append(Violation(
                 "pattern variable %r cannot be applied" % e.fname,

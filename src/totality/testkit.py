@@ -76,17 +76,13 @@ from .terms import (
     weight_add,
 )
 from .typecheck import (
-    ABCall,
-    ABConstr,
-    ABNum,
-    ABProj,
-    ABRecord,
-    ABVar,
+    ACall,
+    AConstr,
     ADef,
-    APConstr,
-    APNum,
-    APRecord,
-    APVar,
+    ANum,
+    AProj,
+    ARecord,
+    AVar,
 )
 
 # ---------------------------------------------------------------------------
@@ -510,15 +506,15 @@ def pattern_bindings(patterns, counts=None) -> dict:
     bindings: dict[str, Term] = {}
 
     def walk(p, ctx: Term) -> None:
-        if isinstance(p, APVar):
+        if isinstance(p, AVar):
             bindings[p.name] = ctx
-        elif isinstance(p, APConstr):
+        elif isinstance(p, AConstr):
             walk(p.arg, constr_dual(p.name, p.prio, ctx))
-        elif isinstance(p, APNum):
+        elif isinstance(p, ANum):
             for _ in range(counts[p.value] if counts else p.value):
                 ctx = constr_dual("Succ", p.prio, ctx)
             walk(p.arg, constr_dual("Zero", p.prio, ctx))
-        elif isinstance(p, APRecord):
+        elif isinstance(p, ARecord):
             for name, sub in p.fields:
                 walk(sub, project(name, p.prio, ctx))
         else:
@@ -532,23 +528,23 @@ def pattern_bindings(patterns, counts=None) -> dict:
 def body_term(body, bindings: dict, counts=None) -> Term:
     """The term of a clause body; a numeral n builds counts[n] `Succ`, or n
     without `counts`."""
-    if isinstance(body, ABVar):
+    if isinstance(body, AVar):
         return bindings[body.name]
-    if isinstance(body, ABConstr):
+    if isinstance(body, AConstr):
         return constr(body.name, body.prio,
                       body_term(body.arg, bindings, counts))
-    if isinstance(body, ABNum):
+    if isinstance(body, ANum):
         t = constr("Zero", body.prio, body_term(body.arg, bindings, counts))
         for _ in range(counts[body.value] if counts else body.value):
             t = constr("Succ", body.prio, t)
         return t
-    if isinstance(body, ABRecord):
+    if isinstance(body, ARecord):
         return record([(n, body_term(v, bindings, counts))
                        for n, v in body.fields], body.prio)
-    if isinstance(body, ABProj):
+    if isinstance(body, AProj):
         return project(body.name, body.prio,
                        body_term(body.sub, bindings, counts))
-    if isinstance(body, ABCall):
+    if isinstance(body, ACall):
         return funapp(body.fname,
                       [body_term(a, bindings, counts) for a in body.args])
     raise InternalError("unknown body node %r" % (body,))

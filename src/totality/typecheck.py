@@ -18,17 +18,13 @@ from collections import Counter
 from .records import Struct
 from .surface import (
     Definition,
-    EApp,
-    EConstr,
-    ENum,
-    EProj,
-    ERecord,
-    EVar,
-    PConstr,
-    PNum,
-    PRecord,
-    PVar,
+    SApp,
+    SConstr,
+    SNum,
+    SProj,
+    SRecord,
     SourceError,
+    SVar,
     TApp,
     TArrow,
     TVar,
@@ -48,18 +44,20 @@ class PriorityError(SourceError):
 
 # ---------------------------------------------------------------------------
 # annotated clause trees
+#
+# Patterns and bodies share one node set, as in the surface syntax.  Each
+# node that carries a type gets its result type `instance` during annotation
+# and its priority `prio` once the group's priorities are known.  Only
+# bodies hold a projection `AProj` or a resolved call `ACall`.
 
-# Each node that carries a type gets its result type `instance` during
-# annotation and its priority `prio` once the group's priorities are known.
-
-class APVar(Struct):
+class AVar(Struct):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
 
 
-class APConstr(Struct):
+class AConstr(Struct):
     __slots__ = ("name", "arg", "instance", "prio")
 
     def __init__(self, name: str, arg: object, instance: object = None,
@@ -70,7 +68,7 @@ class APConstr(Struct):
         self.prio = prio
 
 
-class APNum(Struct):
+class ANum(Struct):
     """The numeral `value`: that many `Succ` over `Zero arg`."""
 
     __slots__ = ("value", "arg", "instance", "prio")
@@ -83,7 +81,7 @@ class APNum(Struct):
         self.prio = prio
 
 
-class APRecord(Struct):
+class ARecord(Struct):
     __slots__ = ("fields", "instance", "prio")
 
     def __init__(self, fields: tuple, instance: object = None,
@@ -93,46 +91,7 @@ class APRecord(Struct):
         self.prio = prio
 
 
-class ABVar(Struct):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class ABConstr(Struct):
-    __slots__ = ("name", "arg", "instance", "prio")
-
-    def __init__(self, name: str, arg: object, instance: object = None,
-                 prio: object = None):
-        self.name = name
-        self.arg = arg
-        self.instance = instance
-        self.prio = prio
-
-
-class ABNum(Struct):
-    __slots__ = ("value", "arg", "instance", "prio")
-
-    def __init__(self, value: int, arg: object, instance: object = None,
-                 prio: object = None):
-        self.value = value
-        self.arg = arg
-        self.instance = instance
-        self.prio = prio
-
-
-class ABRecord(Struct):
-    __slots__ = ("fields", "instance", "prio")
-
-    def __init__(self, fields: tuple, instance: object = None,
-                 prio: object = None):
-        self.fields = fields
-        self.instance = instance
-        self.prio = prio
-
-
-class ABProj(Struct):
+class AProj(Struct):
     __slots__ = ("sub", "name", "instance", "prio")
 
     def __init__(self, sub: object, name: str, instance: object = None,
@@ -143,7 +102,7 @@ class ABProj(Struct):
         self.prio = prio
 
 
-class ABCall(Struct):
+class ACall(Struct):
     __slots__ = ("fname", "args")
 
     def __init__(self, fname: str, args: tuple):
@@ -151,9 +110,8 @@ class ABCall(Struct):
         self.args = args
 
 
-_INSTANCE_NODES = (APConstr, ABConstr, APNum, ABNum, APRecord, ABRecord,
-                   ABProj)
-_ONE_CHILD = (APConstr, ABConstr, APNum, ABNum)
+_INSTANCE_NODES = (AConstr, ANum, ARecord, AProj)
+_ONE_CHILD = (AConstr, ANum)
 
 
 def clause_nodes(cl):
@@ -165,11 +123,11 @@ def clause_nodes(cl):
         yield node
         if isinstance(node, _ONE_CHILD):
             stack.append(node.arg)
-        elif isinstance(node, (APRecord, ABRecord)):
+        elif isinstance(node, ARecord):
             stack.extend(sub for _, sub in reversed(node.fields))
-        elif isinstance(node, ABProj):
+        elif isinstance(node, AProj):
             stack.append(node.sub)
-        elif isinstance(node, ABCall):
+        elif isinstance(node, ACall):
             stack.extend(reversed(node.args))
 
 
@@ -184,7 +142,7 @@ def index_clauses(adefs) -> list:
             for node in clause_nodes(cl):
                 if isinstance(node, _INSTANCE_NODES):
                     nodes.append(node)
-                elif isinstance(node, ABCall):
+                elif isinstance(node, ACall):
                     calls[node.fname] = None
             cl.calls = tuple(calls)
     return nodes
@@ -258,10 +216,16 @@ class DeclEnv:
         self.fieldsets: dict[frozenset, str] = {}
         for decl in decls:
             self.decls[decl.name] = decl
+        paired = False
         for decl in decls:
-            self._register(decl)
+            paired = self._register(decl) or paired
+        if paired:
+            self._reserve_pair(decls)
 
-    def _register(self, decl: TypeDecl) -> None:
+    def _register(self, decl: TypeDecl) -> bool:
+        """Register the items of `decl`; whether it has a two-argument
+        constructor."""
+        paired = False
         subject = TApp(decl.name, tuple(TVar(p) for p in decl.params))
         if decl.is_codata:
             names = []
@@ -277,7 +241,7 @@ class DeclEnv:
                 self.dtors[name] = DtorInfo(decl.params, subject, ty.cod)
                 names.append(name)
             self.fieldsets[frozenset(names)] = decl.name
-            return
+            return False
         for name, ty in decl.items:
             args = []
             t = ty
@@ -293,12 +257,14 @@ class DeclEnv:
             elif len(args) == 1:
                 internal = args[0]
             elif len(args) == 2:
-                internal = self._pair(args[0], args[1])
+                internal = TApp("pair", tuple(args))
+                paired = True
             else:
                 raise TypeCheckError(
                     "constructor %r takes too many arguments" % name,
                     decl.line, decl.col)
             self.ctors[name] = CtorInfo(decl.params, internal, subject)
+        return paired
 
     def _unit(self) -> TApp:
         if "unit" not in self.decls:
@@ -307,22 +273,31 @@ class DeclEnv:
             self.fieldsets[frozenset()] = "unit"
         return TApp("unit", ())
 
-    def _pair(self, a, b) -> TApp:
-        if "pair" not in self.decls:
-            if "Fst" in self.dtors or "Snd" in self.dtors:
+    def _reserve_pair(self, decls) -> None:
+        """Give two-argument constructors the pair `pair('a, 'b)` with
+        fields `Fst` and `Snd`, unless the program declares a codata `pair`
+        with exactly these fields.  Any other `pair`, or another codata
+        with a field `Fst` or `Snd`, clashes with it."""
+        pair_fields = {"Fst", "Snd"}
+        for decl in decls:
+            fields = {name for name, _ in decl.items}
+            if decl.name == "pair":
+                if not decl.is_codata or fields != pair_fields:
+                    raise TypeCheckError(
+                        "type name pair is reserved for two-argument "
+                        "constructors unless declared as codata with exactly "
+                        "the fields Fst, Snd", decl.line, decl.col)
+            elif decl.is_codata and fields & pair_fields:
                 raise TypeCheckError(
                     "field names Fst/Snd are reserved for two-argument "
-                    "constructors")
+                    "constructors", decl.line, decl.col)
+        if "pair" not in self.decls:
             subject = TApp("pair", (TVar("a"), TVar("b")))
-            synthetic = TypeDecl(
+            self.decls["pair"] = TypeDecl(
                 "pair", ("a", "b"), True,
                 (("Fst", TArrow(subject, TVar("a"))),
                  ("Snd", TArrow(subject, TVar("b")))))
-            self.decls["pair"] = synthetic
-            self.dtors["Fst"] = DtorInfo(("a", "b"), subject, TVar("a"))
-            self.dtors["Snd"] = DtorInfo(("a", "b"), subject, TVar("b"))
-            self.fieldsets[frozenset(("Fst", "Snd"))] = "pair"
-        return TApp("pair", (a, b))
+            self._register(self.decls["pair"])
 
     def deconstruction_targets(self, inst: TApp) -> list:
         """Instances one deconstruction step from `inst`: the argument
@@ -535,47 +510,47 @@ class GroupChecker:
                       for n, _ in fields]
 
     def check_pattern(self, p, expected, var_env, cl):
-        if isinstance(p, PVar):
+        if isinstance(p, SVar):
             if p.name in var_env:
                 raise TypeCheckError("duplicate variable %r" % p.name,
                                      cl.line, cl.col)
             var_env[p.name] = expected
-            return APVar(p.name)
-        if isinstance(p, PConstr):
+            return AVar(p.name)
+        if isinstance(p, SConstr):
             inst, arg = self.constr_type(p.name, expected, cl)
-            return APConstr(p.name, self.check_pattern(
+            return AConstr(p.name, self.check_pattern(
                 p.args[0], arg, var_env, cl), instance=inst)
-        if isinstance(p, PRecord):
+        if isinstance(p, SRecord):
             inst, types = self.record_type(p.fields, expected, cl)
-            return APRecord(tuple(
+            return ARecord(tuple(
                 (fname, self.check_pattern(sub, ty, var_env, cl))
                 for (fname, sub), ty in zip(p.fields, types)), instance=inst)
-        if isinstance(p, PNum) and p.arg is not None:
+        if isinstance(p, SNum) and p.arg is not None:
             nat = TApp("nat", ())
             self.u.unify(expected, nat, cl.line, cl.col)
-            return APNum(p.value, self.check_pattern(
+            return ANum(p.value, self.check_pattern(
                 p.arg, self.env.ctors["Zero"].arg, var_env, cl), instance=nat)
         raise TypeCheckError("pattern not desugared: %r" % (p,),
                              cl.line, cl.col)
 
     def check_expr(self, e, expected, var_env, cl):
-        if isinstance(e, EVar):
+        if isinstance(e, SVar):
             if e.name in var_env:
                 self.u.unify(expected, var_env[e.name], cl.line, cl.col)
-                return ABVar(e.name)
+                return AVar(e.name)
             return self.check_call(e.name, (), expected, var_env, cl)
-        if isinstance(e, EApp):
+        if isinstance(e, SApp):
             return self.check_call(e.fname, e.args, expected, var_env, cl)
-        if isinstance(e, EConstr):
+        if isinstance(e, SConstr):
             inst, arg = self.constr_type(e.name, expected, cl)
-            return ABConstr(e.name, self.check_expr(
+            return AConstr(e.name, self.check_expr(
                 e.args[0], arg, var_env, cl), instance=inst)
-        if isinstance(e, ERecord):
+        if isinstance(e, SRecord):
             inst, types = self.record_type(e.fields, expected, cl)
-            return ABRecord(tuple(
+            return ARecord(tuple(
                 (fname, self.check_expr(sub, ty, var_env, cl))
                 for (fname, sub), ty in zip(e.fields, types)), instance=inst)
-        if isinstance(e, EProj):
+        if isinstance(e, SProj):
             info = self.env.dtors.get(e.fname)
             if info is None:
                 raise TypeCheckError("unknown field %r" % e.fname,
@@ -585,13 +560,13 @@ class GroupChecker:
             sub = self.check_expr(e.sub, inst, var_env, cl)
             self.u.unify(expected, subst_type(info.result, mapping),
                          cl.line, cl.col)
-            return ABProj(sub, e.fname, instance=inst)
-        if isinstance(e, ENum) and e.arg is not None:
+            return AProj(sub, e.fname, instance=inst)
+        if isinstance(e, SNum) and e.arg is not None:
             nat = TApp("nat", ())
             self.u.unify(expected, nat, cl.line, cl.col)
-            return ABNum(e.value, self.check_expr(
+            return ANum(e.value, self.check_expr(
                 e.arg, self.env.ctors["Zero"].arg, var_env, cl), instance=nat)
-        if isinstance(e, ENum):
+        if isinstance(e, SNum):
             raise TypeCheckError("numeral not desugared", cl.line, cl.col)
         raise TypeCheckError("unknown expression %r" % (e,), cl.line, cl.col)
 
@@ -617,7 +592,7 @@ class GroupChecker:
             for a, ty in zip(args, arg_types)
         )
         self.u.unify(expected, result, cl.line, cl.col)
-        return ABCall(fname, checked)
+        return ACall(fname, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -65,17 +65,13 @@ from totality.testkit import (
     weigh,
 )
 from totality.typecheck import (
-    ABCall,
-    ABConstr,
-    ABNum,
-    ABProj,
-    ABRecord,
-    ABVar,
+    ACall,
     AClause,
-    APConstr,
-    APNum,
-    APRecord,
-    APVar,
+    AConstr,
+    ANum,
+    AProj,
+    ARecord,
+    AVar,
 )
 
 
@@ -267,21 +263,21 @@ def random_clause(rng, depth=4):
         roll = rng.random()
         if d == 0 or roll < 0.35:
             names.append("v%d" % len(names))
-            return APVar(names[-1])
+            return AVar(names[-1])
         if roll < 0.6:
-            return APConstr(rng.choice("AB"), pattern(d - 1), prio=1)
+            return AConstr(rng.choice("AB"), pattern(d - 1), prio=1)
         if roll < 0.75:
-            return APNum(rng.randint(0, 3), pattern(d - 1), prio=1)
-        return APRecord(tuple((n, pattern(d - 1))
-                              for n in rng.sample("DE", 2)), prio=0)
+            return ANum(rng.randint(0, 3), pattern(d - 1), prio=1)
+        return ARecord(tuple((n, pattern(d - 1))
+                             for n in rng.sample("DE", 2)), prio=0)
 
     def leaf():
         if rng.random() < 0.8:
-            return ABVar(rng.choice(names))
-        return ABCall(rng.choice("fgh"), ())
+            return AVar(rng.choice(names))
+        return ACall(rng.choice("fgh"), ())
 
     def call(d):
-        return ABCall(rng.choice("ffgh"), tuple(
+        return ACall(rng.choice("ffgh"), tuple(
             rng.choice((data, codata))(d - 1)
             for _ in range(rng.choice((0, 1, 1, 2, 2)))))
 
@@ -291,23 +287,23 @@ def random_clause(rng, depth=4):
             return leaf()
         if roll < 0.5:
             fields = {"D": data(d - 1), "E": codata(d - 1)}
-            return ABRecord(tuple((n, fields[n]) for n in rng.sample("DE", 2)),
-                            prio=0)
+            return ARecord(tuple((n, fields[n]) for n in rng.sample("DE", 2)),
+                           prio=0)
         if roll < 0.75:
             return call(d)
-        return ABProj(codata(d - 1), "E", prio=0)
+        return AProj(codata(d - 1), "E", prio=0)
 
     def data(d):
         roll = rng.random()
         if d <= 0 or roll < 0.15:
             return leaf()
         if roll < 0.3:
-            return ABConstr(rng.choice("AB"), data(d - 1), prio=1)
+            return AConstr(rng.choice("AB"), data(d - 1), prio=1)
         if roll < 0.4:
-            return ABNum(rng.randint(0, 3), data(d - 1), prio=1)
+            return ANum(rng.randint(0, 3), data(d - 1), prio=1)
         if roll < 0.75:
             return call(d)
-        return ABProj(codata(d - 1), "D", prio=0)
+        return AProj(codata(d - 1), "D", prio=0)
 
     patterns = tuple(pattern(2) for _ in range(rng.randint(1, 2)))
     return AClause(patterns, rng.choice((data, codata))(depth))
@@ -334,15 +330,15 @@ class TestClauseCalls:
         """A call in the argument of any call loses the constructors and
         fields above it to the Daimon, under which the projections of the
         outer spine vanish; a record literal's projection selects."""
-        x = ABVar("x")
-        cl = AClause((APVar("x"),), ABConstr("C", ABProj(ABCall("h", (
-            ABRecord((("E", x), ("D", ABConstr("C", ABCall("f", (x,)),
-                                                prio=1))), prio=0),)),
+        x = AVar("x")
+        cl = AClause((AVar("x"),), AConstr("C", AProj(ACall("h", (
+            ARecord((("E", x), ("D", AConstr("C", ACall("f", (x,)),
+                                              prio=1))), prio=0),)),
             "D", prio=0), prio=1))
         assert clause_calls("f", cl, {"f"}, {}) == [[Call(
             "f", "f", (("c", "C", 1), DAIMON), (("x", None, (), 1),))]]
-        selected = AClause((APVar("x"),), ABProj(ABRecord((
-            ("E", ABCall("f", ())), ("D", ABCall("f", (x,)))), prio=0),
+        selected = AClause((AVar("x"),), AProj(ARecord((
+            ("E", ACall("f", ())), ("D", ACall("f", (x,)))), prio=0),
             "D", prio=0))
         assert clause_calls("f", selected, {"f"}, {}) == [[Call(
             "f", "f", (), (("x", None, (), 1),))]]

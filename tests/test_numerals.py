@@ -10,7 +10,7 @@ import pytest
 from totality.callgraph import numeral_counts
 from totality.checker import Config, analyze_source
 from totality.cli import _render_json, _render_text, main
-from totality.typecheck import ABNum, ABVar, AClause, APNum, APVar
+from totality.typecheck import AClause, ANum, AVar
 
 # a numeral in a pattern, in a body beside a call, and in call arguments,
 # where a body numeral sits over the pattern numeral's Zero and their
@@ -117,7 +117,7 @@ def test_numeral_of_5000_on_the_command_line(tmp_path, capsys):
 
 
 def test_counts_keep_short_gaps_and_shrink_long_ones():
-    clause = AClause((APNum(900, APVar("z")),),
-                     ABNum(3, ABNum(5000, ABVar("z"))))
+    clause = AClause((ANum(900, AVar("z")),),
+                     ANum(3, ANum(5000, AVar("z"))))
     # B=1, D=0 and 5 nodes: gaps are kept up to 1 + 2 * (0 + 5) + 4 = 15
     assert numeral_counts([clause], 1, 0) == {3: 3, 900: 18, 5000: 33}

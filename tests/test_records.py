@@ -23,10 +23,9 @@ from totality.scp import GroupOutcome
 from totality.surface import (
     Clause,
     Definition,
-    EVar,
     Group,
-    PVar,
-    PWild,
+    SVar,
+    SWild,
     TApp,
     TypeDecl,
 )
@@ -43,6 +42,7 @@ from totality.terms import (
     Unknown,
     weight,
 )
+from totality.typecheck import AVar
 
 
 def term_pairs():
@@ -69,14 +69,14 @@ def call(caller="f"):
 
 class TestEquality:
     def test_classes_with_the_same_fields_differ(self):
-        assert PVar("x") != EVar("x")
-        assert not PVar("x") == EVar("x")
+        assert SVar("x") != AVar("x")
+        assert not SVar("x") == AVar("x")
         assert Constr("S", 1, Param(1)) != ConstrDual("S", 1, Param(1))
         assert Constr("S", 1, Param(1)) == Constr("S", 1, Param(1))
-        assert PWild() == PWild()
+        assert SWild() == SWild()
 
     def test_fields_are_compared(self):
-        assert PVar("x") != PVar("y")
+        assert SVar("x") != SVar("y")
         assert Constr("S", 1, Param(1)) != Constr("S", 3, Param(1))
         assert call("f") != call("h")
 
@@ -84,8 +84,8 @@ class TestEquality:
         decl = TypeDecl("nat", (), False, (("Zero", TApp("unit")),), 1, 1)
         assert decl == TypeDecl("nat", (), False, (("Zero", TApp("unit")),),
                                 7, 9)
-        clause = Clause("f", (PVar("x"),), EVar("x"), 2, 3)
-        assert clause == Clause("f", (PVar("x"),), EVar("x"), 5, 8)
+        clause = Clause("f", (SVar("x"),), SVar("x"), 2, 3)
+        assert clause == Clause("f", (SVar("x"),), SVar("x"), 5, 8)
         assert Definition("f", None, (clause,), 2, 1) == \
             Definition("f", None, (clause,), 4, 6)
         assert Group((), 3, (2, 2)) == Group((), 9, None)
@@ -94,7 +94,7 @@ class TestEquality:
 
     def test_unordered(self):
         with pytest.raises(TypeError):
-            PVar("x") < PVar("y")
+            SVar("x") < SVar("y")
 
 
 class TestFrozen:
@@ -128,7 +128,7 @@ class TestFrozen:
 
     def test_mutable_records_are_unhashable(self):
         with pytest.raises(TypeError):
-            hash(PVar("x"))
+            hash(SVar("x"))
 
 
 class TestCopies:
@@ -165,7 +165,7 @@ class TestDefaults:
 
     def test_records_have_no_other_attributes(self):
         with pytest.raises(AttributeError):
-            PVar("x").line = 3
+            SVar("x").line = 3
 
     def test_result_containers_are_fresh(self):
         a, b = Verdict("f", "total", (2, 2)), Verdict("f", "total", (2, 2))
@@ -241,8 +241,8 @@ class TestResults:
 
 class TestRepr:
     def test_names_the_class_and_its_fields(self):
-        assert repr(PVar("x")) == "PVar(name='x')"
-        assert repr(PWild()) == "PWild()"
+        assert repr(SVar("x")) == "SVar(name='x')"
+        assert repr(SWild()) == "SWild()"
         assert repr(Unknown()) == "Unknown()"
         assert repr(Constr("S", 1, Param(2))) == \
             "Constr(name='S', priority=1, arg=Param(index=2))"

@@ -4,14 +4,12 @@ import pytest
 
 from conftest import corpus_source
 from totality.surface import (
-    EApp,
-    EConstr,
-    ENum,
-    EVar,
-    PConstr,
-    PNum,
-    PVar,
+    SApp,
+    SConstr,
+    SNum,
+    SRecord,
     SourceError,
+    SVar,
     desugar,
     parse_program,
     validate_restrictions,
@@ -60,7 +58,7 @@ class TestParse:
             "val f (Cons(a, b)) = a")
         (cl,) = program.groups[0].defs[0].clauses
         (pat,) = cl.patterns
-        assert isinstance(pat, PConstr) and len(pat.args) == 2
+        assert isinstance(pat, SConstr) and len(pat.args) == 2
 
     def test_and_groups(self):
         program = parse_program(corpus_source("s1s2.ch"))
@@ -76,15 +74,15 @@ class TestDesugar:
             NAT + "val f : nat -> nat | f (Zero {}) = Succ (Zero {})"))
         (cl,) = program.groups[0].defs[0].clauses
         (pat,) = cl.patterns
-        assert pat == PConstr("Zero", (PVar("_d0"),))
-        assert cl.body == EConstr("Succ", (EConstr("Zero", (EVar("_d0"),)),))
+        assert pat == SConstr("Zero", (SVar("_d0"),))
+        assert cl.body == SConstr("Succ", (SConstr("Zero", (SVar("_d0"),)),))
 
     def test_body_empty_record_without_unit_dummy(self):
         program = desugar(parse_program(
             NAT + "val g : nat -> nat | g (Succ x) = Zero {}"))
         (cl,) = program.groups[0].defs[0].clauses
-        assert cl.body == EConstr(
-            "Zero", (EApp("empty_record", (EVar("x"),)),))
+        assert cl.body == SConstr(
+            "Zero", (SApp("empty_record", (SVar("x"),)),))
 
     def test_no_empty_records_is_identity(self):
         source = NAT + "val f : nat -> nat | f x = Succ x"
@@ -96,27 +94,82 @@ class TestDesugar:
         program = desugar(parse_program(NAT + "val f : nat -> nat | f x = 2"))
         (cl,) = program.groups[0].defs[0].clauses
         body = cl.body
-        assert body == ENum(2, EApp("empty_record", (EVar("x"),)))
+        assert body == SNum(2, SApp("empty_record", (SVar("x"),)))
 
     def test_numeral_pattern_gets_a_dummy(self):
         program = desugar(parse_program(
             NAT + "val f : nat -> nat | f 3 = 1"))
         (cl,) = program.groups[0].defs[0].clauses
-        assert cl.patterns == (PNum(3, PVar("_d0")),)
-        assert cl.body == ENum(1, EVar("_d0"))
+        assert cl.patterns == (SNum(3, SVar("_d0")),)
+        assert cl.body == SNum(1, SVar("_d0"))
 
     def test_numerals_expand_over_another_nat(self):
         program = desugar(parse_program(
             "data nat where Zero : nat | Succ : nat -> nat -> nat\n"
             "val f : nat -> nat | f x = 1"))
         (cl,) = program.groups[0].defs[0].clauses
-        assert cl.body == EConstr("Succ", (EConstr(
-            "Zero", (EApp("empty_record", (EVar("x"),)),)),))
+        assert cl.body == SConstr("Succ", (SConstr(
+            "Zero", (SApp("empty_record", (SVar("x"),)),)),))
 
     def test_zero_arity_clause_uses_plain_empty_record_call(self):
         program = desugar(parse_program(NAT + "val c = 0"))
         (cl,) = program.groups[0].defs[0].clauses
-        assert cl.body == ENum(0, EVar("empty_record"))
+        assert cl.body == SNum(0, SVar("empty_record"))
+
+    def test_pinned_trees_over_the_usual_nat(self):
+        # wildcards, zero-arity constructors, pair sugar, two-argument
+        # juxtaposition, explicit `{}` and counted numerals on both sides
+        program = desugar(parse_program(
+            NAT + "data list where Nil : list | Cons : nat -> list -> list\n"
+            "val f : list -> nat -> list"
+            " | f Nil _ = Cons(2, Nil)"
+            " | f (Cons(x, xs)) 3 = Cons x (f xs {})"
+            " | f (Cons x (Cons _ ys)) (Zero {}) = Cons 0 (f ys 1)"
+            " | f _d0 _ = Succ {}"))
+        clauses = program.groups[0].defs[0].clauses
+        d0, d1 = SVar("_d0"), SVar("_d1")
+        assert [(cl.patterns, cl.body) for cl in clauses] == [
+            ((SConstr("Nil", (SVar("_d0"),)), SVar("_d1")),
+             SConstr("Cons", (SRecord((("Fst", SNum(2, d0)),
+                                       ("Snd", SConstr("Nil", (d0,))))),))),
+            ((SConstr("Cons", (SRecord((("Fst", SVar("x")),
+                                        ("Snd", SVar("xs")))),)),
+              SNum(3, SVar("_d0"))),
+             SConstr("Cons", (SRecord((
+                 ("Fst", SVar("x")),
+                 ("Snd", SApp("f", (SVar("xs"), d0))))),))),
+            ((SConstr("Cons", (SRecord((
+                ("Fst", SVar("x")),
+                ("Snd", SConstr("Cons", (SRecord((("Fst", SVar("_d0")),
+                                                  ("Snd", SVar("ys")))),))),
+            )),)),
+              SConstr("Zero", (SVar("_d1"),))),
+             SConstr("Cons", (SRecord((
+                 ("Fst", SNum(0, d1)),
+                 ("Snd", SApp("f", (SVar("ys"), SNum(1, d1)))))),))),
+            ((SVar("_d0"), SVar("_d1")),
+             SConstr("Succ", (SApp("empty_record", (d0,)),))),
+        ]
+
+    def test_pinned_trees_over_another_nat(self):
+        # numerals expand to `Succ` over `Zero {}` on both sides
+        program = desugar(parse_program(
+            "data nat where Zero : nat | Succ : nat -> nat -> nat\n"
+            "val g : nat -> nat -> nat"
+            " | g 1 _ = 2"
+            " | g (Succ(a, b)) 0 = Succ a b"))
+        clauses = program.groups[0].defs[0].clauses
+        d0 = SVar("_d0")
+        assert [(cl.patterns, cl.body) for cl in clauses] == [
+            ((SConstr("Succ", (SConstr("Zero", (SVar("_d0"),)),)),
+              SVar("_d1")),
+             SConstr("Succ", (SConstr("Succ", (SConstr("Zero", (d0,)),)),))),
+            ((SConstr("Succ", (SRecord((("Fst", SVar("a")),
+                                        ("Snd", SVar("b")))),)),
+              SConstr("Zero", (SVar("_d0"),))),
+             SConstr("Succ", (SRecord((("Fst", SVar("a")),
+                                       ("Snd", SVar("b")))),))),
+        ]
 
     def test_idempotent(self):
         for name in ("nats.ch", "sums.ch", "half.ch", "s1s2.ch", "swap.ch"):

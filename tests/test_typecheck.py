@@ -9,15 +9,12 @@ from totality.checker import Config, analyze_source
 from totality.cli import main
 from totality.surface import TApp, TArrow, TVar, TypeDecl, type_str
 from totality.typecheck import (
-    ABCall,
-    ABConstr,
-    ABRecord,
-    ABVar,
+    ACall,
     AClause,
+    AConstr,
     ADef,
-    APConstr,
-    APRecord,
-    APVar,
+    ARecord,
+    AVar,
     DeclEnv,
     PriorityError,
     TypeCheckError,
@@ -69,20 +66,20 @@ class TestAnnotate:
         (adef,) = analyzed.defs
         nil_clause, cons_clause = adef.clauses
         (nil_pat,) = nil_clause.patterns
-        assert isinstance(nil_pat, APConstr)
+        assert isinstance(nil_pat, AConstr)
         assert nil_pat.instance == tapp("list", TVar("x"))
         (cons_pat,) = cons_clause.patterns
-        assert isinstance(cons_pat.arg, APRecord)
+        assert isinstance(cons_pat.arg, ARecord)
         assert cons_pat.arg.instance == tapp(
             "pair", TVar("x"), tapp("list", TVar("x")))
         body = cons_clause.body
-        assert isinstance(body, ABConstr) and body.instance == tapp("nat")
+        assert isinstance(body, AConstr) and body.instance == tapp("nat")
 
     def test_nats_record_instance(self):
         (analyzed, _), = annotated_groups("nats.ch")
         (adef,) = analyzed.defs
         (clause,) = adef.clauses
-        assert isinstance(clause.body, ABRecord)
+        assert isinstance(clause.body, ARecord)
         assert clause.body.instance == tapp("stream", tapp("nat"))
 
     def test_unknown_constructor_reported(self):
@@ -249,9 +246,9 @@ def random_declarations(rng):
         decls.append(TypeDecl(name, params[name], codata, tuple(items)))
     env = DeclEnv(decls)
     leaves = [TVar("x")] + nullary
-    body = ABCall("g", tuple(ABConstr("K", ABVar("x"), instance(2, leaves))
-                             for _ in range(rng.randint(1, 3))))
-    clause = AClause((APVar("x"),), body)
+    body = ACall("g", tuple(AConstr("K", AVar("x"), instance(2, leaves))
+                            for _ in range(rng.randint(1, 3))))
+    clause = AClause((AVar("x"),), body)
     return env, [ADef("f", 1, (TVar("x"),), TVar("x"), (clause,))]
 
 
@@ -369,3 +366,39 @@ class TestUserPair:
         assert report.groups[0].priorities == {
             name.replace("twin", "pair"): prio
             for name, prio in twin.groups[0].priorities.items()}
+
+
+LIST = "data list where Nil : list | Cons : nat -> list -> list\n"
+LEN = ("val len : list -> nat | len Nil = Zero"
+       " | len (Cons x xs) = Succ (len xs)\n")
+FIELDS_RESERVED = "field names Fst/Snd are reserved for two-argument constructors"
+PAIR_RESERVED = ("type name pair is reserved for two-argument constructors "
+                 "unless declared as codata with exactly the fields Fst, Snd")
+
+
+class TestReservedPair:
+    """With a two-argument constructor, `pair`, `Fst` and `Snd` name the
+    pair of its arguments, unless the program declares that pair itself."""
+
+    @pytest.mark.parametrize("clash, message", [
+        ("codata box where Fst : box -> nat\n", FIELDS_RESERVED),
+        ("codata box where Fst : box -> nat | Snd : box -> list\n",
+         FIELDS_RESERVED),
+        ("data pair where P : nat -> pair\n", PAIR_RESERVED),
+    ], ids=["fst", "fst-snd", "data-pair"])
+    @pytest.mark.parametrize("first", [True, False], ids=["before", "after"])
+    def test_clash_is_located_in_either_order(self, clash, message, first):
+        decls = clash + LIST if first else LIST + clash
+        report = analyze_source(NAT + decls + LEN, Config())
+        line = 2 if first else 3
+        assert report.errors == ["%d:1: %s" % (line, message)]
+        assert report.verdicts == [] and report.exit_code() == 2
+
+    def test_fields_are_free_without_two_argument_constructors(self):
+        source = (NAT + "codata box where Fst : box -> nat | Snd : box -> nat\n"
+                  "data list where Nil : list | Cons : box -> list\n"
+                  "val f : box | f = { Fst = Zero ; Snd = Succ Zero }\n")
+        report = analyze_source(source, Config())
+        assert report.errors == []
+        assert [(v.fname, v.result) for v in report.verdicts] == [
+            ("f", "total")]
