@@ -243,11 +243,13 @@ class CallGraph(Struct):
                                 else self_composites)
 
 
-def collapsed_calls(calls, bound_b: int, bound_d: int) -> list:
+def collapsed_calls(calls, bound_b: int, bound_d: int,
+                    tables: CallTables | None = None) -> list:
     """The distinct collapsed forms of `calls`, in the order of their terms.
     Each call is collapsed as the closure collapses its composite with the
-    identity call."""
-    tables = CallTables(bound_b, bound_d)
+    identity call, through `tables` or fresh ones."""
+    if tables is None:
+        tables = CallTables(bound_b, bound_d)
     found = []
     for call in calls:
         identity = Call(call.callee, call.callee, (), tuple(
@@ -260,18 +262,22 @@ def collapsed_calls(calls, bound_b: int, bound_d: int) -> list:
             else sorted(set(found), key=lambda c: item_key(call_node(c))))
 
 
-def build_callgraph(adefs, bound_b: int, bound_d: int) -> CallGraph:
+def build_callgraph(adefs, bound_b: int, bound_d: int,
+                    tables: CallTables | None = None) -> CallGraph:
     """The collapsed calls of the clauses of `adefs`, in source order, each
-    occurrence's in the order of their terms (`clause_calls`).  A clause
-    that calls no member of the group gives no call, so only the clauses
-    that do (`AClause.calls`) are read."""
+    occurrence's in the order of their terms (`clause_calls`), collapsed
+    through the group's `tables`, or fresh ones.  A clause that calls no
+    member of the group gives no call, so only the clauses that do
+    (`AClause.calls`) are read."""
+    if tables is None:
+        tables = CallTables(bound_b, bound_d)
     group = {d.fname for d in adefs}
     calling = [(adef.fname, cl) for adef in adefs for cl in adef.clauses
                if not group.isdisjoint(cl.calls)]
     counts = numeral_counts([cl for _, cl in calling], bound_b, bound_d)
     edges = [call for caller, cl in calling
              for calls in clause_calls(caller, cl, group, counts)
-             for call in collapsed_calls(calls, bound_b, bound_d)]
+             for call in collapsed_calls(calls, bound_b, bound_d, tables)]
     return CallGraph(tuple(sorted(group)), tuple(dict.fromkeys(edges)),
                      bound_b, bound_d)
 
@@ -547,29 +553,37 @@ class CallTables:
     `_collapse` does to a tree what `testkit.collapse_call_term` does to
     its term; `testkit.substitute_tree` is the plain walk on weight items.
 
-    One instance serves one closure and is dropped with it."""
+    The tables have two lifetimes.  The word ids, the weight ids and the
+    memos keyed by those ids alone (`folds`, `sums`, `clamps`, `cancels`,
+    `merges` and `cuts`) hold pure functions of their keys, so one check
+    shares them across its groups with the same bounds: they come from
+    `shared`, a dict by (B, D) that the check keeps, or are fresh without
+    it.  Everything else (the spine and argument ids, `composed`,
+    `collapses`, `bound`, `subst` and `collapsed`) belongs to one instance,
+    which serves one group's initial collapse and closure and is dropped
+    with them; shared, the dense `composed` rows grow with every group."""
 
-    def __init__(self, bound_b: int, bound_d: int):
+    def __init__(self, bound_b: int, bound_d: int, shared: dict | None = None):
         self.bound_b, self.bound_d = bound_b, bound_d
-        self.words = _Ids(())
-        # None and the Daimon stand for themselves
-        self.weights = _Ids(_ZERO_WEIGHT)
-        self.weights.update({None: None, DAIMON: DAIMON})
-        # folds[(word, sign)], sums[(a, b)], clamps[a]: weight ids
-        self.folds: dict = {}
-        self.sums: dict = {}
-        self.clamps: dict = {}
+        if shared is None:
+            shared = {}
+        if (bound_b, bound_d) not in shared:
+            # None and the Daimon stand for themselves as weight ids
+            weights = _Ids(_ZERO_WEIGHT)
+            weights.update({None: None, DAIMON: DAIMON})
+            shared[bound_b, bound_d] = (_Ids(()), weights,
+                                        *[{} for _ in range(6)])
+        # folds[(word, sign)], sums[(a, b)], clamps[a]: weight ids; the steps
+        # of `_compose`: cancels[(da, cb)]: `_cancel`; merges[(ma, da, cb,
+        # mb)]: `_merge`; cuts[(ca, xc, xd, db)]: `_cut`
+        (self.words, self.weights, self.folds, self.sums, self.clamps,
+         self.cancels, self.merges, self.cuts) = shared[bound_b, bound_d]
         self.spine_ids = _Ids(None)
         self.parts: list = self.spine_ids.values
         self.spines: list = [None]
         # composed[ia][ib]: the spine id of the composite, None until met
         self.composed: list[list] = [[None]]
-        # the steps of `_compose`: cancels[(da, cb)]: `_cancel`;
-        # merges[(ma, da, cb, mb)]: `_merge`; cuts[(ca, xc, xd, db)]:
-        # `_cut`; collapses[(ca, merged, db)]: the spine id of the composite
-        self.cancels: dict = {}
-        self.merges: dict = {}
-        self.cuts: dict = {}
+        # collapses[(ca, merged, db)]: the spine id of the composite
         self.collapses: dict = {}
         self.arg_ids = _Ids()
         self.trees: list = self.arg_ids.values
@@ -913,7 +927,8 @@ class CallTables:
         return _record(tree, self._collapse, budget - 1)
 
 
-def transitive_closure(graph: CallGraph) -> CallGraph:
+def transitive_closure(graph: CallGraph,
+                       tables: CallTables | None = None) -> CallGraph:
     """Saturate the graph under collapsed composition.
 
     The initial edges are composed pairwise, in order.  Then each edge k,
@@ -930,8 +945,10 @@ def transitive_closure(graph: CallGraph) -> CallGraph:
     order `testkit.compose_calls` gives them.  `compositions` counts the
     ordered pairs of edges that meet.  Each loop's composites with itself
     are kept for the loop check.  The caps only guard against bugs.
+    `tables` are the group's, with its bounds, or fresh ones.
     """
-    tables = CallTables(graph.bound_b, graph.bound_d)
+    if tables is None:
+        tables = CallTables(graph.bound_b, graph.bound_d)
     edges: list[Call] = list(graph.edges)
     vertex = {name: n for n, name in enumerate(graph.vertices)}
     ends = [(vertex[e.caller], vertex[e.callee]) for e in edges]

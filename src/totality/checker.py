@@ -4,7 +4,12 @@ the call graph, and apply the size-change check per definition group."""
 from __future__ import annotations
 
 from . import scp
-from .callgraph import ClosureCapError, build_callgraph, transitive_closure
+from .callgraph import (
+    CallTables,
+    ClosureCapError,
+    build_callgraph,
+    transitive_closure,
+)
 from .records import Struct
 from .surface import (
     Program,
@@ -93,6 +98,7 @@ def analyze_program(program: Program, config: Config) -> Report:
 
     schemes: dict = {}
     results: dict = {}
+    shared: dict = {}  # the word and weight tables of each (B, D)
 
     for group in desugared.groups:
         bounds = group.bounds or (config.bound_b, config.bound_d)
@@ -105,9 +111,10 @@ def analyze_program(program: Program, config: Config) -> Report:
                 type_str(inst): prio
                 for inst, prio in analyzed.priorities.items()
             }
-            graph = build_callgraph(analyzed.defs, *bounds)
+            tables = CallTables(*bounds, shared)
+            graph = build_callgraph(analyzed.defs, *bounds, tables)
             greport.callgraph = graph.edges
-            closure = transitive_closure(graph)
+            closure = transitive_closure(graph, tables)
             greport.closure = closure.edges
             greport.stats = closure.stats
             outcome = scp.check_loops(closure)

@@ -206,16 +206,6 @@ _KEYWORDS = {"data", "codata", "where", "val", "and"}
 _PRAGMA = re.compile(r"^\s*--\s*totality:\s*B\s*=\s*(\d+)\s*,\s*D\s*=\s*(\d+)\s*$")
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
 # Blanks, then one token: a comment, a word or numeral (`\w` is isalnum or
 # `_`, `\d` is isdecimal, so a word may also start with a numeric
 # character such as `²`, which `_kind` then refuses), `->`, a type variable
@@ -248,7 +238,9 @@ def _kind(value: str, line: int, col: int) -> str:
     raise SourceError("unexpected character %r" % c, line, col)
 
 
-def _lex(src: str):
+def _lex(src: str) -> list:
+    """The tokens of `src`, each a plain tuple (kind, value, line, col),
+    which is cheaper to build than an object; the last is an eof."""
     tokens = []
     append = tokens.append
     kinds, starts = _KINDS, _STARTS
@@ -260,12 +252,12 @@ def _lex(src: str):
                     or _kind(value, line, col))
             if kind == "comment":
                 break
-            append(Token(kind, value[1:] if kind == "tyvar" else value,
-                         line, col))
+            append((kind, value[1:] if kind == "tyvar" else value, line,
+                    col))
             col += len(value)
         else:
             col = len(text) + 1  # the eof of a last line without comment
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col))
     return tokens
 
 
@@ -291,21 +283,21 @@ class _Parser:
         self.pragmas = _pragmas(src)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]  # the trailing eof ends every loop
 
-    def take(self, kind: str) -> Token:
+    def take(self, kind: str) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        if tok[0] != kind:
             raise SourceError(
-                "expected %s, found %r" % (kind, tok.value or tok.kind),
-                tok.line, tok.col,
+                "expected %s, found %r" % (kind, tok[1] or tok[0]),
+                *tok[2:],
             )
         self.pos += 1
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.tokens[self.pos][0] == kind
 
     def program(self) -> Program:
         decls, groups = [], []
@@ -318,21 +310,21 @@ class _Parser:
                 tok = self.peek()
                 raise SourceError(
                     "expected a declaration or definition, found %r"
-                    % (tok.value or tok.kind), tok.line, tok.col,
+                    % (tok[1] or tok[0]), *tok[2:],
                 )
         return Program(tuple(decls), tuple(groups))
 
     def type_decl(self) -> TypeDecl:
-        start = self.take(self.peek().kind)
-        is_codata = start.kind == "codata"
-        name = self.take("name").value
+        start = self.take(self.peek()[0])
+        is_codata = start[0] == "codata"
+        name = self.take("name")[1]
         params = []
         if self.at("("):
             self.take("(")
-            params.append(self.take("tyvar").value)
+            params.append(self.take("tyvar")[1])
             while self.at(","):
                 self.take(",")
-                params.append(self.take("tyvar").value)
+                params.append(self.take("tyvar")[1])
             self.take(")")
         self.take("where")
         items = [self.decl_item()]
@@ -340,10 +332,10 @@ class _Parser:
             self.take("|")
             items.append(self.decl_item())
         return TypeDecl(name, tuple(params), is_codata, tuple(items),
-                        start.line, start.col)
+                        *start[2:])
 
     def decl_item(self):
-        name = self.take("name").value
+        name = self.take("name")[1]
         self.take(":")
         return (name, self.type_expr())
 
@@ -356,13 +348,13 @@ class _Parser:
 
     def type_atom(self):
         if self.at("tyvar"):
-            return TVar(self.take("tyvar").value)
+            return TVar(self.take("tyvar")[1])
         if self.at("("):
             self.take("(")
             t = self.type_expr()
             self.take(")")
             return t
-        name = self.take("name").value
+        name = self.take("name")[1]
         args = []
         if self.at("("):
             self.take("(")
@@ -379,12 +371,12 @@ class _Parser:
         while self.at("and"):
             self.take("and")
             defs.append(self.fundef())
-        bounds = self.pragmas.get(start.line - 1)
-        return Group(tuple(defs), start.line, bounds)
+        bounds = self.pragmas.get(start[2] - 1)
+        return Group(tuple(defs), start[2], bounds)
 
     def fundef(self) -> Definition:
         tok = self.take("name")
-        fname = tok.value
+        fname = tok[1]
         signature = None
         clauses = []
         if self.at(":"):
@@ -395,48 +387,48 @@ class _Parser:
         while self.at("|"):
             bar = self.take("|")
             name_tok = self.take("name")
-            if name_tok.value != fname:
+            if name_tok[1] != fname:
                 raise SourceError(
                     "clause for %r inside the definition of %r"
-                    % (name_tok.value, fname), name_tok.line, name_tok.col,
+                    % (name_tok[1], fname), *name_tok[2:],
                 )
             clauses.append(self.clause_tail(fname, bar))
-        return Definition(fname, signature, tuple(clauses), tok.line, tok.col)
+        return Definition(fname, signature, tuple(clauses), *tok[2:])
 
-    def clause_tail(self, fname: str, tok: Token) -> Clause:
+    def clause_tail(self, fname: str, tok: tuple) -> Clause:
         patterns = []
         while not self.at("="):
             patterns.append(self.pattern_atom())
         self.take("=")
         body = self.expr()
-        return Clause(fname, tuple(patterns), body, tok.line, tok.col)
+        return Clause(fname, tuple(patterns), body, *tok[2:])
 
     # patterns ------------------------------------------------------------
 
     def pattern_atom(self):
         tok = self.peek()
-        if tok.kind == "wild":
+        if tok[0] == "wild":
             self.take("wild")
             return SWild()
-        if tok.kind == "int":
+        if tok[0] == "int":
             self.take("int")
-            return SNum(int(tok.value))
-        if tok.kind == "{":
+            return SNum(int(tok[1]))
+        if tok[0] == "{":
             return SRecord(self.fields(self.pattern))
-        if tok.kind == "(":
+        if tok[0] == "(":
             self.take("(")
             p = self.pattern()
             self.take(")")
             return p
-        name = self.take("name").value
+        name = self.take("name")[1]
         if name[0].isupper():
             return SConstr(name, ())
         return SVar(name)
 
     def pattern(self):
         tok = self.peek()
-        if tok.kind == "name" and tok.value[0].isupper():
-            name = self.take("name").value
+        if tok[0] == "name" and tok[1][0].isupper():
+            name = self.take("name")[1]
             if self.at("("):
                 # either a parenthesised argument or (p1, p2) pair sugar
                 self.take("(")
@@ -452,7 +444,7 @@ class _Parser:
                 args = [first]
             else:
                 args = []
-            while self.peek().kind in ("name", "wild", "int", "{", "("):
+            while self.peek()[0] in ("name", "wild", "int", "{", "("):
                 args.append(self.pattern_atom())
             return SConstr(name, tuple(args))
         return self.pattern_atom()
@@ -464,7 +456,7 @@ class _Parser:
         fields = []
         if not self.at("}"):
             while True:
-                fname = self.take("name").value
+                fname = self.take("name")[1]
                 self.take("=")
                 fields.append((fname, item()))
                 if self.at(";"):
@@ -478,19 +470,19 @@ class _Parser:
 
     def expr(self):
         tok = self.peek()
-        if tok.kind == "name" and tok.value[0].isupper():
-            name = self.take("name").value
+        if tok[0] == "name" and tok[1][0].isupper():
+            name = self.take("name")[1]
             args = self.constr_args()
             return self.postfix(SConstr(name, tuple(args)))
         head = self.expr_atom()
         args = []
-        while self.peek().kind in ("name", "int", "{", "("):
+        while self.peek()[0] in ("name", "int", "{", "("):
             args.append(self.expr_atom())
         if args:
             if not isinstance(head, SVar):
                 tok = self.peek()
                 raise SourceError(
-                    "only named functions can be applied", tok.line, tok.col
+                    "only named functions can be applied", *tok[2:]
                 )
             return self.postfix(SApp(head.name, tuple(args)))
         return head
@@ -510,23 +502,23 @@ class _Parser:
             args = [self.postfix(first)]
         else:
             args = []
-        while self.peek().kind in ("name", "int", "{", "("):
+        while self.peek()[0] in ("name", "int", "{", "("):
             args.append(self.expr_atom())
         return args
 
     def expr_atom(self):
         tok = self.peek()
-        if tok.kind == "int":
+        if tok[0] == "int":
             self.take("int")
-            return self.postfix(SNum(int(tok.value)))
-        if tok.kind == "{":
+            return self.postfix(SNum(int(tok[1])))
+        if tok[0] == "{":
             return self.postfix(SRecord(self.fields(self.expr)))
-        if tok.kind == "(":
+        if tok[0] == "(":
             self.take("(")
             e = self.expr()
             self.take(")")
             return self.postfix(e)
-        name = self.take("name").value
+        name = self.take("name")[1]
         if name[0].isupper():
             return self.postfix(SConstr(name, ()))
         return self.postfix(SVar(name))
@@ -534,7 +526,7 @@ class _Parser:
     def postfix(self, e):
         while self.at("."):
             self.take(".")
-            e = SProj(e, self.take("name").value)
+            e = SProj(e, self.take("name")[1])
         return e
 
 
@@ -547,7 +539,7 @@ def parse_program(src: str) -> Program:
         return parser.program()
     except RecursionError:
         tok = parser.peek()
-        raise SourceError(TOO_DEEP, tok.line, tok.col) from None
+        raise SourceError(TOO_DEEP, *tok[2:]) from None
 
 
 # ---------------------------------------------------------------------------

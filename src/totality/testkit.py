@@ -40,7 +40,7 @@ from .callgraph import (
     leaf_paths,
     tree_term,
 )
-from .surface import _KEYWORDS, SourceError, Token
+from .surface import _KEYWORDS, SourceError
 from .terms import (
     INF,
     Approx,
@@ -89,7 +89,8 @@ from .typecheck import (
 # the reference lexer
 
 def reference_lex(src: str) -> list:
-    """The tokens of `src`, read one character at a time."""
+    """The tokens of `src` as (kind, value, line, col), read one character
+    at a time."""
     tokens = []
     line, col, i = 1, 1, 0
     n = len(src)
@@ -109,7 +110,7 @@ def reference_lex(src: str) -> list:
                 i += 1
             continue
         if src.startswith("->", i):
-            tokens.append(Token("->", "->", line, col))
+            tokens.append(("->", "->", line, col))
             i += 2
             col += 2
             continue
@@ -119,7 +120,7 @@ def reference_lex(src: str) -> list:
                 j += 1
             if j == i + 1:
                 raise SourceError("dangling quote", line, col)
-            tokens.append(Token("tyvar", src[i + 1:j], line, col))
+            tokens.append(("tyvar", src[i + 1:j], line, col))
             col += j - i
             i = j
             continue
@@ -127,7 +128,7 @@ def reference_lex(src: str) -> list:
             j = i
             while j < n and src[j].isdecimal():
                 j += 1
-            tokens.append(Token("int", src[i:j], line, col))
+            tokens.append(("int", src[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -137,21 +138,21 @@ def reference_lex(src: str) -> list:
                 j += 1
             word = src[i:j]
             if word == "_":
-                tokens.append(Token("wild", word, line, col))
+                tokens.append(("wild", word, line, col))
             elif word in _KEYWORDS:
-                tokens.append(Token(word, word, line, col))
+                tokens.append((word, word, line, col))
             else:
-                tokens.append(Token("name", word, line, col))
+                tokens.append(("name", word, line, col))
             col += j - i
             i = j
             continue
         if c in ":|=(){};,.":
-            tokens.append(Token(c, c, line, col))
+            tokens.append((c, c, line, col))
             i += 1
             col += 1
             continue
         raise SourceError("unexpected character %r" % c, line, col)
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col))
     return tokens
 
 

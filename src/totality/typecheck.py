@@ -275,8 +275,9 @@ class DeclEnv:
 
     def _reserve_pair(self, decls) -> None:
         """Give two-argument constructors the pair `pair('a, 'b)` with
-        fields `Fst` and `Snd`, unless the program declares a codata `pair`
-        with exactly these fields.  Any other `pair`, or another codata
+        fields `Fst` and `Snd`, unless the program declares it: a codata
+        `pair` of two parameters with exactly these fields, `Fst` giving the
+        first and `Snd` the second.  Any other `pair`, or another codata
         with a field `Fst` or `Snd`, clashes with it."""
         pair_fields = {"Fst", "Snd"}
         for decl in decls:
@@ -287,6 +288,14 @@ class DeclEnv:
                         "type name pair is reserved for two-argument "
                         "constructors unless declared as codata with exactly "
                         "the fields Fst, Snd", decl.line, decl.col)
+                params = [TVar(p) for p in decl.params]
+                if (len(params) != 2
+                        or [ty.cod for _, ty in sorted(decl.items)] != params):
+                    raise TypeCheckError(
+                        "type name pair is reserved for two-argument "
+                        "constructors unless declared as codata pair('a, 'b) "
+                        "whose field Fst gives 'a and Snd gives 'b",
+                        decl.line, decl.col)
             elif decl.is_codata and fields & pair_fields:
                 raise TypeCheckError(
                     "field names Fst/Snd are reserved for two-argument "
@@ -326,6 +335,10 @@ class DeclEnv:
 
 
 def subst_type(t, mapping: dict):
+    """`t` with its type variables replaced as `mapping` says; types are
+    immutable, so without a mapping it is `t` itself."""
+    if not mapping:
+        return t
     if isinstance(t, TVar):
         return mapping.get(t.name, t)
     if isinstance(t, TApp):

@@ -7,13 +7,14 @@ from collections import Counter
 
 import pytest
 
-from conftest import CORPUS, annotated_groups
+from conftest import CORPUS, annotated_groups, corpus_source
 from totality import callgraph
 from totality.callgraph import (
     DAIMON,
     Call,
     CallGraph,
     CallTables,
+    ClosureCapError,
     build_callgraph,
     call_node,
     clause_calls,
@@ -27,6 +28,7 @@ from totality.callgraph import (
     tree_term,
 )
 from totality.checker import Config, analyze_source
+from totality.surface import TOO_DEEP, desugar, parse_program
 from totality.terms import (
     INF,
     InternalError,
@@ -72,6 +74,8 @@ from totality.typecheck import (
     AProj,
     ARecord,
     AVar,
+    DeclEnv,
+    annotate_group,
 )
 
 
@@ -1041,6 +1045,145 @@ class TestKernelWork:
             tuple(map(len, (t.subst, t.collapsed, t.merges, t.collapses,
                             t.folds, t.sums, t.clamps)))
             for t in made])) == self.WORK[name]
+
+
+def fresh_closures(source, config):
+    """Each group's closure edges and stats, each closed on fresh tables;
+    none, as `analyze_source` reports them, where the closure fails."""
+    program = desugar(parse_program(source))
+    env, schemes, found = DeclEnv(program.decls), {}, []
+    for group in program.groups:
+        bounds = group.bounds or (config.bound_b, config.bound_d)
+        analyzed = annotate_group(env, schemes, group.defs)
+        try:
+            closure = transitive_closure(
+                build_callgraph(analyzed.defs, *bounds))
+        except ClosureCapError:
+            found.append(((), {}))
+        else:
+            found.append((closure.edges, closure.stats))
+    return found
+
+
+def checked_closures(report):
+    """Each group's closure edges and stats in a report of `analyze_source`,
+    whose groups share word and weight tables."""
+    assert report.errors == []
+    return [(g.closure, g.stats) for g in report.groups]
+
+
+# a block of `many_blocks`: a data type, a codata type and three
+# definitions over them, each its own group
+BLOCK = (
+    "data d{i} where A{i} : d{i} | B{i} : d{i} -> d{i}"
+    " | C{i} : nat -> d{i} -> d{i}",
+    "codata r{i} where P{i} : r{i} -> nat | Q{i} : r{i} -> r{i}",
+    "val f{i} : d{i} -> nat | f{i} A{i} = {k} | f{i} ({deep}) = f{i} x"
+    " | f{i} (C{i} n x) = f{i} (B{i} x)",
+    "val g{i} : r{i} -> nat | g{i} {{ P{i} = 0 ; Q{i} = x }} = g{i} x"
+    " | g{i} {{ P{i} = Succ y ; Q{i} = _ }} = y",
+    "val h{i} : nat -> r{i} | h{i} n = {{ P{i} = n ; Q{i} = h{i} ({next}) }}",
+)
+
+
+def many_blocks(count, pragmas=False, reverse=False):
+    """A program of `count` blocks (`BLOCK`) in varied shapes; with
+    `pragmas`, every third group has bounds of its own, of two kinds."""
+    blocks = []
+    for i in range(count):
+        deep = ("B{0} (B{0} x)" if i % 2 else "B{0} x").format(i)
+        block = [line.format(i=i, k=i % 5, deep=deep,
+                             next="Succ n" if i % 3 else "n")
+                 for line in BLOCK]
+        if pragmas:
+            bounds = (3, 1) if i % 2 else (1, 3)
+            for k in range(2, 5):
+                if (i + k) % 3 == 0:
+                    block[k] = "-- totality: B=%d, D=%d\n%s" % (
+                        bounds + (block[k],))
+        blocks.append(block)
+    if reverse:
+        blocks.reverse()
+    return "\n".join(["data nat where Zero : nat | Succ : nat -> nat"]
+                     + [line for block in blocks for line in block]) + "\n"
+
+
+class TestTableLifetimes:
+    """`analyze_source` shares each (B, D)'s word and weight tables across
+    its groups and gives each group its own spine and argument tables; each
+    group's closure equals the one closed on fresh tables."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CORPUS.glob("*.ch")))
+    def test_corpus(self, name, bound):
+        source, config = corpus_source(name), Config(bound, bound)
+        report = analyze_source(source, config)
+        assert checked_closures(report) == fresh_closures(source, config)
+
+    @pytest.mark.parametrize("pragmas", [False, True])
+    def test_many_blocks(self, pragmas):
+        source = many_blocks(60, pragmas)
+        report = analyze_source(source, Config())
+        assert len(report.groups) == 180
+        assert checked_closures(report) == fresh_closures(source, Config())
+        assert Counter(v.result for v in report.verdicts) == {
+            "total": 120, "unknown": 60}
+        assert Counter(v.bounds for v in report.verdicts) == (
+            {(2, 2): 120, (1, 3): 30, (3, 1): 30} if pragmas
+            else {(2, 2): 180})
+
+    def test_reverse_order(self):
+        """Independent groups give the same closures in either order."""
+        def by_name(source):
+            report = analyze_source(source, Config())
+            return dict(zip([g.names for g in report.groups],
+                            checked_closures(report)))
+
+        assert by_name(many_blocks(30, True)) == by_name(
+            many_blocks(30, True, reverse=True))
+
+    @pytest.mark.parametrize("cap, value", [
+        ("MAX_EDGES", 100), ("MAX_COMPOSITIONS", 1000)])
+    def test_after_a_closure_cap(self, monkeypatch, cap, value):
+        """`magic.ch` at B=D=4: the first group reaches the cap mid-way
+        through its closure, the two after it close as on fresh tables."""
+        source, config = corpus_source("magic.ch"), Config(4, 4)
+        monkeypatch.setattr(callgraph, cap, value)
+        want = fresh_closures(source, config)
+        assert want[0] == ((), {}) and want[1][1]["compositions"] == 36
+        report = analyze_source(source, config)
+        assert checked_closures(report) == want
+        assert report.verdicts[0].result == "error"
+
+    @pytest.mark.parametrize("when", [1, 4, 17, 30, 300, 860])
+    def test_after_too_deep(self, monkeypatch, when):
+        """A group that runs out of stack in the middle of its weight work,
+        at its `when`-th new weight, under way in a fold, a sum or a clamp,
+        leaves the later groups their fresh-table closures.  The first
+        group of `magic.ch` at B=D=4 makes 870 new weights, and a twin of
+        it comes last, so it needs the same ones."""
+        source = corpus_source("magic.ch") + (
+            "val twin : stream(stree)\n"
+            "  | twin = { Head = Node twin ; Tail = twin }\n")
+        config = Config(4, 4)
+        want = fresh_closures(source, config)
+        weight, calls = CallTables._weight, Counter()
+
+        def deep_weight(self, acc):
+            calls["weight"] += 1
+            if calls["weight"] == when:
+                raise RecursionError("maximum recursion depth exceeded")
+            return weight(self, acc)
+
+        monkeypatch.setattr(CallTables, "_weight", deep_weight)
+        report = analyze_source(source, config)
+        assert calls["weight"] > when
+        first = report.verdicts[0]
+        assert (first.fname, first.result, first.reasons) == (
+            "bad_s", "error", ["8:5: %s" % TOO_DEEP])
+        assert checked_closures(report)[1:] == want[1:]
+        assert [w[1]["compositions"] for w in want] == [15129, 36, 0, 15129]
 
 
 class TestItemKey:

@@ -13,7 +13,9 @@ from totality.testkit import reference_lex
 
 def lexed(lex, src):
     try:
-        return [(t.kind, t.value, t.line, t.col) for t in lex(src)]
+        # each token is a (kind, value, line, col) tuple
+        return [(kind, value, line, col)
+                for kind, value, line, col in lex(src)]
     except SourceError as err:
         return ("error", err.message, err.line, err.col)
 

@@ -374,6 +374,9 @@ LEN = ("val len : list -> nat | len Nil = Zero"
 FIELDS_RESERVED = "field names Fst/Snd are reserved for two-argument constructors"
 PAIR_RESERVED = ("type name pair is reserved for two-argument constructors "
                  "unless declared as codata with exactly the fields Fst, Snd")
+PAIR_SHAPE = ("type name pair is reserved for two-argument constructors "
+              "unless declared as codata pair('a, 'b) whose field Fst gives "
+              "'a and Snd gives 'b")
 
 
 class TestReservedPair:
@@ -402,3 +405,44 @@ class TestReservedPair:
         assert report.errors == []
         assert [(v.fname, v.result) for v in report.verdicts] == [
             ("f", "total")]
+
+    @pytest.mark.parametrize("pair", [
+        "codata pair where Fst : pair -> nat | Snd : pair -> nat\n",
+        "codata pair('x) where Fst : pair('x) -> 'x | Snd : pair('x) -> 'x\n",
+        "codata pair('x, 'y, 'z) where Fst : pair('x, 'y, 'z) -> 'x"
+        " | Snd : pair('x, 'y, 'z) -> 'y\n",
+        "codata pair('x, 'y) where Fst : pair('x, 'y) -> 'y"
+        " | Snd : pair('x, 'y) -> 'x\n",
+        "codata pair('x, 'y) where Fst : pair('x, 'y) -> 'x"
+        " | Snd : pair('x, 'y) -> nat\n",
+    ], ids=["no-params", "one-param", "three-params", "swapped", "fixed-snd"])
+    @pytest.mark.parametrize("first", [True, False], ids=["before", "after"])
+    def test_own_pair_of_another_shape_is_located(self, pair, first):
+        """A program's own pair with the fields Fst and Snd but not the
+        shape of the pair of a two-argument constructor's arguments is an
+        error at its declaration, not a type mismatch at a use."""
+        decls = pair + LIST if first else LIST + pair
+        report = analyze_source(NAT + decls + LEN, Config())
+        line = 2 if first else 3
+        assert report.errors == ["%d:1: %s" % (line, PAIR_SHAPE)]
+        assert report.verdicts == [] and report.exit_code() == 2
+
+    def test_own_pair_of_another_shape_on_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "pair.ch"
+        path.write_text(NAT + "codata pair where Fst : pair -> nat"
+                        " | Snd : pair -> nat\n" + LIST + LEN)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "error: 2:1: %s\n" % PAIR_SHAPE
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("first", [True, False], ids=["before", "after"])
+    def test_own_pair_with_fields_in_either_order(self, first):
+        pair = ("codata pair('x, 'y) where Snd : pair('x, 'y) -> 'y"
+                " | Fst : pair('x, 'y) -> 'x\n")
+        decls = pair + LIST if first else LIST + pair
+        report = analyze_source(NAT + decls + LEN, Config())
+        assert report.errors == []
+        assert [(v.fname, v.result) for v in report.verdicts] == [
+            ("len", "total")]
