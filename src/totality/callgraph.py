@@ -123,24 +123,28 @@ def pattern_leaves(patterns, counts: dict) -> dict:
     parameter j down to it, outermost first.  A numeral n peels `Zero`,
     then counts[n] `Succ` (`numeral_counts`), and a record field projects."""
     leaves = {}
-
-    def walk(p, word: tuple, j: int) -> None:
-        if isinstance(p, AVar):
-            leaves[p.name] = ("x", None, word, j)
-        elif isinstance(p, AConstr):
-            walk(p.arg, (("d", p.name, p.prio),) + word, j)
-        elif isinstance(p, ANum):
-            walk(p.arg, (("d", "Zero", p.prio),)
-                 + (("d", "Succ", p.prio),) * counts[p.value] + word, j)
-        elif isinstance(p, ARecord):
-            for name, sub in p.fields:
-                walk(sub, (("j", name, p.prio),) + word, j)
-        else:
-            raise InternalError("unknown pattern node %r" % (p,))
-
     for j, p in enumerate(patterns, start=1):
-        walk(p, (), j)
+        _add_leaves(p, (), j, counts, leaves)
     return leaves
+
+
+def _add_leaves(p, word: tuple, j: int, counts: dict, leaves: dict) -> None:
+    """Add to `leaves` the leaves of pattern `p`, reached by `word` inside
+    parameter j."""
+    if isinstance(p, AVar):
+        leaves[p.name] = ("x", None, word, j)
+    elif isinstance(p, AConstr):
+        _add_leaves(p.arg, (("d", p.name, p.prio),) + word, j, counts, leaves)
+    elif isinstance(p, ANum):
+        _add_leaves(p.arg, (("d", "Zero", p.prio),)
+                    + (("d", "Succ", p.prio),) * counts[p.value] + word, j,
+                    counts, leaves)
+    elif isinstance(p, ARecord):
+        for name, sub in p.fields:
+            _add_leaves(sub, (("j", name, p.prio),) + word, j, counts,
+                        leaves)
+    else:
+        raise InternalError("unknown pattern node %r" % (p,))
 
 
 def _ctor_items(node, counts: dict) -> tuple:
@@ -170,56 +174,62 @@ def clause_calls(caller: str, cl, group: set, counts: dict) -> list:
     found there loses the constructors and fields above it to the Daimon,
     under which the projections of the outer spine vanish."""
     leaves = pattern_leaves(cl.patterns, counts)
-
-    def trees(node) -> list:
-        """The distinct summand trees of a call argument."""
-        node = _selected(node)
-        if isinstance(node, AVar):
-            return [leaves[node.name]]
-        if isinstance(node, (AConstr, ANum)):
-            out = trees(node.arg)
-            for item in reversed(_ctor_items(node, counts)):
-                out = [item + (s,) for s in out]
-            return out
-        if isinstance(node, ARecord):
-            return [("r", node.prio, fields) for fields in itertools.product(
-                *[[(n, s) for s in trees(v)]
-                  for n, v in sorted(node.fields, key=itemgetter(0))])]
-        if isinstance(node, AProj):  # of a constructor it is zero
-            item = ("j", node.name, node.prio)
-            return [s if s[1] == DAIMON else ("x", None, (item,) + s[2], s[3])
-                    for s in trees(node.sub) if s[0] == "x"]
-        if not node.args:  # a call, blinded
-            return [("x", DAIMON, (), 0)]
-        return list(dict.fromkeys(
-            leaf for a in node.args for s in trees(a)
-            for leaf in daimon_leaves(s)))
-
-    def occurrences(node) -> list:
-        """(spine, (callee, argument choices)) of each call in `node`."""
-        node = _selected(node)
-        if isinstance(node, (AConstr, ANum)):
-            items = _ctor_items(node, counts)
-            return [(items + spine, end)
-                    for spine, end in occurrences(node.arg)]
-        if isinstance(node, ARecord):
-            return [((("r", n, node.prio),) + spine, end)
-                    for n, v in sorted(node.fields, key=itemgetter(0))
-                    for spine, end in occurrences(v)]
-        if isinstance(node, AProj):
-            item = ("j", node.name, node.prio)
-            return [(spine if spine[:1] == (DAIMON,) else (item,) + spine, end)
-                    for spine, end in occurrences(node.sub)]
-        if isinstance(node, AVar):
-            return []
-        own = ([((), (node.fname, [trees(a) for a in node.args]))]
-               if node.fname in group else [])
-        return own + [((DAIMON,) + spine_parts(spine)[2], end)
-                      for a in node.args for spine, end in occurrences(a)]
-
     return [[Call(caller, callee, spine, args)
              for args in itertools.product(*choices)]
-            for spine, (callee, choices) in occurrences(cl.body)]
+            for spine, (callee, choices)
+            in _occurrences(cl.body, group, leaves, counts)]
+
+
+def _trees(node, leaves: dict, counts: dict) -> list:
+    """The distinct summand trees of a call argument."""
+    node = _selected(node)
+    if isinstance(node, AVar):
+        return [leaves[node.name]]
+    if isinstance(node, (AConstr, ANum)):
+        out = _trees(node.arg, leaves, counts)
+        for item in reversed(_ctor_items(node, counts)):
+            out = [item + (s,) for s in out]
+        return out
+    if isinstance(node, ARecord):
+        return [("r", node.prio, fields) for fields in itertools.product(
+            *[[(n, s) for s in _trees(v, leaves, counts)]
+              for n, v in sorted(node.fields, key=itemgetter(0))])]
+    if isinstance(node, AProj):  # of a constructor it is zero
+        item = ("j", node.name, node.prio)
+        return [s if s[1] == DAIMON else ("x", None, (item,) + s[2], s[3])
+                for s in _trees(node.sub, leaves, counts) if s[0] == "x"]
+    if not node.args:  # a call, blinded
+        return [("x", DAIMON, (), 0)]
+    return list(dict.fromkeys(
+        leaf for a in node.args for s in _trees(a, leaves, counts)
+        for leaf in daimon_leaves(s)))
+
+
+def _occurrences(node, group: set, leaves: dict, counts: dict) -> list:
+    """(spine, (callee, argument choices)) of each call in `node`."""
+    node = _selected(node)
+    if isinstance(node, (AConstr, ANum)):
+        items = _ctor_items(node, counts)
+        return [(items + spine, end)
+                for spine, end in _occurrences(node.arg, group, leaves,
+                                               counts)]
+    if isinstance(node, ARecord):
+        return [((("r", n, node.prio),) + spine, end)
+                for n, v in sorted(node.fields, key=itemgetter(0))
+                for spine, end in _occurrences(v, group, leaves, counts)]
+    if isinstance(node, AProj):
+        item = ("j", node.name, node.prio)
+        return [(spine if spine[:1] == (DAIMON,) else (item,) + spine, end)
+                for spine, end in _occurrences(node.sub, group, leaves,
+                                               counts)]
+    if isinstance(node, AVar):
+        return []
+    own = ([((), (node.fname, [_trees(a, leaves, counts)
+                               for a in node.args]))]
+           if node.fname in group else [])
+    return own + [((DAIMON,) + spine_parts(spine)[2], end)
+                  for a in node.args
+                  for spine, end in _occurrences(a, group, leaves, counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,61 @@ def _pattern_vars(p, out):
             _pattern_vars(sub, out)
 
 
+def _numeral(n: int):
+    """The numeral n written out as `Succ` over `Zero`."""
+    node = SConstr("Zero", (SRecord(()),))
+    for _ in range(n):
+        node = SConstr("Succ", (node,))
+    return node
+
+
+def _desugar_node(node, arities: dict, numerals: str, fresh, empty):
+    """`node` desugared, with `empty()` for each empty record and the names
+    of `fresh` for wildcards.  `numerals` says what becomes of a numeral:
+    "keep" it (no `nat`, flagged by validation), "count" it or "expand"
+    it."""
+    if isinstance(node, SVar):
+        return node
+    if isinstance(node, SWild):
+        return SVar(next(fresh))
+    if isinstance(node, SConstr):
+        # one argument before the walk: a zero-arity constructor's `{}`
+        # is `empty()`, and a pair walks `Fst` before `Snd`
+        args = node.args
+        arity = arities.get(node.name)
+        if arity == 0 and not args:
+            return SConstr(node.name, (empty(),))
+        if len(args) == 2 and (arity == 2 or arity is None):
+            args = (SRecord((("Fst", args[0]), ("Snd", args[1]))),)
+        return SConstr(node.name, tuple([
+            _desugar_node(a, arities, numerals, fresh, empty)
+            for a in args]))
+    if isinstance(node, SNum):
+        if numerals == "keep":
+            return node
+        if node.arg is not None:
+            return SNum(node.value, _desugar_node(node.arg, arities, numerals,
+                                                  fresh, empty))
+        if numerals == "count":
+            return SNum(node.value, empty())
+        return _desugar_node(_numeral(node.value), arities, numerals, fresh,
+                             empty)
+    if isinstance(node, SRecord):
+        if not node.fields:
+            return empty()
+        return SRecord(tuple([
+            (n, _desugar_node(sub, arities, numerals, fresh, empty))
+            for n, sub in node.fields]))
+    if isinstance(node, SApp):
+        return SApp(node.fname, tuple([
+            _desugar_node(a, arities, numerals, fresh, empty)
+            for a in node.args]))
+    if isinstance(node, SProj):
+        return SProj(_desugar_node(node.sub, arities, numerals, fresh, empty),
+                     node.fname)
+    raise SourceError("unknown node %r" % (node,))
+
+
 def desugar(program: Program) -> Program:
     """Give numerals the argument of their `Zero`, normalise constructor
     arities and remove empty records from every clause, walking patterns and
@@ -608,51 +663,8 @@ def desugar(program: Program) -> Program:
     variable in a pattern and, in the body, the clause's first dummy or
     `empty_record`."""
     arities = _ctor_arities(program.decls)
-    nat_ok = _has_nat(program.decls)
-    counted = _usual_nat(program.decls)
-
-    def numeral(n: int):
-        node = SConstr("Zero", (SRecord(()),))
-        for _ in range(n):
-            node = SConstr("Succ", (node,))
-        return node
-
-    def walk(node, fresh, empty):
-        """`node` desugared, with `empty()` for each empty record."""
-        if isinstance(node, SVar):
-            return node
-        if isinstance(node, SWild):
-            return SVar(next(fresh))
-        if isinstance(node, SConstr):
-            # one argument before the walk: a zero-arity constructor's `{}`
-            # is `empty()`, and a pair walks `Fst` before `Snd`
-            args = node.args
-            arity = arities.get(node.name)
-            if arity == 0 and not args:
-                return SConstr(node.name, (empty(),))
-            if len(args) == 2 and (arity == 2 or arity is None):
-                args = (SRecord((("Fst", args[0]), ("Snd", args[1]))),)
-            return SConstr(node.name,
-                           tuple([walk(a, fresh, empty) for a in args]))
-        if isinstance(node, SNum):
-            if not nat_ok:
-                return node  # flagged by validation
-            if node.arg is not None:
-                return SNum(node.value, walk(node.arg, fresh, empty))
-            if counted:
-                return SNum(node.value, empty())
-            return walk(numeral(node.value), fresh, empty)
-        if isinstance(node, SRecord):
-            if not node.fields:
-                return empty()
-            return SRecord(tuple([
-                (n, walk(sub, fresh, empty)) for n, sub in node.fields]))
-        if isinstance(node, SApp):
-            return SApp(node.fname,
-                        tuple([walk(a, fresh, empty) for a in node.args]))
-        if isinstance(node, SProj):
-            return SProj(walk(node.sub, fresh, empty), node.fname)
-        raise SourceError("unknown node %r" % (node,))
+    numerals = ("keep" if not _has_nat(program.decls)
+                else "count" if _usual_nat(program.decls) else "expand")
 
     def do_clause(cl: Clause) -> Clause:
         try:
@@ -671,7 +683,8 @@ def desugar(program: Program) -> Program:
             dummies.append(next(fresh))
             return SVar(dummies[-1])
 
-        patterns = tuple(walk(p, fresh, dummy) for p in cl.patterns)
+        patterns = tuple(_desugar_node(p, arities, numerals, fresh, dummy)
+                         for p in cl.patterns)
         pvars: list = []
         for p in patterns:
             _pattern_vars(p, pvars)
@@ -683,7 +696,8 @@ def desugar(program: Program) -> Program:
                 return SApp("empty_record", (SVar(pvars[0]),))
             return SVar("empty_record")  # resolved as a 0-ary library call
 
-        body = walk(cl.body, fresh, empty_record)
+        body = _desugar_node(cl.body, arities, numerals, fresh,
+                             empty_record)
         return Clause(cl.fname, patterns, body, cl.line, cl.col)
 
     groups = tuple(
