@@ -40,6 +40,9 @@ from .typecheck import (
 # ("w", Weight) approximation, and the Daimon's item:
 DAIMON = ("daimon",)
 
+# the kinds of the middle items of a spine: a weight or the Daimon
+_MIDDLES = ("w", "daimon")
+
 # the node each item stands for, built around `t` by its smart constructor
 ITEM_NODES = {
     "c": lambda item, t: constr(item[1], item[2], t),
@@ -265,9 +268,8 @@ def collapsed_calls(calls, bound_b: int, bound_d: int,
         identity = Call(call.callee, call.callee, (), tuple(
             ("x", None, (), j) for j in range(1, len(call.args) + 1)))
         found += [tables.call(call.caller, sid, call.callee, ids)
-                  for _, _, sid, choices in tables.after(
-                      tables.split(call), ((tables.split(identity), 0),))
-                  for ids in itertools.product(*choices)]
+                  for _, _, sid, ids in tables.after(
+                      tables.split(call), ((tables.split(identity), 0),))]
     return (found if len(found) < 2
             else sorted(set(found), key=lambda c: item_key(call_node(c))))
 
@@ -312,7 +314,7 @@ def spine_parts(spine: tuple) -> tuple:
     k = 0
     while k < len(spine) and spine[k][0] in "cr":
         k += 1
-    if k < len(spine) and spine[k][0] in ("w", "daimon"):
+    if k < len(spine) and spine[k][0] in _MIDDLES:
         return spine[:k], spine[k], spine[k + 1:]
     return spine[:k], None, spine[k:]
 
@@ -489,12 +491,26 @@ def sqcoh(a, b) -> bool:
     `testkit.sqcoh` on their terms.  Two Daimons cohere when stripping
     destructors and calls off either one makes them cohere; a weight or a
     Daimon on either side turns both into Daimons (`daimon_args`), and
-    otherwise the heads must be equal and the children cohere."""
+    otherwise the heads must be equal and the children cohere.  Two calls'
+    spines are walked item by item, with nodes only from where a weight or
+    a Daimon starts."""
     if isinstance(a, Call):
-        a, b = call_node(a), call_node(b)
+        sa, sb = a.spine, b.spine
+        n, i = min(len(sa), len(sb)), 0
+        while i < n and sa[i] == sb[i] and sa[i][0] not in _MIDDLES:
+            i += 1
+        stop = sa[i:i + 1] + sb[i:i + 1]  # the items where the walk stopped
+        if any(item[0] in _MIDDLES for item in stop):
+            a = sa, i, (a.callee, a.args)
+            b = sb, i, (b.callee, b.args)
+        elif stop:
+            return False  # two items, or an item and the call, differ
+        else:
+            return (a.callee == b.callee and len(a.args) == len(b.args)
+                    and all(map(sqcoh, a.args, b.args)))
     ha, ca = head(a)
     hb, cb = head(b)
-    if ha[0] in ("w", "daimon") or hb[0] in ("w", "daimon"):
+    if ha[0] in _MIDDLES or hb[0] in _MIDDLES:
         return any(any(sqcoh(t, v) for t in strip(u))
                    or any(sqcoh(u, t) for t in strip(v))
                    for u in daimon_args(a) for v in daimon_args(b))
@@ -552,7 +568,10 @@ class CallTables:
     (`cancels`, `cuts`) is keyed by word ids alone.  A substitution is
     keyed by the argument id and the ids bound to the parameters it
     mentions.  `after` and `before` compose one call with a row of
-    partners, looking up what the row shares once.
+    partners, looking up what the row shares once, and hand out flat
+    candidates (partner, tag, spine id, argument ids).  A composite whose
+    second call has no arguments has the one candidate (), so it costs the
+    `composed` lookup alone.
 
     Substituting on trees is exact too.  Above the leaves the smart
     constructors only rebuild nodes, distributing over sums, so a record
@@ -639,42 +658,60 @@ class CallTables:
                       for a in call.args))
 
     def after(self, first: tuple, partners) -> list:
-        """The collapsed composites of the split call `first` with each
-        (second, tag) of `partners`, as (second, tag, spine id, choices)
-        for each nonzero composite, in order: one row of composites, with
-        its row of `composed` looked up once.  The candidates of a
-        composite are the `itertools.product` of its choices, the summand
-        ids of each of its arguments, in the order `testkit.compose_calls`
-        gives them."""
+        """The candidates of the collapsed composites of the split call
+        `first` with each (second, tag) of `partners`, as (second, tag,
+        spine id, argument ids), in order: one row of composites, with its
+        row of `composed` looked up once.  A nonzero composite's candidates
+        are the product of the summand ids of each of its arguments, in the
+        order `testkit.compose_calls` gives them; a second call without
+        arguments has the one candidate (), found by the `composed` lookup
+        alone."""
         ia, ids_a = first
         row, bound, subst = self.composed[ia], self.bound, self.subst
         found = []
+        append = found.append
         for second, tag in partners:
             ib, ids_b = second
             sid = row[ib]
             if sid is None:
                 sid = row[ib] = self._compose(ia, ib)
-            if sid:
-                choices = []
-                for b in ids_b:
-                    key = (b, bound[b](ids_a))
-                    ids = subst.get(key)
-                    if ids is None:
-                        ids = subst[key] = self._substitute(b, ids_a)
-                    choices.append(ids)
-                found.append((second, tag, sid, choices))
+            if not sid:
+                continue
+            if not ids_b:
+                append((second, tag, sid, ()))
+                continue
+            choices = []
+            for b in ids_b:
+                key = (b, bound[b](ids_a))
+                ids = subst.get(key)
+                if ids is None:
+                    ids = subst[key] = self._substitute(b, ids_a)
+                choices.append(ids)
+            for ids in itertools.product(*choices):
+                append((second, tag, sid, ids))
         return found
 
     def before(self, partners, second: tuple) -> list:
         """`after(first, ((second, tag),))` for each (first, tag) of
-        `partners`, as (first, tag, spine id, choices) for each nonzero
-        composite, in order: one column of composites, with the binding
-        getters of the arguments of `second` looked up once."""
+        `partners`, as (first, tag, spine id, argument ids), in order: one
+        column of composites.  Without arguments to `second`, the column is
+        `composed` lookups alone; with them, the binding getters of its
+        arguments are looked up once."""
         ib, ids_b = second
-        getters = ids_b and list(zip(ids_b, map(self.bound.__getitem__,
-                                                ids_b)))
-        composed, subst = self.composed, self.subst
+        composed = self.composed
         found = []
+        append = found.append
+        if not ids_b:
+            for first, tag in partners:
+                row = composed[first[0]]
+                sid = row[ib]
+                if sid is None:
+                    sid = row[ib] = self._compose(first[0], ib)
+                if sid:
+                    append((first, tag, sid, ()))
+            return found
+        getters = list(zip(ids_b, map(self.bound.__getitem__, ids_b)))
+        subst = self.subst
         for first, tag in partners:
             ia, ids_a = first
             row = composed[ia]
@@ -689,13 +726,14 @@ class CallTables:
                     if ids is None:
                         ids = subst[key] = self._substitute(b, ids_a)
                     choices.append(ids)
-                found.append((first, tag, sid, choices))
+                for ids in itertools.product(*choices):
+                    append((first, tag, sid, ids))
         return found
 
     def call(self, caller: str, sid: int, callee: str, ids: tuple) -> Call:
         """The edge of a candidate."""
         return Call(caller, callee, self.spines[sid],
-                    tuple(self.args[a] for a in ids))
+                    tuple(map(self.args.__getitem__, ids)))
 
     def _compose(self, ia: int, ib: int) -> int:
         """The spine id of Ca Ma Da over Cb Mb Db collapsed, 0 if zero: Ca,
@@ -949,13 +987,15 @@ def transitive_closure(graph: CallGraph,
     the group that lack it.  Edge k meets its groups in one row loop per
     side, `CallTables.before` for the edges into its caller and
     `CallTables.after` for those out of its callee, which compose it with
-    each group once and look up what the side shares once.  The new edges
-    are added in the order of composing the partners one by one: by
-    increasing i, (i, k) before (k, i), each composite's candidates in the
-    order `testkit.compose_calls` gives them.  `compositions` counts the
-    ordered pairs of edges that meet.  Each loop's composites with itself
-    are kept for the loop check.  The caps only guard against bugs.
-    `tables` are the group's, with its bounds, or fresh ones.
+    each group once, look up what the side shares once and hand out the
+    candidates flat; where the second call has no arguments, a composite
+    is one lookup.  The new edges are added in the order of composing the
+    partners one by one: by increasing i, (i, k) before (k, i), each
+    composite's candidates in the order `testkit.compose_calls` gives
+    them.  `compositions` counts the ordered pairs of edges that meet.
+    Each loop's composites with itself are kept for the loop check.  The
+    caps only guard against bugs.  `tables` are the group's, with its
+    bounds, or fresh ones.
     """
     if tables is None:
         tables = CallTables(graph.bound_b, graph.bound_d)
@@ -996,9 +1036,8 @@ def transitive_closure(graph: CallGraph,
         raise _composition_cap()
     for i in range(first):
         a = ends[i][0]
-        for _, j, sid, choices in tables.after(parts[i], starts[ends[i][1]]):
-            for ids in itertools.product(*choices):
-                edge(a, ends[j][1], sid, ids)
+        for _, j, sid, ids in tables.after(parts[i], starts[ends[i][1]]):
+            edge(a, ends[j][1], sid, ids)
     # into[v][shape], out[u][shape]: bitsets of the callers of the edges
     # into v and of the callees of the edges out of u, each edge entered
     # just before and just after its step, and the numbers of those edges
@@ -1018,28 +1057,25 @@ def transitive_closure(graph: CallGraph,
             # new candidates, led by their partner's index and 0 for (i, k)
             # or 1 for (k, i); a stable sort keeps the product's order
             new = []
-            for t, mask, sid, choices in tables.before(into[u].items(), s):
-                for ids in itertools.product(*choices):
-                    fresh = mask & ~callers.get((v, sid, ids), 0)
-                    while fresh:
-                        w = fresh.bit_length() - 1
-                        fresh ^= 1 << w
-                        new.append(((seen[(w, u) + t], 0), w, v, sid, ids))
-            for t, mask, sid, choices in tables.after(s, out[v].items()):
-                for ids in itertools.product(*choices):
-                    fresh = mask & ~callees.get((u, sid, ids), 0)
-                    while fresh:
-                        w = fresh.bit_length() - 1
-                        fresh ^= 1 << w
-                        new.append(((seen[(v, w) + t], 1), u, w, sid, ids))
+            for t, mask, sid, ids in tables.before(into[u].items(), s):
+                fresh = mask & ~callers.get((v, sid, ids), 0)
+                while fresh:
+                    w = fresh.bit_length() - 1
+                    fresh ^= 1 << w
+                    new.append(((seen[(w, u) + t], 0), w, v, sid, ids))
+            for t, mask, sid, ids in tables.after(s, out[v].items()):
+                fresh = mask & ~callees.get((u, sid, ids), 0)
+                while fresh:
+                    w = fresh.bit_length() - 1
+                    fresh ^= 1 << w
+                    new.append(((seen[(v, w) + t], 1), u, w, sid, ids))
             new.sort(key=itemgetter(0))
             for _, a, b, sid, ids in new:
                 edge(a, b, sid, ids)
         if u == v:
             self_composites[k] = tuple([
                 edge(u, u, sid, ids)
-                for _, _, sid, choices in tables.after(s, ((s, 0),))
-                for ids in itertools.product(*choices)])
+                for _, _, sid, ids in tables.after(s, ((s, 0),))])
         out[u][s] = out[u].get(s, 0) | 1 << v
         degree_out[u] += 1
         k += 1

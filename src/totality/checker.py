@@ -113,13 +113,19 @@ def analyze_program(program: Program, config: Config) -> Report:
                 type_str(inst): prio
                 for inst, prio in analyzed.priorities.items()
             }
-            tables = CallTables(*bounds, shared)
-            graph = build_callgraph(analyzed.defs, *bounds, tables)
-            greport.callgraph = graph.edges
-            closure = transitive_closure(graph, tables)
-            greport.closure = closure.edges
-            greport.stats = closure.stats
-            outcome = scp.check_loops(closure)
+            if any(name in names for adef in analyzed.defs
+                   for name in adef.calls):
+                tables = CallTables(*bounds, shared)
+                graph = build_callgraph(analyzed.defs, *bounds, tables)
+                greport.callgraph = graph.edges
+                closure = transitive_closure(graph, tables)
+                greport.closure = closure.edges
+                greport.stats = closure.stats
+                outcome = scp.check_loops(closure)
+            else:
+                # no call into the group: no edge, so no loop to check
+                greport.stats = {"edges": 0, "compositions": 0}
+                outcome = scp.GroupOutcome(total=True)
         except (SourceError, ClosureCapError, InternalError,
                 RecursionError) as err:
             if isinstance(err, RecursionError):

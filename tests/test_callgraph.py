@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import CORPUS, annotated_groups, corpus_source
-from totality import callgraph
+from totality import callgraph, checker, scp
 from totality.callgraph import (
     DAIMON,
     Call,
@@ -27,8 +27,8 @@ from totality.callgraph import (
     transitive_closure,
     tree_term,
 )
-from totality.checker import Config, analyze_source
-from totality.surface import TOO_DEEP, desugar, parse_program
+from totality.checker import Config, GroupReport, analyze_source
+from totality.surface import TOO_DEEP, desugar, parse_program, type_str
 from totality.terms import (
     INF,
     InternalError,
@@ -534,9 +534,8 @@ class TestPiecewiseClosure:
                         continue
                     pairs += 1
                     got = [tables.call(a.caller, sid, b.callee, ids)
-                           for _, _, sid, choices in tables.after(
-                               parts[a], ((parts[b], 0),))
-                           for ids in itertools.product(*choices)]
+                           for _, _, sid, ids in tables.after(
+                               parts[a], ((parts[b], 0),))]
                     want = compose_calls(a, b, bound, bound)
                     assert got == want, (name, a, b)
             assert pairs == closure.stats["compositions"], name
@@ -553,6 +552,74 @@ class TestPiecewiseClosure:
             assert set(closure.edges) == edges
             assert len(closure.edges) == len(edges)
             assert closure.stats["compositions"] == compositions
+
+
+class TestBeforeMatchesAfter:
+    """`CallTables.before(partners, second)` composes a column of partners
+    with one call; it must give the concatenated `after(first, ((second,
+    tag),))` of each partner.  Each closure edge is a `second`, against
+    every edge into its caller; `before` and `after` run on tables of their
+    own, so their candidates are compared decoded."""
+
+    @staticmethod
+    def check(closure, kinds):
+        """Counts in `kinds` the candidates with and without arguments."""
+        edges = closure.edges
+        column = CallTables(closure.bound_b, closure.bound_d)
+        row = CallTables(closure.bound_b, closure.bound_d)
+        parts = [column.split(e) for e in edges]
+        for b, second in zip(edges, parts):
+            partners = [(parts[k], k) for k, a in enumerate(edges)
+                        if a.callee == b.caller]
+            got = []
+            for first, k, sid, ids in column.before(partners, second):
+                assert first is parts[k]
+                got.append((k, column.call(edges[k].caller, sid, b.callee,
+                                           ids)))
+            want = [(k, row.call(edges[k].caller, sid, b.callee, ids))
+                    for _, j in partners
+                    for _, k, sid, ids in row.after(
+                        row.split(edges[j]), ((row.split(b), j),))]
+            assert got == want, b
+            for _, call in got:
+                kinds["args" if call.args else "no args"] += 1
+            if not b.args:
+                kinds["zero"] += len(partners) - len(got)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_corpus_closures(self, bound):
+        kinds = Counter()
+        for path in sorted(CORPUS.glob("*.ch")):
+            for analyzed, _ in annotated_groups(path.name):
+                self.check(transitive_closure(
+                    build_callgraph(analyzed.defs, bound, bound)), kinds)
+        assert kinds["args"] and kinds["no args"], kinds
+
+    def test_stream_rings(self):
+        """Rings, and the branching streams, where composites are zero."""
+        kinds = Counter()
+        rng = random.Random(8200)
+        for members, consumers in ((8, None), (12, 2), (16, 1)):
+            self.check(transitive_closure(ring_graph(
+                stream_ring(rng, members, consumers))), kinds)
+        assert kinds["no args"] and not kinds["args"] and not kinds["zero"]
+        self.check(transitive_closure(ring_graph(BRANCHING)), kinds)
+        assert kinds["zero"] > 0 and not kinds["args"], kinds
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_random_graphs(self, bound):
+        """The graphs of `TestClosureOrder.test_random_graphs` and, at B=D
+        1-2, of `test_forked_records`."""
+        kinds = Counter()
+        rng = random.Random(7000 + bound)
+        for n in (4, 5, 6, 7, 8, 4, 6, 8):
+            self.check(transitive_closure(random_graph(
+                rng, ["f%d" % i for i in range(n)], bound, bound,
+                calls=n + 2)), kinds)
+        if bound < 3:
+            for graph in forked_graphs(random.Random(7200 + bound), bound, 8):
+                self.check(transitive_closure(graph), kinds)
+        assert kinds["args"] > 100, kinds
 
 
 def ordered_reference_closure(graph, paths=None):
@@ -626,6 +693,15 @@ def stream_ring(rng, members, consumers=None):
     return STREAM_DECLS + "\n".join(lines) + "\n"
 
 
+# two streams with two tails, where a tail of one call meets the other
+# field of the next and the composite is zero
+BRANCHING = STREAM_DECLS.replace(
+    "hd : st -> nat | Tail : st -> st",
+    "hd : st -> nat | L : st -> st | R : st -> st") + (
+    "val f = { hd = Zero ; L = f.R ; R = g }\n"
+    "and g = { hd = Zero ; L = f ; R = g.L.L }\n")
+
+
 class TestClosureOrder:
     """The closure visits only the pairs that meet, through an index of
     each vertex's edges; these pin its edge order, self-composites and
@@ -661,6 +737,9 @@ class TestClosureOrder:
                               *group.bounds)
             assert len(group.names) == members
             assert self.check(graph) > members
+
+    def test_branching_streams(self):
+        assert self.check(ring_graph(BRANCHING)) == 107
 
     def test_long_stream_rings(self):
         rng = random.Random(8100)
@@ -702,7 +781,8 @@ class TestClosureOrder:
 
 
 def ring_graph(source):
-    """The initial call graph of a stream ring at B=D=2."""
+    """The initial call graph of a one-group program, such as a stream
+    ring, at B=D=2."""
     (group,) = analyze_source(source, Config(2, 2)).groups
     return CallGraph(tuple(sorted(group.names)), group.callgraph,
                      *group.bounds)
@@ -932,11 +1012,19 @@ def item_composite(a, b, bound_b, bound_d):
 
 
 def table_composite(tables, a, b):
-    """The same composite through `tables`, decoded."""
-    found = tables.after(tables.split(a), ((tables.split(b), 0),))
-    if not found:
+    """The same composite through `tables`, decoded: the spine from
+    `_compose` and each argument's summand list from `_substitute`, so an
+    empty list shows where it sits.  `after` must give the candidates of
+    their product."""
+    first, second = tables.split(a), tables.split(b)
+    found = tables.after(first, ((second, 0),))
+    sid = tables._compose(first[0], second[0])
+    if not sid:
+        assert found == []
         return None
-    (_, _, sid, choices), = found
+    choices = [tables._substitute(arg, first[1]) for arg in second[1]]
+    assert found == [(second, 0, sid, ids)
+                     for ids in itertools.product(*choices)]
     return tables.spines[sid], [[tables.args[i] for i in ids]
                                 for ids in choices]
 
@@ -1065,6 +1153,27 @@ def fresh_closures(source, config):
     return found
 
 
+def full_reports(source, config):
+    """Each group's report and verdict, through the graph, the closure and
+    the loop check of every group, each on fresh tables."""
+    program = desugar(parse_program(source))
+    env, schemes, found = DeclEnv(program.decls), {}, []
+    for group in program.groups:
+        bounds = group.bounds or (config.bound_b, config.bound_d)
+        analyzed = annotate_group(env, schemes, group.defs)
+        graph = build_callgraph(analyzed.defs, *bounds)
+        closure = transitive_closure(graph)
+        outcome = scp.check_loops(closure)
+        greport = GroupReport(
+            tuple(d.fname for d in group.defs), bounds,
+            {type_str(inst): prio
+             for inst, prio in analyzed.priorities.items()},
+            graph.edges, closure.edges, closure.stats)
+        found += [(greport, "total" if outcome.total else "unknown")
+                  for _ in group.defs]
+    return found
+
+
 def checked_closures(report):
     """Each group's closure edges and stats in a report of `analyze_source`,
     whose groups share word and weight tables."""
@@ -1142,6 +1251,30 @@ class TestTableLifetimes:
 
         assert by_name(many_blocks(30, True)) == by_name(
             many_blocks(30, True, reverse=True))
+
+    def test_groups_without_calls(self, monkeypatch):
+        """A group whose clauses call none of its members makes no tables,
+        graph, closure or loop check, and reports as if it had: 40 blocks
+        of three recursive groups, each followed by a group `k` that only
+        calls `f`."""
+        source = many_blocks(40) + "".join(
+            "val k{0} : d{0} -> nat | k{0} x = f{0} (B{0} x)\n".format(i)
+            for i in range(40))
+        want = full_reports(source, Config())
+        made = Counter()
+        tables = checker.CallTables
+
+        def counted(*args):
+            made["tables"] += 1
+            return tables(*args)
+
+        monkeypatch.setattr(checker, "CallTables", counted)
+        report = analyze_source(source, Config())
+        assert made["tables"] == 120
+        assert [(g, v.result) for g in report.groups
+                for v in report.verdicts if v.fname in g.names] == want
+        assert [g.stats for g in report.groups if g.names[0][0] == "k"] == [
+            {"edges": 0, "compositions": 0}] * 40
 
     @pytest.mark.parametrize("cap, value", [
         ("MAX_EDGES", 100), ("MAX_COMPOSITIONS", 1000)])

@@ -199,6 +199,31 @@ class TestItemSqcoh:
         assert self.check(call("B-@1 f(x1)"), call("<{}> A-@1 f(? x1)"))
         assert not self.check(call("? f(x1)"), call("? f(A@1 x1)"))
 
+    def test_spine_walk(self):
+        """Each exit of the walk over two calls' spines, both ways round."""
+        def both(a, b):
+            got = self.check(call(a), call(b))
+            assert self.check(call(b), call(a)) == got
+            return got
+
+        # equal spines: the callees and the arguments decide
+        assert both("C@1 B-@1 f(x1)", "C@1 B-@1 f(x1)")
+        assert not both("C@1 B-@1 f(x1)", "C@1 B-@1 f(A@1 x1)")
+        assert not both("C@1 B-@1 f(x1)", "C@1 B-@1 g(x1)")
+        # a mismatch before any middle
+        assert not both("C@1 B-@1 f(x1)", "C@1 A-@1 f(x1)")
+        assert not both("C@1 {D@0 = f(x1)}", "C@1 {E@0 = f(x1)}")
+        # a middle on one side at the end of the common prefix
+        assert both("C@1 <{1:-1}> B-@1 f(x1)", "C@1 B-@1 f(x1)")
+        assert both("C@1 <{1:-1}> f(x1)", "C@1 A-@1 f(x1)")
+        assert not both("C@1 ? f(x1)", "C@1 A-@1 f(B@1 x1)")
+        # one spine a prefix of the other, the longer going on with an item
+        # or a middle
+        assert not both("C@1 f(x1)", "C@1 A-@1 f(x1)")
+        assert not both("A-@1 f(x1)", "f(x1)")
+        assert both("C@1 f(x1)", "C@1 <{1:-1}> f(x1)")
+        assert both("C@1 f(x1)", "C@1 ? f(x1)")
+
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_corpus_loop_pairs(self, bound):
         """Every ordered pair of loops of every closure of the corpus."""
