@@ -17,7 +17,9 @@ composes, collapses, sorts and compares calls on their items, and the
 tests compare those with it.  `clause_term`, `extract_calls` and
 `call_of_term` are the term path of call extraction: they build each
 clause as a term, split its calls off it and read them back as items, and
-the tests compare `callgraph.clause_calls` with them.
+the tests compare `callgraph.clause_calls` with them.  `index_clauses`
+walks the annotated clauses for their instance nodes and called names, and
+the tests compare what the type checker records as it builds them with it.
 `collapse_call_term`, `compose_calls` and `is_checked_loop` are the term
 path of the closure: they compose and collapse whole terms, and the tests
 compare the initial collapse, the closure's piecewise composition and its
@@ -83,6 +85,7 @@ from .typecheck import (
     AProj,
     ARecord,
     AVar,
+    clause_nodes,
 )
 
 # ---------------------------------------------------------------------------
@@ -498,6 +501,26 @@ def call_of_term(caller: str, t: Term, group: set) -> Call:
         raise InternalError("call to %r escapes the group" % node.fname)
     return Call(caller, node.fname, tuple(items),
                 tuple(arg_tree(a) for a in node.args))
+
+
+def index_clauses(adefs, calls: list | None = None) -> list:
+    """The nodes of the clauses of `adefs` that carry a type instance, in
+    pre-order, read by a walk of each annotated clause (`clause_nodes`).
+    With a list `calls`, each clause's called names, in order of first
+    call, are appended to it as a tuple.  This is the reference for what
+    `typecheck.GroupChecker` records while it builds the nodes."""
+    nodes: list = []
+    for adef in adefs:
+        for cl in adef.clauses:
+            names: dict = {}
+            for node in clause_nodes(cl):
+                if isinstance(node, (AConstr, ANum, ARecord, AProj)):
+                    nodes.append(node)
+                elif isinstance(node, ACall):
+                    names[node.fname] = None
+            if calls is not None:
+                calls.append(tuple(names))
+    return nodes
 
 
 def pattern_bindings(patterns, counts=None) -> dict:

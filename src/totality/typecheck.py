@@ -110,7 +110,6 @@ class ACall(Struct):
         self.args = args
 
 
-_INSTANCE_NODES = (AConstr, ANum, ARecord, AProj)
 _ONE_CHILD = (AConstr, ANum)
 
 
@@ -131,35 +130,18 @@ def clause_nodes(cl):
             stack.extend(reversed(node.args))
 
 
-def index_clauses(adefs) -> list:
-    """One walk over the clauses of `adefs`: record on each clause the names
-    it calls, in order of first call, and return the nodes that carry a type
-    instance, in pre-order."""
-    nodes: list = []
-    for adef in adefs:
-        for cl in adef.clauses:
-            calls: dict = {}
-            for node in clause_nodes(cl):
-                if isinstance(node, _INSTANCE_NODES):
-                    nodes.append(node)
-                elif isinstance(node, ACall):
-                    calls[node.fname] = None
-            cl.calls = tuple(calls)
-    return nodes
-
-
 class AClause(Struct):
     __slots__ = ("patterns", "body", "calls")
 
     def __init__(self, patterns: tuple, body: object, calls: tuple = ()):
         self.patterns = patterns
         self.body = body
-        self.calls = calls  # set by `index_clauses`
+        self.calls = calls  # the names called, in order of first call
 
 
 class ADef(Struct):
     __slots__ = ("fname", "arity", "arg_types", "result_type", "clauses",
-                 "line", "col")
+                 "line", "col", "calls")
 
     def __init__(self, fname: str, arity: int, arg_types: tuple,
                  result_type: object, clauses: tuple, line: int = 0,
@@ -171,12 +153,8 @@ class ADef(Struct):
         self.clauses = clauses
         self.line = line
         self.col = col
-
-    @property
-    def calls(self) -> tuple:
-        """The names the clauses call, in order of first call."""
-        return tuple(dict.fromkeys(
-            name for cl in self.clauses for name in cl.calls))
+        self.calls = tuple(dict.fromkeys(
+            name for cl in clauses for name in cl.calls))
 
 
 class AnalyzedGroup(Struct):
@@ -214,6 +192,7 @@ class DeclEnv:
         self.ctors: dict[str, CtorInfo] = {}
         self.dtors: dict[str, DtorInfo] = {}
         self.fieldsets: dict[frozenset, str] = {}
+        self.targets: dict[TApp, tuple] = {}  # `deconstruction_targets`
         for decl in decls:
             self.decls[decl.name] = decl
         paired = False
@@ -308,13 +287,19 @@ class DeclEnv:
                  ("Snd", TArrow(subject, TVar("b")))))
             self._register(self.decls["pair"])
 
-    def deconstruction_targets(self, inst: TApp) -> list:
-        """Instances one deconstruction step from `inst`: the argument
-        types of its constructors, the result types of its destructors.
-        A function type among them is a `PriorityError`."""
+    def deconstruction_targets(self, inst: TApp) -> tuple:
+        """Instances one deconstruction step from `inst`, each once: the
+        argument types of its constructors, the result types of its
+        destructors.  A function type among them is a `PriorityError`.
+        Kept for the environment's one check, but not a failure, nor an
+        undeclared type's: a later `empty_record` may declare `unit`
+        (`_unit`), and no other declaration changes after construction."""
+        found = self.targets.get(inst)
+        if found is not None:
+            return found
         decl = self.decls.get(inst.name)
         if decl is None:
-            return []
+            return ()
         if not decl.is_codata:
             types = [self.ctors[name].arg for name, _ in decl.items]
         else:
@@ -325,7 +310,9 @@ class DeclEnv:
             if isinstance(t, TArrow):
                 raise PriorityError(
                     "higher-order constructor argument %s" % type_str(t))
-        return [t for t in out if isinstance(t, TApp)]
+        found = self.targets[inst] = tuple(dict.fromkeys(
+            t for t in out if isinstance(t, TApp)))
+        return found
 
     def polarity(self, inst: TApp) -> int:
         decl = self.decls.get(inst.name)
@@ -380,6 +367,9 @@ class Unifier:
         return t
 
     def deep(self, t):
+        """`t` with bound metavariables replaced; `t` if none is bound."""
+        if not self.bindings:
+            return t
         t = self.resolve(t)
         if isinstance(t, TApp):
             return TApp(t.name, tuple(self.deep(a) for a in t.args))
@@ -458,6 +448,17 @@ class GroupChecker:
         self.schemes = schemes  # earlier definitions
         self.u = Unifier()
         self.group_sigs: dict[str, tuple] = {}
+        self.nodes: list = []  # the instance nodes built, in pre-order
+        self.calls: dict = {}  # the names the current clause calls
+
+    def reserve(self) -> int:
+        """A slot in `nodes` for an instance node, taken before its parts'."""
+        self.nodes.append(None)
+        return len(self.nodes) - 1
+
+    def place(self, slot: int, node):
+        self.nodes[slot] = node
+        return node
 
     def check(self, defs) -> list:
         adefs = []
@@ -484,12 +485,13 @@ class GroupChecker:
         clauses = []
         for cl in d.clauses:
             var_env: dict[str, object] = {}
+            self.calls = {}
             pats = tuple(
-                self.check_pattern(p, expected, var_env, cl)
+                self.check_node(p, expected, var_env, cl, True)
                 for p, expected in zip(cl.patterns, arg_types)
             )
-            body = self.check_expr(cl.body, result, var_env, cl)
-            clauses.append(AClause(pats, body))
+            body = self.check_node(cl.body, result, var_env, cl, False)
+            clauses.append(AClause(pats, body, tuple(self.calls)))
         return ADef(d.fname, d.arity, tuple(arg_types), result,
                     tuple(clauses), d.line, d.col)
 
@@ -522,68 +524,61 @@ class GroupChecker:
         return inst, [subst_type(self.env.dtors[n].result, mapping)
                       for n, _ in fields]
 
-    def check_pattern(self, p, expected, var_env, cl):
-        if isinstance(p, SVar):
-            if p.name in var_env:
-                raise TypeCheckError("duplicate variable %r" % p.name,
+    def check_node(self, n, expected, var_env, cl, pattern: bool):
+        """The annotated node of `n`, a node of a pattern if `pattern` and
+        of a body otherwise, where `expected` is wanted."""
+        if isinstance(n, SVar) and pattern:
+            if n.name in var_env:
+                raise TypeCheckError("duplicate variable %r" % n.name,
                                      cl.line, cl.col)
-            var_env[p.name] = expected
-            return AVar(p.name)
-        if isinstance(p, SConstr):
-            inst, arg = self.constr_type(p.name, expected, cl)
-            return AConstr(p.name, self.check_pattern(
-                p.args[0], arg, var_env, cl), instance=inst)
-        if isinstance(p, SRecord):
-            inst, types = self.record_type(p.fields, expected, cl)
-            return ARecord(tuple(
-                (fname, self.check_pattern(sub, ty, var_env, cl))
-                for (fname, sub), ty in zip(p.fields, types)), instance=inst)
-        if isinstance(p, SNum) and p.arg is not None:
+            var_env[n.name] = expected
+            return AVar(n.name)
+        if isinstance(n, SVar):
+            if n.name in var_env:
+                self.u.unify(expected, var_env[n.name], cl.line, cl.col)
+                return AVar(n.name)
+            return self.check_call(n.name, (), expected, var_env, cl)
+        if isinstance(n, SConstr):
+            inst, arg = self.constr_type(n.name, expected, cl)
+            slot = self.reserve()
+            return self.place(slot, AConstr(n.name, self.check_node(
+                n.args[0], arg, var_env, cl, pattern), instance=inst))
+        if isinstance(n, SRecord):
+            inst, types = self.record_type(n.fields, expected, cl)
+            slot = self.reserve()
+            return self.place(slot, ARecord(tuple(
+                (fname, self.check_node(sub, ty, var_env, cl, pattern))
+                for (fname, sub), ty in zip(n.fields, types)), instance=inst))
+        if isinstance(n, SNum) and n.arg is not None:
             nat = TApp("nat", ())
             self.u.unify(expected, nat, cl.line, cl.col)
-            return ANum(p.value, self.check_pattern(
-                p.arg, self.env.ctors["Zero"].arg, var_env, cl), instance=nat)
-        raise TypeCheckError("pattern not desugared: %r" % (p,),
-                             cl.line, cl.col)
-
-    def check_expr(self, e, expected, var_env, cl):
-        if isinstance(e, SVar):
-            if e.name in var_env:
-                self.u.unify(expected, var_env[e.name], cl.line, cl.col)
-                return AVar(e.name)
-            return self.check_call(e.name, (), expected, var_env, cl)
-        if isinstance(e, SApp):
-            return self.check_call(e.fname, e.args, expected, var_env, cl)
-        if isinstance(e, SConstr):
-            inst, arg = self.constr_type(e.name, expected, cl)
-            return AConstr(e.name, self.check_expr(
-                e.args[0], arg, var_env, cl), instance=inst)
-        if isinstance(e, SRecord):
-            inst, types = self.record_type(e.fields, expected, cl)
-            return ARecord(tuple(
-                (fname, self.check_expr(sub, ty, var_env, cl))
-                for (fname, sub), ty in zip(e.fields, types)), instance=inst)
-        if isinstance(e, SProj):
-            info = self.env.dtors.get(e.fname)
+            slot = self.reserve()
+            return self.place(slot, ANum(n.value, self.check_node(
+                n.arg, self.env.ctors["Zero"].arg, var_env, cl, pattern),
+                instance=nat))
+        if pattern:
+            raise TypeCheckError("pattern not desugared: %r" % (n,),
+                                 cl.line, cl.col)
+        if isinstance(n, SApp):
+            return self.check_call(n.fname, n.args, expected, var_env, cl)
+        if isinstance(n, SProj):
+            info = self.env.dtors.get(n.fname)
             if info is None:
-                raise TypeCheckError("unknown field %r" % e.fname,
+                raise TypeCheckError("unknown field %r" % n.fname,
                                      cl.line, cl.col)
             mapping = {v: self.u.fresh() for v in info.params}
             inst = subst_type(info.owner, mapping)
-            sub = self.check_expr(e.sub, inst, var_env, cl)
+            slot = self.reserve()
+            sub = self.check_node(n.sub, inst, var_env, cl, False)
             self.u.unify(expected, subst_type(info.result, mapping),
                          cl.line, cl.col)
-            return AProj(sub, e.fname, instance=inst)
-        if isinstance(e, SNum) and e.arg is not None:
-            nat = TApp("nat", ())
-            self.u.unify(expected, nat, cl.line, cl.col)
-            return ANum(e.value, self.check_expr(
-                e.arg, self.env.ctors["Zero"].arg, var_env, cl), instance=nat)
-        if isinstance(e, SNum):
+            return self.place(slot, AProj(sub, n.fname, instance=inst))
+        if isinstance(n, SNum):
             raise TypeCheckError("numeral not desugared", cl.line, cl.col)
-        raise TypeCheckError("unknown expression %r" % (e,), cl.line, cl.col)
+        raise TypeCheckError("unknown expression %r" % (n,), cl.line, cl.col)
 
     def check_call(self, fname, args, expected, var_env, cl):
+        self.calls[fname] = None
         if fname in self.group_sigs:
             arg_types, result = self.group_sigs[fname]
             arg_types = list(arg_types)
@@ -601,7 +596,7 @@ class GroupChecker:
                 "function %r applied to %d arguments (expects %d)"
                 % (fname, len(args), len(arg_types)), cl.line, cl.col)
         checked = tuple(
-            self.check_expr(a, ty, var_env, cl)
+            self.check_node(a, ty, var_env, cl, False)
             for a, ty in zip(args, arg_types)
         )
         self.u.unify(expected, result, cl.line, cl.col)
@@ -672,7 +667,7 @@ def _nodes(t, limit: int) -> int:
 
 def dominance(nodes, env: DeclEnv):
     """Reachable instances and, per instance, the instances it must exceed,
-    from the instance nodes `nodes` (`index_clauses`).
+    from the instance nodes `nodes` (`GroupChecker.nodes`).
 
     An instance must exceed each instance it is a proper subexpression of,
     and each instance that reaches it in one deconstruction step unless it
@@ -760,13 +755,11 @@ def annotate_group(env: DeclEnv, schemes: dict, defs) -> AnalyzedGroup:
     """Full typing pipeline for one group; extends `schemes` in place."""
     checker = GroupChecker(env, schemes)
     adefs = checker.check(defs)
-    nodes = index_clauses(adefs)
+    nodes = checker.nodes
     _resolve_instances(nodes, checker.u)
     for adef in adefs:
-        arg_types = tuple(checker.u.deep(t) for t in adef.arg_types)
-        result = checker.u.deep(adef.result_type)
-        adef.arg_types = arg_types
-        adef.result_type = result
+        adef.arg_types = tuple(map(checker.u.deep, adef.arg_types))
+        adef.result_type = checker.u.deep(adef.result_type)
     priorities = assign_priorities(nodes, env)
     annotate_priorities(nodes, priorities)
     for adef in adefs:

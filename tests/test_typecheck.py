@@ -21,8 +21,8 @@ from totality.typecheck import (
     Unifier,
     assign_priorities,
     dominance,
-    index_clauses,
 )
+from totality.testkit import index_clauses
 
 
 def tapp(name, *args):
