@@ -85,15 +85,16 @@ class Report(Struct):
 
 
 def analyze_program(program: Program, config: Config) -> Report:
+    """The report of checking the desugared `program` under `config`'s
+    bounds."""
     report = Report()
-    desugared = desugar(program)
-    violations, _ = validate_restrictions(desugared)
+    violations, _ = validate_restrictions(program)
     if violations:
         report.errors = [str(v) for v in violations]
         return report
 
     try:
-        env = DeclEnv(desugared.decls)
+        env = DeclEnv(program.decls)
     except SourceError as err:
         report.errors = [str(err)]
         return report
@@ -102,7 +103,7 @@ def analyze_program(program: Program, config: Config) -> Report:
     results: dict = {}
     shared: dict = {}  # the word and weight tables of each (B, D)
 
-    for group in desugared.groups:
+    for group in program.groups:
         bounds = group.bounds or (config.bound_b, config.bound_d)
         names = tuple(d.fname for d in group.defs)
         greport = GroupReport(names, bounds)
@@ -163,7 +164,8 @@ def analyze_source(src: str, config: Config = None) -> Report:
     it drops, and it runs with the cyclic collector paused: a collection
     would only walk the checker's heap and find nothing to free.  The
     collector's state is restored on every exit, so a caller that had it
-    off finds it still off."""
+    off finds it still off.  The parse result is desugared at once, so
+    that its tree is freed before the rest of the check."""
     config = config or Config()
     report = Report()
     if config.bound_b < 1:
@@ -177,7 +179,7 @@ def analyze_source(src: str, config: Config = None) -> Report:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        program = parse_program(src)
+        program = desugar(parse_program(src))
         return analyze_program(program, config)
     except SourceError as err:
         message = str(err)

@@ -191,12 +191,31 @@ class Group(Struct):
         self.bounds = bounds  # pragma override
 
 
-class Program(Struct):
-    __slots__ = ("decls", "groups")
+class Names(dict):
+    """The name table of one check: each name maps to the one string that
+    stands for it in all the check's trees, and `dummies` holds the dummy
+    variables `_d0`, `_d1`, ... that `desugar` has made so far."""
 
-    def __init__(self, decls: tuple, groups: tuple):
+    __slots__ = ("dummies",)
+
+    def __init__(self):
+        super().__init__()
+        self.dummies: list = []
+
+
+class Program(Struct):
+    """Declarations and groups.  A parsed program carries the name table
+    that `desugar` takes its dummy variables from; a desugared one has
+    none, so that the table is freed with the surface tree."""
+
+    __slots__ = ("decls", "groups", "names")
+    _uncompared = ("names",)
+
+    def __init__(self, decls: tuple, groups: tuple,
+                 names: Names | None = None):
         self.decls = decls
         self.groups = groups
+        self.names = names
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +239,9 @@ _KINDS["_"] = "wild"
 _STARTS = dict.fromkeys("abcdefghijklmnopqrstuvwxyz"
                         "ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "name")
 _STARTS.update(dict.fromkeys("0123456789", "int"))
+# the characters of whole lines that `_lex` reads at a time: the parser
+# holds the tokens of one such chunk, not of the whole file
+CHUNK = 4096
 
 
 def _kind(value: str, line: int, col: int) -> str:
@@ -238,66 +260,143 @@ def _kind(value: str, line: int, col: int) -> str:
     raise SourceError("unexpected character %r" % c, line, col)
 
 
-def _lex(src: str) -> list:
-    """The tokens of `src`, each a plain tuple (kind, value, line, col),
-    which is cheaper to build than an object; the last is an eof."""
+class _Lexer:
+    """The tokens of `src`, read by `_lex` a chunk of whole lines of at
+    least `size` characters at a time.  `start` and `line` are the offset
+    and number of the first line not yet read; a chunk that fails to lex
+    leaves them as they were, so that `rest` reads it again."""
+
+    __slots__ = ("src", "size", "start", "line", "names", "pragmas",
+                 "bad_pragma")
+
+    def __init__(self, src: str, names: Names, size: int):
+        self.src = src
+        self.size = size
+        self.start = 0
+        self.line = 1
+        self.names = names
+        self.pragmas: dict = {}  # bounds per line of a good pragma
+        self.bad_pragma = None  # (message, line, col) of the first bad one
+
+    def done(self) -> bool:
+        return self.start > len(self.src)
+
+    def rest(self) -> None:
+        """Read every line not yet read, for the errors that beat one found
+        in parsing what was read: the first lexical error of the file, else
+        its first bad pragma."""
+        while not self.done():
+            _lex(self)
+        if self.bad_pragma:
+            raise SourceError(*self.bad_pragma)
+
+
+def _lex(lexer: _Lexer) -> list:
+    """The tokens of the next chunk of `lexer`'s lines, each a plain tuple
+    (kind, value, line, col), which is cheaper to build than an object; the
+    last chunk ends with an eof.  A name or type variable is its string in
+    the name table.  Records the pragmas of the chunk on `lexer`."""
+    src, start = lexer.src, lexer.start
+    end = src.find("\n", start + lexer.size)
+    if end < 0:
+        end = len(src)
     tokens = []
     append = tokens.append
+    intern = lexer.names.setdefault
     kinds, starts = _KINDS, _STARTS
-    for line, text in enumerate(src.split("\n"), start=1):
+    line = lexer.line - 1
+    for text in src[start:end].split("\n"):
+        line += 1
         col = 1
         for blank, value in _TOKEN.findall(text):
             col += len(blank)
             kind = (kinds.get(value) or starts.get(value[0])
                     or _kind(value, line, col))
-            if kind == "comment":
+            if kind == "name":
+                append((kind, intern(value, value), line, col))
+            elif kind == "comment":
+                if col == len(blank) + 1:  # the line's first token
+                    _pragma(lexer, text, line)
                 break
-            append((kind, value[1:] if kind == "tyvar" else value, line,
-                    col))
+            elif kind == "tyvar":
+                name = value[1:]
+                append((kind, intern(name, name), line, col))
+            else:
+                append((kind, value, line, col))
             col += len(value)
         else:
             col = len(text) + 1  # the eof of a last line without comment
-    tokens.append(("eof", "", line, col))
+    if end == len(src):
+        append(("eof", "", line, col))
+    lexer.start = end + 1
+    lexer.line = line + 1
     return tokens
 
 
-def _pragmas(src: str) -> dict:
-    """Bounds per line of a pragma, lines numbered as `_lex` numbers them."""
-    out = {}
-    for number, text in enumerate(src.split("\n"), start=1):
-        m = _PRAGMA.match(text)
-        if m and int(m.group(1)) < 1:
-            raise SourceError("pragma bound B must be at least 1", number,
-                              m.start(1) + 1)
-        if m:
-            out[number] = (int(m.group(1)), int(m.group(2)))
-    return out
+def _pragma(lexer: _Lexer, text: str, line: int) -> None:
+    """Record the bounds of the comment line `text` if it is a pragma.  A
+    pragma is a whole line, so a line whose first token is not a comment
+    is none."""
+    m = _PRAGMA.match(text)
+    if m is None:
+        return
+    if int(m.group(1)) < 1:
+        if lexer.bad_pragma is None:
+            lexer.bad_pragma = ("pragma bound B must be at least 1", line,
+                                m.start(1) + 1)
+        return
+    lexer.pragmas[line] = (int(m.group(1)), int(m.group(2)))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 class _Parser:
-    def __init__(self, src: str):
-        self.tokens = _lex(src)
-        self.pragmas = _pragmas(src)
+    """A recursive descent over the tokens of one chunk at a time: `tok` is
+    the one at `pos` in `tokens`.  Only `take` moves on, and it reads the
+    next chunk when one runs out, so no token list outlives its chunk.
+    Beyond that, `take`, `peek` and `at` call nothing: each takes one
+    frame, as in the parse of the whole file as one chunk that
+    `parse_program` falls back on, so both nest as deep."""
+
+    def __init__(self, src: str, size: int):
+        self.lexer = _Lexer(src, Names(), size)
+        self.tok = ("", "", 1, 1)  # stands before the first token
+        self.tokens = [self.tok]
         self.pos = 0
+        self.end = 1
+
+    def refill(self) -> None:
+        """Move on to the first token of the next chunk that has one.  A
+        bad pragma ends the parse as soon as it is read."""
+        lexer = self.lexer
+        tokens = _lex(lexer)
+        while not tokens:
+            tokens = _lex(lexer)
+        if lexer.bad_pragma:
+            raise SourceError(*lexer.bad_pragma)
+        end = len(tokens)  # the last call that can fail: `pos` moves after
+        self.tokens, self.pos, self.end, self.tok = tokens, 0, end, tokens[0]
 
     def peek(self) -> tuple:
-        return self.tokens[self.pos]  # the trailing eof ends every loop
+        return self.tok  # the trailing eof ends every loop
 
     def take(self, kind: str) -> tuple:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] != kind:
             raise SourceError(
                 "expected %s, found %r" % (kind, tok[1] or tok[0]),
                 *tok[2:],
             )
-        self.pos += 1
+        self.pos = pos = self.pos + 1
+        if pos == self.end:
+            self.refill()  # on any error, `pos` stays at `end`
+        else:
+            self.tok = self.tokens[pos]
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos][0] == kind
+        return self.tok[0] == kind
 
     def program(self) -> Program:
         decls, groups = [], []
@@ -312,7 +411,7 @@ class _Parser:
                     "expected a declaration or definition, found %r"
                     % (tok[1] or tok[0]), *tok[2:],
                 )
-        return Program(tuple(decls), tuple(groups))
+        return Program(tuple(decls), tuple(groups), self.lexer.names)
 
     def type_decl(self) -> TypeDecl:
         start = self.take(self.peek()[0])
@@ -371,7 +470,7 @@ class _Parser:
         while self.at("and"):
             self.take("and")
             defs.append(self.fundef())
-        bounds = self.pragmas.get(start[2] - 1)
+        bounds = self.lexer.pragmas.get(start[2] - 1)
         return Group(tuple(defs), start[2], bounds)
 
     def fundef(self) -> Definition:
@@ -534,12 +633,27 @@ TOO_DEEP = "input nests too deeply to analyze"
 
 
 def parse_program(src: str) -> Program:
-    parser = _Parser(src)
-    try:
-        return parser.program()
-    except RecursionError:
-        tok = parser.peek()
-        raise SourceError(TOO_DEEP, *tok[2:]) from None
+    """The program `src`, or the `SourceError` of the whole file, lexed in
+    full: a lexical error anywhere beats a bad pragma, which beats a syntax
+    error or `TOO_DEEP`.  So once the parse stops, the lines it did not
+    reach are read for those.  Reading a chunk takes a few frames more than
+    the parse of one token list; where the parse has none left for them,
+    it starts again with the whole file as one chunk, to nest as deep."""
+    size = CHUNK
+    while True:
+        parser = _Parser(src, size)
+        try:
+            parser.refill()
+            return parser.program()
+        except SourceError:
+            parser.lexer.rest()
+            raise
+        except RecursionError:
+            if parser.pos < parser.end or size >= len(src):
+                tok = parser.peek()
+                parser.lexer.rest()
+                raise SourceError(TOO_DEEP, *tok[2:]) from None
+        size = len(src)
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +694,16 @@ def _usual_nat(decls) -> bool:
                and _NAT_ITEMS <= set(decl.items) for decl in decls)
 
 
-def _fresh_names(taken: set):
-    """The names `_d0`, `_d1`, ... that are not in `taken`, in order."""
-    names = ("_d%d" % i for i in itertools.count())
-    return (name for name in names if name not in taken)
+def _fresh_names(taken: set, names: Names):
+    """The names `_d0`, `_d1`, ... that are not in `taken`, in order, each
+    made once per check and kept in `names`."""
+    dummies = names.dummies
+    for i in itertools.count():
+        if i == len(dummies):
+            name = "_d%d" % i
+            dummies.append(names.setdefault(name, name))
+        if dummies[i] not in taken:
+            yield dummies[i]
 
 
 def _pattern_vars(p, out):
@@ -661,10 +781,18 @@ def desugar(program: Program) -> Program:
     (`_usual_nat`); over another `nat` it is expanded, so that it fails to
     type as its expansion does.  An empty record becomes a fresh dummy
     variable in a pattern and, in the body, the clause's first dummy or
-    `empty_record`."""
+    `empty_record`.  A program that calls `empty_record` gets `unit`, the
+    type of its result, as a codata type without fields, unless it declares
+    a `unit` of its own.  With `DeclEnv`, which declares it for a nullary
+    constructor, that settles before any group is typed whether the
+    program has `unit`, so no group's verdict depends on the ones before
+    it."""
     arities = _ctor_arities(program.decls)
     numerals = ("keep" if not _has_nat(program.decls)
                 else "count" if _usual_nat(program.decls) else "expand")
+    names = program.names or Names()
+    # whether a clause calls it: written out, or made by `empty_record`
+    calls_empty = "empty_record" in names
 
     def do_clause(cl: Clause) -> Clause:
         try:
@@ -676,7 +804,7 @@ def desugar(program: Program) -> Program:
         existing: list = []
         for p in cl.patterns:
             _pattern_vars(p, existing)
-        fresh = _fresh_names(set(existing))
+        fresh = _fresh_names(set(existing), names)
         dummies: list = []
 
         def dummy():
@@ -690,8 +818,10 @@ def desugar(program: Program) -> Program:
             _pattern_vars(p, pvars)
 
         def empty_record():
+            nonlocal calls_empty
             if dummies:
                 return SVar(dummies[0])
+            calls_empty = True
             if pvars:
                 return SApp("empty_record", (SVar(pvars[0]),))
             return SVar("empty_record")  # resolved as a 0-ary library call
@@ -708,7 +838,10 @@ def desugar(program: Program) -> Program:
         ), g.line, g.bounds)
         for g in program.groups
     )
-    return Program(program.decls, groups)
+    decls = program.decls
+    if calls_empty and all(decl.name != "unit" for decl in decls):
+        decls += (TypeDecl("unit", (), True, ()),)
+    return Program(decls, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,9 @@ class DeclEnv:
         return paired
 
     def _unit(self) -> TApp:
+        """The argument type of a nullary constructor, the synthetic `unit`
+        unless the program declares one; met only while the environment is
+        built, so that every group sees the same declarations."""
         if "unit" not in self.decls:
             synthetic = TypeDecl("unit", (), True, ())
             self.decls["unit"] = synthetic
@@ -291,9 +294,8 @@ class DeclEnv:
         """Instances one deconstruction step from `inst`, each once: the
         argument types of its constructors, the result types of its
         destructors.  A function type among them is a `PriorityError`.
-        Kept for the environment's one check, but not a failure, nor an
-        undeclared type's: a later `empty_record` may declare `unit`
-        (`_unit`), and no other declaration changes after construction."""
+        Kept for the environment's one check, as no declaration changes
+        after construction, but not a failure."""
         found = self.targets.get(inst)
         if found is not None:
             return found
@@ -587,7 +589,6 @@ class GroupChecker:
         elif fname == "empty_record":
             arg_types = [self.u.fresh() for _ in args]
             result = TApp("unit", ())
-            self.env._unit()
         else:
             raise TypeCheckError("unknown function %r" % fname,
                                  cl.line, cl.col)

@@ -308,28 +308,33 @@ class TestTargetsPerCheck:
         assert TApp("fn") not in env.targets
 
     def test_unit_declared_by_a_later_group(self):
-        # no nullary constructor, so `unit` is undeclared until `h` calls
-        # `empty_record` for its `{}`
-        source = ("data box('a) where Box : 'a -> box('a)\n"
-                  "val f : box(unit) -> box(unit) | f (Box x) = Box x\n"
-                  "val h : box(unit) -> unit | h (Box y) = {}\n"
-                  "val k : box(unit) -> box(unit) | k (Box z) = Box z\n")
-        report = analyze_source(source, Config())
-        assert [(v.fname, v.result, v.reasons) for v in report.verdicts] == [
-            ("f", "error", ["unknown type 'unit'"]),
-            ("h", "total", []), ("k", "total", [])]
-        assert [g.priorities for g in report.groups] == [
-            {}, {"box(unit)": 1, "unit": 2}, {"box(unit)": 1, "unit": 2}]
-        # `k` types only after `h` has declared `unit`, as before targets
-        # were kept, so a fresh environment would differ from the shared one
-        program = desugar(parse_program(source))
-        env, schemes = DeclEnv(program.decls), {}
-        found = [priorities(env, schemes, group.defs)
-                 for group in program.groups]
-        assert found == ["unknown type 'unit'"] + 2 * [
-            [("box(unit)", 1), ("unit", 2)]]
-        assert set(env.targets) == {TApp("box", (TApp("unit"),)),
-                                    TApp("unit")}
+        # no nullary constructor, but the `{}` of `h` calls `empty_record`:
+        # the program has the synthetic `unit` before any group is typed,
+        # so every group types as in a fresh environment, in any order
+        box = "data box('a) where Box : 'a -> box('a)\n"
+        f = "val f : box(unit) -> box(unit) | f (Box x) = Box x\n"
+        h = "val h : box(unit) -> unit | h (Box y) = {}\n"
+        k = "val k : box(unit) -> box(unit) | k (Box z) = Box z\n"
+        wanted = [("box(unit)", 1), ("unit", 2)]
+        for groups in [(f, h, k), (k, h), (h, k)]:
+            source = box + "".join(groups)
+            report = analyze_source(source, Config())
+            assert [(v.result, v.reasons) for v in report.verdicts] \
+                == len(groups) * [("total", [])]
+            assert [g.priorities for g in report.groups] \
+                == len(groups) * [dict(wanted)]
+            env, found = self.shared_and_fresh(source)
+            assert found == len(groups) * [wanted]
+            assert set(env.targets) == {TApp("box", (TApp("unit"),)),
+                                        TApp("unit")}
+        # a call written out declares it too; without either, no group
+        # knows `unit`
+        e = "val e : box(unit) -> unit | e (Box y) = empty_record y\n"
+        report = analyze_source(box + k + e, Config())
+        assert [v.result for v in report.verdicts] == ["total", "total"]
+        report = analyze_source(box + f + k, Config())
+        assert [(v.result, v.reasons) for v in report.verdicts] \
+            == 2 * [("error", ["unknown type 'unit'"])]
 
 
 class TestDeepUnbound:

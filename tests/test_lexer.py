@@ -1,5 +1,6 @@
 """The one-pattern lexer against the character-at-a-time reference
-(`testkit.reference_lex`): the same tokens, positions and errors."""
+(`testkit.reference_lex`): the same tokens, positions and errors, whatever
+the size of the chunks that the lexer reads the lines in."""
 
 import random
 import string
@@ -7,8 +8,27 @@ import string
 import pytest
 
 from conftest import CORPUS, corpus_source
-from totality.surface import SourceError, _STARTS, _lex
+from totality.surface import (
+    CHUNK,
+    Names,
+    SourceError,
+    _Lexer,
+    _STARTS,
+    _lex,
+)
 from totality.testkit import reference_lex
+
+# a chunk of 0 characters is one line, so every line ends one
+SIZES = (0, 1, 7, 100, CHUNK)
+
+
+def chunks(src, size=CHUNK):
+    """The token lists that `_lex` hands the parser for `src`."""
+    lexer = _Lexer(src, Names(), size)
+    out = []
+    while not lexer.done():
+        out.append(_lex(lexer))
+    return out
 
 
 def lexed(lex, src):
@@ -20,8 +40,15 @@ def lexed(lex, src):
         return ("error", err.message, err.line, err.col)
 
 
-def assert_same(src):
-    assert lexed(_lex, src) == lexed(reference_lex, src), repr(src)
+def in_chunks(size):
+    """A lexer of a whole source that reads it in chunks of `size`."""
+    return lambda src: [tok for chunk in chunks(src, size) for tok in chunk]
+
+
+def assert_same(src, sizes=SIZES):
+    want = lexed(reference_lex, src)
+    for size in sizes:
+        assert lexed(in_chunks(size), src) == want, (size, src)
 
 
 def test_ascii_starts():
@@ -72,8 +99,8 @@ def block(i, rng):
 def test_generated_program(seed):
     rng = random.Random(seed)
     source = "\n\n".join(block(i, rng) for i in range(200))
-    tokens = _lex(source)
-    assert len(tokens) > 10000
+    parts = chunks(source)
+    assert sum(map(len, parts)) > 10000 and len(parts) > 10
     assert_same(source)
 
 
@@ -92,7 +119,48 @@ def test_character_soups():
     errors = 0
     for _ in range(3000):
         src = "".join(rng.choice(SOUP) for _ in range(rng.randint(0, 40)))
-        assert_same(src)
-        errors += isinstance(lexed(_lex, src), tuple)
+        assert_same(src, (0, rng.randrange(40), CHUNK))
+        errors += isinstance(lexed(in_chunks(CHUNK), src), tuple)
     # both outcomes are exercised
     assert 300 < errors < 2700
+
+
+# line 3 is a comment alone, line 5 ends in an error and line 6 starts
+# with one
+BOUNDARIES = ("val f : nat -> nat\n"
+              "  | f x = x\n"
+              "  -- a comment alone on its line\n"
+              "val g 'a = { P = x ; Q = 3 }\n"
+              "val h x = h x.P %\n"
+              "² val k = k\n")
+
+
+def test_every_chunk_boundary():
+    """Chunks of each size from one line to the whole file, so that each
+    line ends a chunk under some size."""
+    assert_same(BOUNDARIES, range(len(BOUNDARIES) + 1))
+    assert_same(BOUNDARIES.replace("%", "").replace("²", ""),
+                range(len(BOUNDARIES) + 1))
+
+
+def test_boundary_on_an_error():
+    # a chunk per line: the fifth ends in the error, the sixth starts with
+    # one, and the chunks before them lex in full
+    for src, line in [(BOUNDARIES, 5), (BOUNDARIES.replace("%", ""), 6)]:
+        lexer = _Lexer(src, Names(), 0)
+        for _ in range(line - 1):
+            _lex(lexer)
+        with pytest.raises(SourceError) as err:
+            _lex(lexer)
+        assert err.value.line == line
+        assert (lexer.start, lexer.line) == (
+            sum(len(text) + 1 for text in src.split("\n")[:line - 1]), line)
+
+
+def test_boundary_on_a_comment_only_line():
+    source = BOUNDARIES.replace("%", "").replace("²", "")
+    parts = chunks(source, 0)
+    # one chunk per line; the comment's holds no token, the last an eof
+    assert [len(p) for p in parts] == [6, 5, 0, 13, 8, 4, 1]
+    assert [tok for part in parts for tok in part] \
+        == lexed(reference_lex, source)

@@ -1,9 +1,17 @@
 """Parsing, desugaring and restriction checks."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from conftest import corpus_source
+from test_lexer import block
+from totality import surface
+from totality.checker import analyze_source
+from totality.records import Struct
 from totality.surface import (
+    CHUNK,
     SApp,
     SConstr,
     SNum,
@@ -177,6 +185,39 @@ class TestDesugar:
             assert desugar(once) == once
 
 
+class TestNames:
+    def test_equal_names_are_one_string(self):
+        """Within one check each name is one string, in the parsed tree
+        and in the desugared one, the dummy variables of every clause
+        included; a desugared program keeps no name table."""
+        source = (NAT + "data list('a) where Nil : list('a)"
+                  " | Cons : 'a -> list('a) -> list('a)\n"
+                  "val len : list('a) -> nat"
+                  " | len Nil = Zero | len (Cons _ xs) = Succ (len xs)\n"
+                  "val second : list('a) -> list('a)"
+                  " | second (Cons _ (Cons _ xs)) = xs | second xs = xs\n")
+        parsed = parse_program(source)
+        program = desugar(parsed)
+        assert program.names is None
+        strings: dict = {}
+
+        def walk(node):
+            if isinstance(node, str):
+                strings.setdefault(node, set()).add(id(node))
+            elif isinstance(node, tuple):
+                for part in node:
+                    walk(part)
+            elif isinstance(node, Struct):
+                for field in node._fields:
+                    if field != "names":
+                        walk(getattr(node, field))
+
+        walk((parsed, program))
+        assert {"_d0", "_d1", "xs", "a", "list", "Cons"} <= set(strings)
+        assert {name for name, ids in strings.items() if len(ids) > 1} \
+            == set()
+
+
 class TestValidate:
     def test_zero_arity_self_recursion_accepted(self):
         program = desugar(parse_program(corpus_source("bad_s.ch")))
@@ -244,3 +285,114 @@ class TestPragma:
                   "val g x = x\n")
         program = parse_program(source)
         assert [g.bounds for g in program.groups] == [(3, 3), None]
+
+
+def long_program(second: str, last: str, blocks: int = 200) -> str:
+    """`second` from line 2 and `last` up to the last line of a program of
+    some 22,000 characters, several chunks: `blocks` pairs of a data type
+    and a definition over it in between."""
+    return NAT + second + "\n" + "".join(
+        "data d%d where A%d : d%d | B%d : d%d -> d%d\n"
+        "val f%d : d%d -> nat | f%d A%d = Zero | f%d (B%d x) = f%d x\n"
+        % ((i,) * 13) for i in range(blocks)) + last + "\n"
+
+
+SYNTAX = "val = x"
+LEXICAL = "val z : nat | z = ²"
+PRAGMA = "-- totality: B=0, D=1"
+# a bad pragma before a group
+PRAGMA_LAST = PRAGMA + "\nval w x = x"
+DEEP = "val y : nat -> nat | y x = %sx%s" % ("(" * 3000, ")" * 3000)
+LEXICAL_ERROR = ("unexpected character '²'", 403, 19)
+PRAGMA_ERROR = "pragma bound B must be at least 1"
+
+
+class TestWinningError:
+    """The error `parse_program` gives for a file with two, each chunk read
+    only when the parse reaches it, is the one it gave when it lexed the
+    whole file first: a lexical error anywhere, else a bad pragma, else the
+    syntax error or `TOO_DEEP`, each the first of its kind.  The messages,
+    lines and columns are those of the parse of one token list."""
+
+    @pytest.mark.parametrize("size", [0, 100, CHUNK])
+    @pytest.mark.parametrize("second, last, error", [
+        (SYNTAX, LEXICAL, LEXICAL_ERROR),
+        (PRAGMA, LEXICAL, LEXICAL_ERROR),
+        (SYNTAX, PRAGMA_LAST, (PRAGMA_ERROR, 403, 16)),
+        (DEEP, LEXICAL, LEXICAL_ERROR),
+        (DEEP, PRAGMA_LAST, (PRAGMA_ERROR, 403, 16)),
+        (PRAGMA, SYNTAX, (PRAGMA_ERROR, 2, 16)),
+        (LEXICAL, PRAGMA_LAST, ("unexpected character '²'", 2, 19)),
+        ("val q = %", LEXICAL, ("unexpected character '%'", 2, 9)),
+        (SYNTAX, "val w x = x", ("expected name, found '='", 2, 5)),
+    ], ids=["syntax-lexical", "pragma-lexical", "syntax-pragma",
+            "deep-lexical", "deep-pragma", "pragma-syntax", "lexical-pragma",
+            "lexical-lexical", "syntax"])
+    def test_winner(self, monkeypatch, size, second, last, error):
+        monkeypatch.setattr(surface, "CHUNK", size)
+        source = long_program(second, last)
+        assert len(source) > 5 * CHUNK
+        with pytest.raises(SourceError) as err:
+            parse_program(source)
+        assert (err.value.message, err.value.line, err.value.col) == error
+
+    def test_through_the_checker(self):
+        report = analyze_source(long_program(SYNTAX, LEXICAL))
+        assert report.errors == ["403:19: unexpected character '²'"]
+        assert report.exit_code() == 2
+
+
+class TestChunkDepth:
+    def test_nests_as_deep_as_one_token_list(self, monkeypatch):
+        """Reading a chunk takes frames that a parse of one token list does
+        not; a parse that runs out of them starts again from one chunk, so
+        it nests as deep and fails where that parse does, at the same
+        token.  A paren per line puts a chunk's end at every depth."""
+        def outcome(levels, size):
+            monkeypatch.setattr(surface, "CHUNK", size)
+            source = NAT + "val f : nat -> nat | f x = %sx%s" % (
+                "(\n" * levels, "\n)" * levels)
+            try:
+                parse_program(source)
+            except SourceError as err:
+                return err.message, err.line, err.col
+            return None
+
+        whole = 1 << 30
+        # the deepest nesting that parses from one token list here
+        low, high = 1, 5000
+        while low < high:
+            mid = (low + high + 1) // 2
+            low, high = (mid, high) if outcome(mid, whole) is None \
+                else (low, mid - 1)
+        assert outcome(low + 1, whole)[0] == surface.TOO_DEEP
+        for levels in range(low - 6, low + 3):
+            want = outcome(levels, whole)
+            for size in (0, 1, 2):
+                assert outcome(levels, size) == want, (levels, size)
+
+
+class TestParseMemory:
+    def test_no_token_list_outlives_its_chunk(self):
+        """The traced peak of a parse stays within 1.5 times the tree it
+        returns, a ratio that holds across Python versions where bytes do
+        not.  Holding every token of this file at once took 2.24 times."""
+        source = "\n\n".join(block(i, random.Random(i)) for i in range(200))
+        lexer = surface._Lexer(source, surface.Names(), CHUNK)
+        tokens = 0
+        while not lexer.done():
+            tokens += len(surface._lex(lexer))
+        assert tokens > 10000
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            program = parse_program(source)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(program.groups) == 200
+        assert peak - before <= 1.5 * (after - before)
