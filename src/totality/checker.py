@@ -84,9 +84,13 @@ class Report(Struct):
         return 0
 
 
-def analyze_program(program: Program, config: Config) -> Report:
+def analyze_program(program: Program, config: Config,
+                    groups=None) -> Report:
     """The report of checking the desugared `program` under `config`'s
-    bounds."""
+    bounds.  The groups checked are `groups`, else `program.groups`; from
+    an iterable that hands out each group once, as `analyze_source` passes,
+    each group is freed once its verdict is out.  `program` itself is never
+    changed."""
     report = Report()
     violations, _ = validate_restrictions(program)
     if violations:
@@ -103,7 +107,7 @@ def analyze_program(program: Program, config: Config) -> Report:
     results: dict = {}
     shared: dict = {}  # the word and weight tables of each (B, D)
 
-    for group in program.groups:
+    for group in program.groups if groups is None else groups:
         bounds = group.bounds or (config.bound_b, config.bound_d)
         names = tuple(d.fname for d in group.defs)
         greport = GroupReport(names, bounds)
@@ -142,19 +146,51 @@ def analyze_program(program: Program, config: Config) -> Report:
             continue
 
         reasons = sorted(str(f) for f in outcome.failures)
+        result = TOTAL if outcome.total else UNKNOWN
+        rests = _rests_on(analyzed.defs, results)
         for adef in analyzed.defs:
-            result = TOTAL if outcome.total else UNKNOWN
-            verdict = Verdict(adef.fname, result, bounds, list(reasons))
-            verdict.depends_on_unknown = sorted(
-                name for name in adef.calls
-                if name not in names
-                and results.get(name) is not None
-                and results[name].result == UNKNOWN
-            )
+            verdict = Verdict(adef.fname, result, bounds, list(reasons),
+                              sorted(rests[adef.fname]))
             results[adef.fname] = verdict
             report.verdicts.append(verdict)
 
     return report
+
+
+def _rests_on(defs, results: dict) -> dict:
+    """The names of the verdicts other than `TOTAL` that each of the group
+    `defs` rests on: those of the definitions it calls outside the group
+    (`results`, which has every earlier group), and those that these and
+    the members it calls rest on in turn."""
+    rests = {}
+    for adef in defs:
+        rests[adef.fname] = names = set()
+        for name in adef.calls:
+            verdict = results.get(name)
+            if verdict is not None:
+                names.update(verdict.depends_on_unknown)
+                if verdict.result != TOTAL:
+                    names.add(name)
+    if not any(rests.values()):
+        return rests  # nothing to pass on between the members
+    # a member reaches another through fewer calls than the group has
+    # members, and each pass follows one more
+    for _ in defs[1:]:
+        for adef in defs:
+            for name in adef.calls:
+                if name in rests:
+                    rests[adef.fname] |= rests[name]
+    return rests
+
+
+def _handed(program: Program):
+    """`program`'s groups in order, taken from it once the first is asked
+    for, each dropped as it is handed out: the one who asks holds it
+    alone."""
+    groups = list(reversed(program.groups))
+    program.groups = ()
+    while groups:
+        yield groups.pop()
 
 
 def analyze_source(src: str, config: Config = None) -> Report:
@@ -164,8 +200,15 @@ def analyze_source(src: str, config: Config = None) -> Report:
     it drops, and it runs with the cyclic collector paused: a collection
     would only walk the checker's heap and find nothing to free.  The
     collector's state is restored on every exit, so a caller that had it
-    off finds it still off.  The parse result is desugared at once, so
-    that its tree is freed before the rest of the check."""
+    off finds it still off.
+
+    Each group goes from stage to stage and is dropped once the next stage
+    has it: `desugar` takes the parsed groups one at a time, so a parsed
+    group is freed once desugared, and the group loop of `analyze_program`
+    takes the desugared ones one at a time, after the whole desugared
+    program has been validated and its declarations read, so a group's
+    trees are freed once its verdict is out.  The peak of a check over many
+    groups falls when `DeclEnv` is built."""
     config = config or Config()
     report = Report()
     if config.bound_b < 1:
@@ -179,8 +222,9 @@ def analyze_source(src: str, config: Config = None) -> Report:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        program = desugar(parse_program(src))
-        return analyze_program(program, config)
+        program = parse_program(src)
+        program = desugar(program, _handed(program))
+        return analyze_program(program, config, _handed(program))
     except SourceError as err:
         message = str(err)
     except RecursionError:

@@ -193,13 +193,15 @@ class Group(Struct):
 
 class Names(dict):
     """The name table of one check: each name maps to the one string that
-    stands for it in all the check's trees, and `dummies` holds the dummy
-    variables `_d0`, `_d1`, ... that `desugar` has made so far."""
+    stands for it in all the check's trees, `types` maps a type name to the
+    one type without arguments of that name in them, and `dummies` holds
+    the dummy variables `_d0`, `_d1`, ... that `desugar` has made so far."""
 
-    __slots__ = ("dummies",)
+    __slots__ = ("types", "dummies")
 
     def __init__(self):
         super().__init__()
+        self.types: dict = {}
         self.dummies: list = []
 
 
@@ -361,6 +363,7 @@ class _Parser:
 
     def __init__(self, src: str, size: int):
         self.lexer = _Lexer(src, Names(), size)
+        self.types = self.lexer.names.types
         self.tok = ("", "", 1, 1)  # stands before the first token
         self.tokens = [self.tok]
         self.pos = 0
@@ -454,14 +457,17 @@ class _Parser:
             self.take(")")
             return t
         name = self.take("name")[1]
-        args = []
-        if self.at("("):
-            self.take("(")
+        if not self.at("("):
+            t = self.types.get(name)
+            if t is None:
+                t = self.types[name] = TApp(name)
+            return t
+        self.take("(")
+        args = [self.type_expr()]
+        while self.at(","):
+            self.take(",")
             args.append(self.type_expr())
-            while self.at(","):
-                self.take(",")
-                args.append(self.type_expr())
-            self.take(")")
+        self.take(")")
         return TApp(name, tuple(args))
 
     def group(self) -> Group:
@@ -774,7 +780,7 @@ def _desugar_node(node, arities: dict, numerals: str, fresh, empty):
     raise SourceError("unknown node %r" % (node,))
 
 
-def desugar(program: Program) -> Program:
+def desugar(program: Program, groups=None) -> Program:
     """Give numerals the argument of their `Zero`, normalise constructor
     arities and remove empty records from every clause, walking patterns and
     bodies alike.  A numeral stays a count over the usual `nat`
@@ -786,7 +792,12 @@ def desugar(program: Program) -> Program:
     a `unit` of its own.  With `DeclEnv`, which declares it for a nullary
     constructor, that settles before any group is typed whether the
     program has `unit`, so no group's verdict depends on the ones before
-    it."""
+    it.
+
+    The groups desugared are `groups`, else `program.groups`; from an
+    iterable that hands out each parsed group once, as `analyze_source`
+    passes, each is freed once desugared.  `program` itself is never
+    changed."""
     arities = _ctor_arities(program.decls)
     numerals = ("keep" if not _has_nat(program.decls)
                 else "count" if _usual_nat(program.decls) else "expand")
@@ -836,7 +847,7 @@ def desugar(program: Program) -> Program:
                        tuple(do_clause(c) for c in d.clauses), d.line, d.col)
             for d in g.defs
         ), g.line, g.bounds)
-        for g in program.groups
+        for g in (program.groups if groups is None else groups)
     )
     decls = program.decls
     if calls_empty and all(decl.name != "unit" for decl in decls):

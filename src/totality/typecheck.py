@@ -168,6 +168,12 @@ class AnalyzedGroup(Struct):
 # ---------------------------------------------------------------------------
 # declaration environment
 
+# the instances of a numeral and of a nullary constructor's argument, one
+# object each, as types are immutable
+_NAT = TApp("nat")
+_UNIT = TApp("unit")
+
+
 class CtorInfo(Struct):
     __slots__ = ("params", "arg", "result")
 
@@ -191,7 +197,7 @@ class DeclEnv:
         self.decls: dict[str, TypeDecl] = {}
         self.ctors: dict[str, CtorInfo] = {}
         self.dtors: dict[str, DtorInfo] = {}
-        self.fieldsets: dict[frozenset, str] = {}
+        self.fieldsets: dict[tuple, str] = {}  # sorted field names -> type
         self.targets: dict[TApp, tuple] = {}  # `deconstruction_targets`
         for decl in decls:
             self.decls[decl.name] = decl
@@ -219,7 +225,7 @@ class DeclEnv:
                         decl.line, decl.col)
                 self.dtors[name] = DtorInfo(decl.params, subject, ty.cod)
                 names.append(name)
-            self.fieldsets[frozenset(names)] = decl.name
+            self.fieldsets[tuple(sorted(set(names)))] = decl.name
             return False
         for name, ty in decl.items:
             args = []
@@ -252,8 +258,8 @@ class DeclEnv:
         if "unit" not in self.decls:
             synthetic = TypeDecl("unit", (), True, ())
             self.decls["unit"] = synthetic
-            self.fieldsets[frozenset()] = "unit"
-        return TApp("unit", ())
+            self.fieldsets[()] = "unit"
+        return _UNIT
 
     def _reserve_pair(self, decls) -> None:
         """Give two-argument constructors the pair `pair('a, 'b)` with
@@ -513,12 +519,12 @@ class GroupChecker:
         """The instance of the codata type with exactly the fields of the
         record `fields` where `expected` is wanted, and the type of each
         field there."""
-        names = frozenset(n for n, _ in fields)
+        names = tuple(sorted({n for n, _ in fields}))
         owner = self.env.fieldsets.get(names)
         if owner is None:
             raise TypeCheckError(
                 "no codata type has exactly the fields {%s}"
-                % ", ".join(sorted(names)), cl.line, cl.col)
+                % ", ".join(names), cl.line, cl.col)
         decl = self.env.decls[owner]
         mapping = {v: self.u.fresh() for v in decl.params}
         inst = TApp(owner, tuple(mapping[v] for v in decl.params))
@@ -552,12 +558,11 @@ class GroupChecker:
                 (fname, self.check_node(sub, ty, var_env, cl, pattern))
                 for (fname, sub), ty in zip(n.fields, types)), instance=inst))
         if isinstance(n, SNum) and n.arg is not None:
-            nat = TApp("nat", ())
-            self.u.unify(expected, nat, cl.line, cl.col)
+            self.u.unify(expected, _NAT, cl.line, cl.col)
             slot = self.reserve()
             return self.place(slot, ANum(n.value, self.check_node(
                 n.arg, self.env.ctors["Zero"].arg, var_env, cl, pattern),
-                instance=nat))
+                instance=_NAT))
         if pattern:
             raise TypeCheckError("pattern not desugared: %r" % (n,),
                                  cl.line, cl.col)
@@ -588,7 +593,7 @@ class GroupChecker:
             arg_types, result = _instantiate(self.schemes[fname], self.u)
         elif fname == "empty_record":
             arg_types = [self.u.fresh() for _ in args]
-            result = TApp("unit", ())
+            result = _UNIT
         else:
             raise TypeCheckError("unknown function %r" % fname,
                                  cl.line, cl.col)

@@ -196,6 +196,66 @@ class TestReports:
         assert "TOTAL magic [depends on unknown: bad_s]" in out
 
 
+class TestDependencies:
+    """A verdict lists every verdict other than `TOTAL` that it rests on,
+    through any chain of calls: `UNKNOWN` and `ERROR` alike."""
+
+    MAGIC2 = corpus_source("magic.ch") + "\nval magic2 : 'x | magic2 = magic\n"
+    USER = corpus_source("sums.ch") + (
+        "\nval user : stream(list(nat)) -> stream(nat)"
+        " | user s = sums Zero s\n")
+
+    def test_through_a_total_callee(self, tmp_path, capsys):
+        path = tmp_path / "magic2.ch"
+        path.write_text(self.MAGIC2)
+        code, out = run_cli(capsys, "check", str(path))
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "TOTAL lower_left",
+            "TOTAL magic [depends on unknown: bad_s]",
+            "TOTAL magic2 [depends on unknown: bad_s]",
+        ]
+        code, out = run_cli(capsys, "check", str(path), "--json")
+        assert code == 1
+        by_name = {d["name"]: d for d in json.loads(out)["definitions"]}
+        assert by_name["magic2"]["result"] == "total"
+        assert by_name["magic2"]["depends_on_unknown"] == ["bad_s"]
+        assert by_name["lower_left"]["depends_on_unknown"] == []
+
+    def test_on_an_error_callee(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(callgraph, "MAX_EDGES", 5)
+        path = tmp_path / "user.ch"
+        path.write_text(self.USER)
+        code, out = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out.splitlines() == [
+            "TOTAL add",
+            "ERROR sums: call graph closure exceeded its edge cap (5)",
+            "TOTAL user [depends on unknown: sums]",
+        ]
+        code, out = run_cli(capsys, "check", str(path), "--json")
+        assert code == 2
+        by_name = {d["name"]: d for d in json.loads(out)["definitions"]}
+        assert [by_name[name]["result"] for name in ("add", "sums", "user")] \
+            == ["total", "error", "total"]
+        assert by_name["user"]["depends_on_unknown"] == ["sums"]
+        assert by_name["sums"]["depends_on_unknown"] == []
+
+    def test_through_members_of_a_group(self):
+        """Within a group, a member rests on what the members it calls
+        rest on, and on nothing else."""
+        report = analyze_source(corpus_source("magic.ch") + (
+            "\nval a : 'x | a = b\n"
+            "and b : 'x | b = magic\n"
+            "and c : stree -> 'x | c t = lower_left t\n"))
+        assert [(v.fname, v.result, v.depends_on_unknown)
+                for v in report.verdicts[-3:]] == [
+            ("a", "total", ["bad_s"]),
+            ("b", "total", ["bad_s"]),
+            ("c", "total", []),
+        ]
+
+
 class TestPragma:
     def test_pragma_overrides_cli_bounds(self, tmp_path, capsys):
         source = corpus_source("c1c2.ch")

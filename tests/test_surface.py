@@ -1,5 +1,6 @@
 """Parsing, desugaring and restriction checks."""
 
+import copy
 import random
 import tracemalloc
 
@@ -7,8 +8,8 @@ import pytest
 
 from conftest import corpus_source
 from test_lexer import block
-from totality import surface
-from totality.checker import analyze_source
+from totality import checker, surface
+from totality.checker import Config, analyze_program, analyze_source
 from totality.records import Struct
 from totality.surface import (
     CHUNK,
@@ -18,6 +19,7 @@ from totality.surface import (
     SRecord,
     SourceError,
     SVar,
+    TApp,
     desugar,
     parse_program,
     validate_restrictions,
@@ -217,6 +219,38 @@ class TestNames:
         assert {name for name, ids in strings.items() if len(ids) > 1} \
             == set()
 
+    def test_equal_bare_types_are_one_object(self):
+        """Within one check each type without arguments is one object, in
+        declaration items, in signatures and in the desugared tree; a type
+        with arguments need not be."""
+        source = (NAT + "codata stream where Head : stream -> nat"
+                  " | Tail : stream -> stream\n"
+                  "data list('a) where Nil : list('a)"
+                  " | Cons : 'a -> list('a) -> list('a)\n"
+                  "val from : nat -> stream"
+                  " | from n = { Head = n ; Tail = from (Succ n) }\n"
+                  "val heads : list(stream) -> list(nat)"
+                  " | heads Nil = Nil"
+                  " | heads (Cons s ss) = Cons s.Head (heads ss)\n")
+        parsed = parse_program(source)
+        program = desugar(parsed)
+        bare: dict = {}
+
+        def walk(node):
+            if isinstance(node, TApp) and not node.args:
+                bare.setdefault(node.name, set()).add(id(node))
+            elif isinstance(node, tuple):
+                for part in node:
+                    walk(part)
+            elif isinstance(node, Struct):
+                for field in node._fields:
+                    if field != "names":
+                        walk(getattr(node, field))
+
+        walk((parsed, program))
+        assert set(bare) == {"nat", "stream"}
+        assert {name for name, ids in bare.items() if len(ids) > 1} == set()
+
 
 class TestValidate:
     def test_zero_arity_self_recursion_accepted(self):
@@ -396,3 +430,93 @@ class TestParseMemory:
                 tracemalloc.stop()
         assert len(program.groups) == 200
         assert peak - before <= 1.5 * (after - before)
+
+
+def checked_block(i: int, rng) -> str:
+    """A data type and one definition over it whose clauses match
+    constructor chains of random depth: a group that checks, with far more
+    syntax than declarations, call graph or report."""
+    lines = ["data t%d where L%d : nat -> t%d | S%d : t%d -> t%d" % ((i,) * 6),
+             "val f%d : t%d -> nat" % (i, i),
+             "  | f%d (S%d x) = f%d x" % (i, i, i)]
+    for depth in rng.sample(range(2, 20), rng.randint(3, 8)):
+        succs = rng.randrange(4)
+        lines.append("  | f%d (%sL%d n%s) = %sn%s" % (
+            i, "S%d (" % i * depth, i, ")" * depth, "Succ (" * succs,
+            ")" * succs))
+    return "\n".join(lines)
+
+
+def traced(fn, *args):
+    """What `fn(*args)` returns, the memory it leaves allocated and its
+    traced peak above the memory before the call, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        value = fn(*args)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return value, after - before, peak - before
+
+
+class TestCheckMemory:
+    """A check hands each group from stage to stage: a parsed group is
+    freed once desugared, a desugared one once its verdict is out.  The
+    program of `TestParseMemory` stops at validation, so these checks run
+    200 groups that all check."""
+
+    SOURCE = NAT + "\n\n".join(checked_block(i, random.Random(i))
+                                for i in range(200))
+
+    def test_peak_stays_near_the_parse_tree(self):
+        """The traced peak of a check stays within 1.3 times the tree that
+        `parse_program` returns.  Holding the parse tree and the desugared
+        one at once took 1.9 times."""
+        # the first check in a process fills caches that later ones reuse
+        report = analyze_source(self.SOURCE)
+        assert report.exit_code() == 0 and len(report.verdicts) == 200
+        program, tree, _ = traced(parse_program, self.SOURCE)
+        del program
+        report, _, peak = traced(analyze_source, self.SOURCE)
+        assert report.exit_code() == 0
+        assert peak <= 1.3 * tree, (peak, tree)
+
+    def test_each_group_is_freed_once_checked(self, monkeypatch):
+        """The memory held while the last group is typed is below half of
+        that held while the first is: the groups checked before it are
+        gone, though the report has grown.  Holding them all, it grew."""
+        held = []
+        annotate = checker.annotate_group
+
+        def annotate_group(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return annotate(*args)
+
+        def check():
+            held.append(tracemalloc.get_traced_memory()[0])
+            return analyze_source(self.SOURCE)
+
+        monkeypatch.setattr(checker, "annotate_group", annotate_group)
+        report, _, _ = traced(check)
+        assert report.exit_code() == 0 and len(held) == 201
+        base, first, last = held[0], held[1], held[-1]
+        assert last - base < 0.5 * (first - base), (base, first, last)
+
+    @pytest.mark.parametrize("name", ["sums.ch", "magic.ch", "swap.ch"])
+    def test_stages_never_change_their_argument(self, name):
+        """`desugar` and `analyze_program` leave their program as it was,
+        every group still there; only `analyze_source`, which owns both
+        trees, hands the groups over."""
+        parsed = parse_program(corpus_source(name))
+        kept = copy.deepcopy(parsed)
+        program = desugar(parsed)
+        assert parsed == kept and parsed.names is not None
+        kept = copy.deepcopy(program)
+        report = analyze_program(program, Config())
+        assert program == kept
+        assert report == analyze_source(corpus_source(name))

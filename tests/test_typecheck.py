@@ -278,6 +278,25 @@ class TestSignatures:
 
 
 NAT = "data nat where Zero : nat | Succ : nat -> nat\n"
+
+
+class TestRecordOwner:
+    def test_a_record_types_by_its_set_of_fields(self):
+        """A record belongs to the codata type with exactly its fields, in
+        any order and each counted once; the error lists them sorted."""
+        report = analyze_source(
+            NAT + "codata r where B : r -> nat | A : r -> nat\n"
+            "val f : nat -> r | f x = { B = x ; C = x ; B = x }\n"
+            "val g : nat -> r | g x = { B = x ; A = x ; B = x }\n"
+            "val h : nat -> r | h x = { B = x }\n")
+        assert [(v.fname, v.result, v.reasons) for v in report.verdicts] == [
+            ("f", "error",
+             ["3:18: no codata type has exactly the fields {B, C}"]),
+            ("g", "total", []),
+            ("h", "error", ["5:18: no codata type has exactly the fields {B}"]),
+        ]
+
+
 NESTED = ("priority assignment exceeded its type node cap (1000), mostly in "
           "instances of %s; nested datatypes are not supported")
 
