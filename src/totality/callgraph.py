@@ -1,30 +1,13 @@
-"""From annotated clauses to calls, the call multigraph and its closure."""
+"""Weights, calls and their notation; from annotated clauses to calls,
+the call multigraph and its closure."""
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from functools import cached_property
+from collections import defaultdict, namedtuple
 from operator import itemgetter
 
-from .records import Frozen, Struct
-from .terms import (
-    INF,
-    InternalError,
-    Param,
-    Term,
-    Unknown,
-    Weight,
-    ZEROW,
-    approx,
-    constr,
-    constr_dual,
-    daimon,
-    funapp,
-    project,
-    record,
-    term_str,
-)
+from .records import Struct
 from .typecheck import (
     AConstr,
     ANum,
@@ -34,7 +17,72 @@ from .typecheck import (
     clause_nodes,
 )
 
+INF = float("inf")
 
+ZInf = float  # int or INF; finite values are always ints
+
+
+class InternalError(Exception):
+    """A structural invariant of the analysis was violated."""
+
+
+# ---------------------------------------------------------------------------
+# weights
+
+class Weight(namedtuple("Weight", "items", defaults=((),))):
+    """Finite map from priority to Z-infinity; missing priorities are 0.
+
+    `items` holds the nonzero entries sorted by priority.  A Weight is a
+    tuple, so it hashes and compares in C."""
+
+    __slots__ = ()
+
+    def get(self, priority: int) -> ZInf:
+        for p, v in self.items:
+            if p == priority:
+                return v
+        return 0
+
+    def priorities(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.items)
+
+    def __str__(self) -> str:
+        body = ",".join(
+            "%d:%s" % (p, "inf" if v == INF else str(v)) for p, v in self.items
+        )
+        return "{%s}" % body
+
+
+ZEROW = Weight()
+
+
+def weight(entries=()) -> Weight:
+    """Build a Weight from a mapping or iterable of (priority, value) pairs."""
+    if isinstance(entries, Weight):
+        return entries
+    if type(entries) is dict:  # distinct keys
+        return Weight(tuple(sorted(
+            (int(p), v) for p, v in entries.items() if v != 0)))
+    if hasattr(entries, "items"):
+        entries = entries.items()
+    kept = sorted((int(p), v) for p, v in entries if v != 0)
+    seen = [p for p, _ in kept]
+    if len(set(seen)) != len(seen):
+        raise ValueError("duplicate priority in weight")
+    return Weight(tuple(kept))
+
+
+def weight_add(a: Weight, b: Weight) -> Weight:
+    """Componentwise addition; INF is absorbing."""
+    acc = {p: v for p, v in a.items}
+    for p, v in b.items:
+        acc[p] = acc.get(p, 0) + v
+    return weight(acc)
+
+
+# ---------------------------------------------------------------------------
+# calls
+#
 # items: ("c", name, p) constructor, ("r", name, p) record field,
 # ("d", name, p) constructor-destructor, ("j", name, p) projection,
 # ("w", Weight) approximation, and the Daimon's item:
@@ -43,47 +91,71 @@ DAIMON = ("daimon",)
 # the kinds of the middle items of a spine: a weight or the Daimon
 _MIDDLES = ("w", "daimon")
 
-# the node each item stands for, built around `t` by its smart constructor
-ITEM_NODES = {
-    "c": lambda item, t: constr(item[1], item[2], t),
-    "r": lambda item, t: record([(item[1], t)], item[2]),
-    "d": lambda item, t: constr_dual(item[1], item[2], t),
-    "j": lambda item, t: project(item[1], item[2], t),
-    "w": lambda item, t: approx(item[1], t),
-    "daimon": lambda item, t: daimon(t),
-}
 
-
-_set = object.__setattr__
-
-
-class Call(Frozen):
+class Call(namedtuple("Call", "caller callee spine args")):
     """One edge of the call graph: a normal form with a single occurrence
     of the callee, applied to argument summaries.
 
     `spine` is the word of items above the callee occurrence, outermost
     first, and `args` are the occurrence's arguments as trees.  The initial
-    calls are read off the annotated clauses as items (`clause_calls`), and
-    the four fields determine the term, which is built, once, only to print
-    the call: the checker extracts, composes, collapses, sorts, weighs and
-    compares calls on their items."""
+    calls are read off the annotated clauses as items (`clause_calls`); the
+    checker extracts, composes, collapses, sorts, weighs, compares and
+    prints calls on their items, and never builds their terms
+    (`testkit.call_term` does).  A Call is a tuple, so it is built, hashed
+    and compared in C."""
 
-    # a `__dict__` holds the cached `term`
-    __slots__ = ("caller", "callee", "spine", "args", "__dict__")
-
-    def __init__(self, caller: str, callee: str, spine: tuple, args: tuple):
-        _set(self, "caller", caller)
-        _set(self, "callee", callee)
-        _set(self, "spine", spine)
-        _set(self, "args", args)
-
-    @cached_property
-    def term(self) -> Term:
-        return plug(self.spine,
-                    funapp(self.callee, [tree_term(a) for a in self.args]))
+    __slots__ = ()
 
     def __str__(self) -> str:
-        return "%s -> %s: %s" % (self.caller, self.callee, term_str(self.term))
+        return "%s -> %s: %s" % (self.caller, self.callee, call_str(self))
+
+
+# The paper's notation of a call's term, printed from its items:
+#
+#   x1   C@1 t   {D@0 = t; E@0 = t}   C-@1 t   .D@0 t   f(t, t)
+#   ? t  <{0:-1,1:inf}> t   _
+#
+# A record item of a spine or a leaf's word is a one-field record.
+
+_PREFIXES = {"c": "%s@%d ", "r": "{%s@%d = ", "d": "%s-@%d ",
+             "j": ".%s@%d "}
+
+
+def _word_str(items: tuple, inner: str) -> str:
+    """The text of the items `items`, outermost first, over `inner`."""
+    out, records = [], 0
+    for item in items:
+        kind = item[0]
+        if kind == "w":
+            out.append("<%s> " % (item[1],))  # a Weight is a tuple
+        elif kind == "daimon":
+            out.append("? ")
+        else:
+            out.append(_PREFIXES[kind] % item[1:])
+            if kind == "r":
+                records += 1
+    out.append(inner)
+    out.append("}" * records)
+    return "".join(out)
+
+
+def _tree_str(tree: tuple) -> str:
+    """The text of an argument tree."""
+    if tree[0] == "c":
+        return "%s@%d %s" % (tree[1], tree[2], _tree_str(tree[3]))
+    if tree[0] == "r":
+        return "{%s}" % "; ".join("%s@%d = %s" % (n, tree[1], _tree_str(v))
+                                  for n, v in tree[2])
+    _, middle, word, end = tree
+    return _word_str((middle,) + word if middle else word,
+                     "x%d" % end if end else "_")
+
+
+def call_str(call: Call) -> str:
+    """The text of a call's term: its spine over the callee applied to its
+    argument trees."""
+    return _word_str(call.spine, "%s(%s)" % (
+        call.callee, ", ".join(map(_tree_str, call.args))))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +422,6 @@ def weigh(middles, folded, sign: int) -> tuple:
     return ("w", Weight(tuple(sorted(kv for kv in acc.items() if kv[1]))))
 
 
-def plug(spine: tuple, occurrence: Term) -> Term:
-    """The term of `spine` applied to `occurrence`."""
-    for item in reversed(spine):
-        occurrence = ITEM_NODES[item[0]](item, occurrence)
-    return occurrence
-
-
 # ---------------------------------------------------------------------------
 # argument trees
 #
@@ -365,17 +430,6 @@ def plug(spine: tuple, occurrence: Term) -> Term:
 # sorted by name, and ("x", middle, word, end) a leaf.  The middle is None,
 # a weight item ("w", Weight) or DAIMON, the word holds destructor items,
 # outermost first, and the end is a parameter index, or 0 for `_`.
-
-def tree_term(tree: tuple) -> Term:
-    """The term of an argument tree."""
-    if tree[0] == "c":
-        return constr(tree[1], tree[2], tree_term(tree[3]))
-    if tree[0] == "r":
-        return record([(n, tree_term(v)) for n, v in tree[2]], tree[1])
-    _, middle, word, end = tree
-    return plug((middle,) + word if middle else word,
-                Param(end) if end else Unknown())
-
 
 def leaf_paths(tree: tuple, above: tuple = ()) -> list:
     """The path to each leaf of `tree`, in order: the constructor items
@@ -732,8 +786,9 @@ class CallTables:
 
     def call(self, caller: str, sid: int, callee: str, ids: tuple) -> Call:
         """The edge of a candidate."""
-        return Call(caller, callee, self.spines[sid],
-                    tuple(map(self.args.__getitem__, ids)))
+        # built in C, past the named tuple's `__new__`, a Python function
+        return tuple.__new__(Call, (caller, callee, self.spines[sid], tuple(
+            map(self.args.__getitem__, ids))))
 
     def _compose(self, ia: int, ib: int) -> int:
         """The spine id of Ca Ma Da over Cb Mb Db collapsed, 0 if zero: Ca,

@@ -9,6 +9,7 @@ from . import scp
 from .callgraph import (
     CallTables,
     ClosureCapError,
+    InternalError,
     build_callgraph,
     transitive_closure,
 )
@@ -22,7 +23,6 @@ from .surface import (
     type_str,
     validate_restrictions,
 )
-from .terms import InternalError
 from .typecheck import DeclEnv, annotate_group
 
 TOTAL = "total"

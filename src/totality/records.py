@@ -1,14 +1,16 @@
 """Plain record classes with value equality.
 
-Syntax trees, terms, calls and the library's result types (`Config`,
-`Verdict`, `GroupReport`, `Report`) are small records.  Declaring them
-with `dataclasses` cost more than half of the package's import time, which
-a one-file check pays in full, so each is a plain class instead: it lists
+Syntax trees and the library's result types (`Config`, `Verdict`,
+`GroupReport`, `Report`) are small records.  Declaring them with
+`dataclasses` cost more than half of the package's import time, which a
+one-file check pays in full, so each is a plain class instead: it lists
 its fields in `__slots__`, sets them in its own `__init__` (making a fresh
-list or dict for a default container), and takes equality, hashing,
-positional matching and `repr` from `Struct` or `Frozen`, which behave as
-a dataclass and a frozen dataclass do.  They copy and pickle, but
-`dataclasses.asdict` and its kin do not apply to them.
+list or dict for a default container), and takes equality, positional
+matching and `repr` from `Struct`, which behaves as a dataclass does
+(`terms.Frozen` adds hashing and immutability, as a frozen dataclass).
+They copy and pickle, but `dataclasses.asdict` and its kin do not apply to
+them.  The hashable records of the checker, calls and weights, are named
+tuples instead.
 """
 
 from __future__ import annotations
@@ -54,24 +56,3 @@ class Struct:
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
             "%s=%r" % (name, getattr(self, name)) for name in self._fields))
-
-
-class Frozen(Struct):
-    """A hashable record whose fields cannot be assigned once `__init__`
-    has set them with `object.__setattr__`."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        # copied and pickled through `__init__`, which takes the fields in
-        # order, since restoring the slots one by one would assign them
-        return type(self), tuple(getattr(self, name) for name in self._fields)

@@ -14,13 +14,13 @@ from .callgraph import (
     DAIMON,
     Call,
     CallGraph,
+    call_str,
     leaf_paths,
     spine_parts,
     sqcoh,
     weigh,
 )
 from .records import Struct
-from .terms import term_str
 
 
 class LoopFailure(Struct):
@@ -31,7 +31,7 @@ class LoopFailure(Struct):
         self.explanation = explanation
 
     def __str__(self) -> str:
-        return "loop %s %s" % (term_str(self.loop.term), self.explanation)
+        return "loop %s %s" % (call_str(self.loop), self.explanation)
 
 
 class GroupOutcome(Struct):
@@ -93,14 +93,16 @@ def check_condition2(call: Call):
 def check_loops(closure: CallGraph) -> GroupOutcome:
     """Check every loop of a closure whose self-composition is weakly
     coherent with it; a loop whose self-composition errors out cannot
-    repeat."""
+    repeat.  Every call coheres with itself, so a loop that is among its
+    own self-composites is checked without `sqcoh`."""
     outcome = GroupOutcome(total=True)
     edges = closure.edges
     for k, loop in enumerate(edges):
         if loop.caller != loop.callee:
             continue
-        if not any(sqcoh(loop, edges[c])
-                   for c in closure.self_composites[k]):
+        composites = closure.self_composites[k]
+        if k not in composites and not any(sqcoh(loop, edges[c])
+                                           for c in composites):
             continue
         outcome.checked_loops += 1
         if check_condition1(loop) is not None:

@@ -1,13 +1,19 @@
-"""Approximated operator terms and their canonical (normal) forms.
+"""Approximated operator terms and their canonical (normal) forms: the
+paper's term algebra, with its notation (`term_str`, `parse_term`).
 
-Every ``Term`` in this package is kept in canonical form at all times:
+The checker never loads this module: it decides and prints everything on
+the items of its calls (`callgraph`, which also holds the weights used
+here).  `testkit` and the tests build terms to compare the checker with
+the paper's reading.
+
+Every ``Term`` in this module is kept in canonical form at all times:
 sums are flattened, deduplicated and sorted, term formers distribute over
 sums (multilinearity, so a term containing an empty sum collapses to ZERO),
 record fields are sorted by name, and all head reductions between
 destructors, constructors, the Daimon and weight approximations have been
 applied.  Construction therefore goes through the smart constructors
 (`constr`, `record`, `project`, ... ) below.  The node classes themselves
-are plain records with value equality (`records.Frozen`); outside this
+are plain records with value equality (`Frozen`); outside this
 module they are built directly only for the leaves `Param` and `Unknown`,
 and by the order oracle of `testkit`, whose universe holds raw terms.
 
@@ -24,75 +30,41 @@ have been consumed".
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 
-from .records import Frozen
-
-INF = float("inf")
-
-ZInf = float  # int or INF; finite values are always ints
-
-
-class InternalError(Exception):
-    """A structural invariant of the analysis was violated."""
-
-
-# ---------------------------------------------------------------------------
-# weights
-
-class Weight(namedtuple("Weight", "items", defaults=((),))):
-    """Finite map from priority to Z-infinity; missing priorities are 0.
-
-    `items` holds the nonzero entries sorted by priority.  A Weight is a
-    tuple, so it hashes and compares in C."""
-
-    __slots__ = ()
-
-    def get(self, priority: int) -> ZInf:
-        for p, v in self.items:
-            if p == priority:
-                return v
-        return 0
-
-    def priorities(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.items)
-
-    def __str__(self) -> str:
-        body = ",".join(
-            "%d:%s" % (p, "inf" if v == INF else str(v)) for p, v in self.items
-        )
-        return "{%s}" % body
-
-
-ZEROW = Weight()
-
-
-def weight(entries=()) -> Weight:
-    """Build a Weight from a mapping or iterable of (priority, value) pairs."""
-    if isinstance(entries, Weight):
-        return entries
-    if type(entries) is dict:  # distinct keys
-        return Weight(tuple(sorted(
-            (int(p), v) for p, v in entries.items() if v != 0)))
-    if hasattr(entries, "items"):
-        entries = entries.items()
-    kept = sorted((int(p), v) for p, v in entries if v != 0)
-    seen = [p for p, _ in kept]
-    if len(set(seen)) != len(seen):
-        raise ValueError("duplicate priority in weight")
-    return Weight(tuple(kept))
-
-
-def weight_add(a: Weight, b: Weight) -> Weight:
-    """Componentwise addition; INF is absorbing."""
-    acc = {p: v for p, v in a.items}
-    for p, v in b.items:
-        acc[p] = acc.get(p, 0) + v
-    return weight(acc)
+from .callgraph import (
+    INF,
+    InternalError,
+    Weight,
+    ZInf,
+    weight,
+    weight_add,
+)
+from .records import Struct
 
 
 # ---------------------------------------------------------------------------
 # terms
+
+class Frozen(Struct):
+    """A hashable record whose fields cannot be assigned once `__init__`
+    has set them with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # copied and pickled through `__init__`, which takes the fields in
+        # order, since restoring the slots one by one would assign them
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
 
 class Term(Frozen):
     __slots__ = ()

@@ -14,12 +14,15 @@ The term reference is the paper's algebra on whole terms: `nf`,
 `is_normal`, `substitute`, `compose`, the order `sleq`, weak coherence
 `sqcoh` and the collapse.  The checker never uses it; it extracts,
 composes, collapses, sorts and compares calls on their items, and the
-tests compare those with it.  `clause_term`, `extract_calls` and
-`call_of_term` are the term path of call extraction: they build each
-clause as a term, split its calls off it and read them back as items, and
-the tests compare `callgraph.clause_calls` with them.  `index_clauses`
-walks the annotated clauses for their instance nodes and called names, and
-the tests compare what the type checker records as it builds them with it.
+tests compare those with it.  `call_term` builds a call's term from its
+items (`plug`, `tree_term`); the checker prints a call from its items
+without it, and the tests compare the two texts.  `clause_term`,
+`extract_calls` and `call_of_term` are the term path of call extraction:
+they build each clause as a term, split its calls off it and read them
+back as items, and the tests compare `callgraph.clause_calls` with them.
+`index_clauses` walks the annotated clauses for their instance nodes and
+called names, and the tests compare what the type checker records as it
+builds them with it.
 `collapse_call_term`, `compose_calls` and `is_checked_loop` are the term
 path of the closure: they compose and collapse whole terms, and the tests
 compare the initial collapse, the closure's piecewise composition and its
@@ -37,29 +40,30 @@ from dataclasses import dataclass
 
 from .callgraph import (
     DAIMON,
+    INF,
     Call,
+    InternalError,
+    Weight,
+    ZEROW,
     clamp,
     leaf_paths,
-    tree_term,
+    weight,
+    weight_add,
 )
 from .surface import _KEYWORDS, SourceError
 from .terms import (
-    INF,
     Approx,
     Constr,
     ConstrDual,
     Daimon,
     FunApp,
-    InternalError,
     Param,
     Project,
     Record,
     Sum,
     Term,
     Unknown,
-    Weight,
     ZERO,
-    ZEROW,
     approx,
     constr,
     constr_dual,
@@ -74,8 +78,6 @@ from .terms import (
     sum_of,
     summands,
     term_str,
-    weight,
-    weight_add,
 )
 from .typecheck import (
     ACall,
@@ -445,6 +447,50 @@ def _spine(t: Term, bound_d: int) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# the terms of calls
+#
+# A call's term, built from its items through the smart constructors.  The
+# checker never builds it: it prints a call from its items
+# (`callgraph.call_str`), and the tests compare that text with `term_str`
+# of the term.
+
+# the node each item stands for, built around `t` by its smart constructor
+ITEM_NODES = {
+    "c": lambda item, t: constr(item[1], item[2], t),
+    "r": lambda item, t: record([(item[1], t)], item[2]),
+    "d": lambda item, t: constr_dual(item[1], item[2], t),
+    "j": lambda item, t: project(item[1], item[2], t),
+    "w": lambda item, t: approx(item[1], t),
+    "daimon": lambda item, t: daimon(t),
+}
+
+
+def plug(spine: tuple, occurrence: Term) -> Term:
+    """The term of `spine` applied to `occurrence`."""
+    for item in reversed(spine):
+        occurrence = ITEM_NODES[item[0]](item, occurrence)
+    return occurrence
+
+
+def tree_term(tree: tuple) -> Term:
+    """The term of an argument tree."""
+    if tree[0] == "c":
+        return constr(tree[1], tree[2], tree_term(tree[3]))
+    if tree[0] == "r":
+        return record([(n, tree_term(v)) for n, v in tree[2]], tree[1])
+    _, middle, word, end = tree
+    return plug((middle,) + word if middle else word,
+                Param(end) if end else Unknown())
+
+
+def call_term(call: Call) -> Term:
+    """The term of a call: its spine over the callee applied to the terms
+    of its argument trees."""
+    return plug(call.spine,
+                funapp(call.callee, [tree_term(a) for a in call.args]))
+
+
+# ---------------------------------------------------------------------------
 # the term path of call extraction
 #
 # Each clause as a term through the smart constructors, its calls split off
@@ -645,7 +691,7 @@ def compose_calls(alpha: Call, beta: Call, bound_b: int, bound_d: int):
     composition is an error."""
     if alpha.callee != beta.caller:
         raise InternalError("calls do not compose")
-    raw = compose(alpha.term, beta.term, alpha.callee)
+    raw = compose(call_term(alpha), call_term(beta), alpha.callee)
     collapsed = collapse_call_term(raw, bound_b, bound_d)
     group = {alpha.caller, alpha.callee, beta.callee}
     return [
@@ -658,7 +704,7 @@ def is_checked_loop(call: Call, bound_b: int, bound_d: int) -> bool:
     """A loop is checked when its self-composition is compatible with it;
     a loop whose self-composition errors out cannot repeat."""
     candidates = compose_calls(call, call, bound_b, bound_d)
-    return any(sqcoh(call.term, c.term) for c in candidates)
+    return any(sqcoh(call_term(call), call_term(c)) for c in candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -1247,7 +1293,7 @@ def run_property_suite(seed: int = 20240917, quick: bool = False) -> dict:
     def assoc(i):
         # composition is used call-after-call, where the callee occurrence
         # is always replaced by a term that again contains the callee
-        ts = [gen_call(rng).term for _ in range(3)]
+        ts = [call_term(gen_call(rng)) for _ in range(3)]
         left = compose(ts[0], compose(ts[1], ts[2], "f"), "f")
         right = compose(compose(ts[0], ts[1], "f"), ts[2], "f")
         return left == right, ts
@@ -1269,11 +1315,11 @@ def run_property_suite(seed: int = 20240917, quick: bool = False) -> dict:
         d = rng.randint(0, 2)
         alpha = gen_call(rng)
         beta = gen_call(rng)
-        raw = compose(alpha.term, beta.term, "f")
+        raw = compose(call_term(alpha), call_term(beta), "f")
         for s in (raw.parts if isinstance(raw, Sum) else (raw,)):
             collapsed = collapse_weights(b, collapse_depth(d, s))
             if not sleq(collapsed, s):
-                return False, (b, d, alpha.term, beta.term, s)
+                return False, (b, d, call_term(alpha), call_term(beta), s)
         return True, None
 
     run("collapse_below_composition", n_cc, collapse_below)
@@ -1283,7 +1329,7 @@ def run_property_suite(seed: int = 20240917, quick: bool = False) -> dict:
     def collapse_idempotent(i):
         b = rng.randint(1, 3)
         d = rng.randint(0, 3)
-        t = gen_call(rng).term
+        t = call_term(gen_call(rng))
         cd = collapse_depth(d, t)
         if collapse_depth(d, cd) != cd:
             return False, ("depth", d, t)

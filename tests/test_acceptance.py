@@ -14,12 +14,14 @@ from totality.callgraph import (
     spine_parts,
     transitive_closure,
     weigh,
+    weight,
 )
 from totality.scp import check_condition1, check_condition2
-from totality.terms import Sum, parse_term, weight
+from totality.terms import Sum, parse_term
 from totality.testkit import (
     OrderOracle,
     UniverseConfig,
+    call_term,
     collapse_depth,
     collapse_weights,
     compose,
@@ -61,7 +63,7 @@ def test_criterion_01_nats():
         t("{Tail@0 = nats(Succ@1 x1)}"),
         t("{Tail@0 = <{0:-1}> nats(Succ@1 <{1:inf}> x1)}"),
     }
-    assert {e.term for e in closure.edges} == expected
+    assert {call_term(e) for e in closure.edges} == expected
     ok("criterion 1: nats total at (1,1) and (1,0); closure is exactly "
        "{sigma, rho} with the expected spine and argument")
 
@@ -70,7 +72,7 @@ def test_criterion_02_length():
     assert verdicts("length.ch", 1, 0)["length"].result == "total"
     closure = closure_of("length.ch", 1, 0)
     rho = t("<{1:-1}> length(<{0:-1,1:-1}> x1)")
-    matching = [e for e in closure.edges if e.term == rho]
+    matching = [e for e in closure.edges if call_term(e) == rho]
     assert matching, [str(e) for e in closure.edges]
     loop = matching[0]
     assert check_condition1(loop) is None
@@ -210,7 +212,7 @@ class TestCriterion11Properties:
     def test_b_compose_associativity(self):
         rng = random.Random(11)
         for _ in range(1000):
-            a, b, c = (gen_call(rng).term for _ in range(3))
+            a, b, c = (call_term(gen_call(rng)) for _ in range(3))
             left = compose(a, compose(b, c, "f"), "f")
             right = compose(compose(a, b, "f"), c, "f")
             assert left == right, (a, b, c)
@@ -225,7 +227,7 @@ class TestCriterion11Properties:
             bound_b = rng.randint(1, 2)
             bound_d = rng.randint(0, 2)
             alpha, beta = gen_call(rng), gen_call(rng)
-            raw = compose(alpha.term, beta.term, "f")
+            raw = compose(call_term(alpha), call_term(beta), "f")
             pairs += 1
             for summand in (raw.parts if isinstance(raw, Sum) else (raw,)):
                 collapsed = collapse_weights(
@@ -260,7 +262,7 @@ class TestCriterion11Properties:
     def test_f_collapse_idempotence(self):
         rng = random.Random(14)
         for _ in range(500):
-            term = gen_call(rng).term
+            term = call_term(gen_call(rng))
             for bound_d in (0, 1, 2):
                 once = collapse_depth(bound_d, term)
                 assert collapse_depth(bound_d, once) == once

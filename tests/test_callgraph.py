@@ -10,11 +10,13 @@ import pytest
 from conftest import CORPUS, annotated_groups, corpus_source
 from totality import callgraph, checker, scp
 from totality.callgraph import (
-    DAIMON,
     Call,
     CallGraph,
     CallTables,
     ClosureCapError,
+    DAIMON,
+    INF,
+    InternalError,
     build_callgraph,
     call_node,
     clause_calls,
@@ -22,16 +24,13 @@ from totality.callgraph import (
     item_key,
     numeral_counts,
     pattern_leaves,
-    plug,
     spine_parts,
     transitive_closure,
-    tree_term,
+    weight,
 )
 from totality.checker import Config, GroupReport, analyze_source
 from totality.surface import TOO_DEEP, desugar, parse_program, type_str
 from totality.terms import (
-    INF,
-    InternalError,
     Param,
     Sum,
     ZERO,
@@ -46,12 +45,12 @@ from totality.terms import (
     sum_of,
     summands,
     term_str,
-    weight,
 )
 from totality.testkit import (
     GenConfig,
     arg_tree,
     call_of_term,
+    call_term,
     clause_term,
     collapse_call_term,
     compose,
@@ -62,8 +61,10 @@ from totality.testkit import (
     gen_call,
     gen_term,
     pattern_bindings,
+    plug,
     substitute,
     substitute_tree,
+    tree_term,
     weigh,
 )
 from totality.typecheck import (
@@ -160,7 +161,7 @@ class TestExtractCalls:
 class TestBuildCallgraph:
     def test_bad_s_initial_edges_at_defaults(self):
         graph = graph_for("bad_s.ch", 2, 2)
-        assert {term_str(e.term) for e in graph.edges} == {
+        assert {term_str(call_term(e)) for e in graph.edges} == {
             "{Head@0 = Node@1 bad_s()}",
             "{Tail@0 = bad_s()}",
         }
@@ -241,7 +242,7 @@ class TestInitialCollapse:
             for bound_d in (0, 1, 2, 3, 4):
                 for _ in range(300):
                     arity = rng.randint(1, 2)
-                    raw = sum_of([gen_call(rng, arity=arity).term
+                    raw = sum_of([call_term(gen_call(rng, arity=arity))
                                   for _ in range(rng.choice((1, 1, 2)))])
                     want = term_path_calls("f", raw, {"f"}, bound_b, bound_d)
                     got = collapsed_calls(
@@ -379,7 +380,7 @@ class TestClauseCalls:
 class TestClosure:
     def test_nats_reaches_fixpoint_in_one_step(self):
         closure = transitive_closure(graph_for("nats.ch", 1, 1))
-        assert {term_str(e.term) for e in closure.edges} == {
+        assert {term_str(call_term(e)) for e in closure.edges} == {
             "{Tail@0 = nats(Succ@1 x1)}",
             "{Tail@0 = <{0:-1}> nats(Succ@1 <{1:inf}> x1)}",
         }
@@ -468,7 +469,7 @@ def random_graph(rng, vertices, bound_b, bound_d, calls=None):
     for _ in range(rng.randint(1, 3) if calls is None else calls):
         caller, callee = rng.choice(vertices), rng.choice(vertices)
         call = gen_call(rng, caller)
-        renamed = compose(call.term, funapp(callee, [Param(1)]), caller)
+        renamed = compose(call_term(call), funapp(callee, [Param(1)]), caller)
         collapsed = collapse_call_term(renamed, bound_b, bound_d)
         for s in summands(collapsed):
             edge = call_of_term(caller, s, set(vertices))
@@ -844,7 +845,8 @@ class TestBuiltEdges:
             graph = build_callgraph(analyzed.defs, bound, bound)
             group = set(graph.vertices)
             for edge in transitive_closure(graph).edges:
-                assert call_of_term(edge.caller, edge.term, group) == edge, \
+                term = call_term(edge)
+                assert call_of_term(edge.caller, term, group) == edge, \
                     (name, edge)
 
 
@@ -866,7 +868,7 @@ def random_spine(rng):
                 piece = project("D", 0, HOLE)
             else:
                 call = gen_call(rng, "f", arity=rng.randint(1, 2))
-                piece = compose(call.term, HOLE, "f")
+                piece = compose(call_term(call), HOLE, "f")
             term = compose(term, piece, "")
         if len(summands(term)) == 1:
             return call_of_term("", term, {""}).spine
@@ -1360,7 +1362,7 @@ class TestItemKey:
         for got in trees:
             assert got == sorted(got, key=lambda s: sort_key(tree_term(s)))
         for got in calls:
-            assert got == sorted(got, key=lambda c: sort_key(c.term))
+            assert got == sorted(got, key=lambda c: sort_key(call_term(c)))
         assert any(len(got) > 1 for got in calls)
         assert bound > 2 or any(len(got) > 1 for got in trees)
 
@@ -1380,4 +1382,112 @@ class TestItemKey:
             found = {gen_call(rng, rng.choice("fg"), arity)
                      for _ in range(rng.randint(2, 6))}
             self.check(list(found), lambda c: item_key(call_node(c)),
-                       lambda c: c.term)
+                       call_term)
+
+
+def closures_of(source, config):
+    """Each group's closure, closed on fresh tables."""
+    program = desugar(parse_program(source))
+    env, schemes = DeclEnv(program.decls), {}
+    for group in program.groups:
+        bounds = group.bounds or (config.bound_b, config.bound_d)
+        analyzed = annotate_group(env, schemes, group.defs)
+        yield transitive_closure(build_callgraph(analyzed.defs, *bounds))
+
+
+def program_closures():
+    """The closures of the corpus at B=D 1-6, of stream rings and of
+    `many_blocks` with and without pragmas."""
+    for path in sorted(CORPUS.glob("*.ch")):
+        for bound in range(1, 7):
+            yield from closures_of(path.read_text(), Config(bound, bound))
+    rng = random.Random(8300)
+    for members, consumers in ((8, None), (16, 1), (24, 3)):
+        yield from closures_of(stream_ring(rng, members, consumers),
+                               Config(2, 2))
+    for pragmas in (False, True):
+        yield from closures_of(many_blocks(30, pragmas), Config())
+
+
+def random_closures():
+    """The closures of the random graphs of `TestClosureOrder`."""
+    for bound in (1, 2, 3):
+        rng = random.Random(7000 + bound)
+        for n in (4, 5, 6, 7, 8, 4, 6, 8):
+            yield transitive_closure(random_graph(
+                rng, ["f%d" % i for i in range(n)], bound, bound,
+                calls=n + 2))
+
+
+class TestItemPrinter:
+    """The checker prints a call from its items (`callgraph.call_str`),
+    without building its term: the text must be `term_str` of the term
+    that `testkit.call_term` builds through the smart constructors, and a
+    failed loop's reason must be the text of its term."""
+
+    @pytest.mark.parametrize("call, text", [
+        (Call("f", "f", (("w", weight({0: -1, 1: INF})),),
+              (("x", ("w", weight({1: INF})), (("d", "Succ", 1),), 1),)),
+         "<{0:-1,1:inf}> f(<{1:inf}> Succ-@1 x1)"),
+        (Call("f", "f", (), (("x", ("w", weight({})), (), 1),
+                             ("x", None, (), 2))),
+         "f(<{}> x1, x2)"),
+        (Call("f", "g", (DAIMON, ("j", "hd", 0)),
+              (("x", DAIMON, (), 1), ("x", DAIMON, (("j", "Tail", 0),), 0))),
+         "? .hd@0 g(? x1, ? .Tail@0 _)"),
+        (Call("f", "f", (("r", "Tail", 0), ("r", "Head", 0), ("c", "N", 1)),
+              (("r", 0, (("A", ("x", None, (), 1)),
+                         ("B", ("r", 0, (("C", ("c", "S", 1,
+                                                ("x", None, (), 0))),))))),)),
+         "{Tail@0 = {Head@0 = N@1 f({A@0 = x1; B@0 = {C@0 = S@1 _}})}}"),
+    ], ids=["inf", "zero weight", "daimon", "records"])
+    def test_items(self, call, text):
+        assert callgraph.call_str(call) == text
+        assert term_str(call_term(call)) == text
+        assert str(call) == "%s -> %s: %s" % (call.caller, call.callee, text)
+
+    @staticmethod
+    def check(closures, features):
+        """Counts in `features` the edges whose text shows an infinite
+        weight, a zero weight, a Daimon and nested one-field records, and
+        the loop failures."""
+        for closure in closures:
+            for edge in closure.edges:
+                text = callgraph.call_str(edge)
+                assert text == term_str(call_term(edge)), edge
+                assert str(edge) == "%s -> %s: %s" % (
+                    edge.caller, edge.callee, text)
+                for feature in ("inf", "<{}>", "? ", "= {"):
+                    features[feature] += feature in text
+            for failure in scp.check_loops(closure).failures:
+                assert str(failure) == "loop %s %s" % (
+                    term_str(call_term(failure.loop)), failure.explanation)
+                features["failures"] += 1
+
+    def test_programs(self):
+        features = Counter()
+        self.check(program_closures(), features)
+        assert all(features[f] for f in (
+            "inf", "? ", "= {", "failures")), features
+
+    def test_random_graphs(self):
+        """Only these have zero-weight leaves."""
+        features = Counter()
+        self.check(random_closures(), features)
+        assert features["inf"] and features["<{}>"], features
+
+
+class TestReflexiveCoherence:
+    """`scp.check_loops` counts a loop that is among its own
+    self-composites as coherent without walking it with `sqcoh`, which
+    rests on every closure edge cohering with itself."""
+
+    def test_every_edge_coheres_with_itself(self):
+        edges = reflexive = 0
+        for closure in program_closures():
+            for k, edge in enumerate(closure.edges):
+                assert callgraph.sqcoh(edge, edge), edge
+                edges += 1
+            reflexive += sum(k in composites for k, composites
+                             in closure.self_composites.items())
+        assert edges > 5000 and reflexive > 100, (edges, reflexive)

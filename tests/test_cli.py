@@ -11,9 +11,9 @@ import pytest
 import totality
 from conftest import CORPUS, corpus_source
 from totality import callgraph, checker
+from totality.callgraph import InternalError
 from totality.checker import Config, analyze_source
 from totality.cli import main
-from totality.terms import InternalError
 
 
 # 380 written-out `Succ` in a call argument
@@ -456,6 +456,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["check", path, "--dump-priorities", "--dump-callgraph",
               "--dump-closure"])
         main(["check", path, "--json"])
+        main(["check", path, "--json", "--dump-callgraph", "--dump-closure"])
 print(sorted(name for name in sys.modules if name.startswith("totality")))
 print([name for name in ("totality.order", "totality.collapse")
        if importlib.util.find_spec(name) is not None])
@@ -511,10 +512,13 @@ def run_over_corpus(script: str) -> list:
 class TestPackage:
     def test_runtime_leaves_the_reference_alone(self):
         """The checker never imports `testkit`, which holds the term
-        reference, and the modules that held it are gone."""
+        reference, nor `terms`, which holds the term algebra: it prints
+        calls and verdict reasons from their items, also with `--json` and
+        the dumps.  The modules that held the reference are gone."""
         imported, present = run_over_corpus(RUNTIME_IMPORTS)
         assert "totality.cli" in imported
         assert "totality.testkit" not in imported
+        assert "totality.terms" not in imported
         assert present == "[]"
 
     def test_a_check_loads_no_dataclasses(self):
@@ -532,7 +536,9 @@ class TestPackage:
     def test_exports(self):
         assert totality.__all__ == [
             "Config", "Report", "Verdict", "analyze_source",
-            "INF", "Weight", "ZERO", "parse_term", "term_str", "weight",
-            "weight_add",
+            "INF", "Weight", "weight", "weight_add",
         ]
         assert all(hasattr(totality, name) for name in totality.__all__)
+        # the term notation lives with the term algebra in `totality.terms`
+        assert not any(hasattr(totality, name)
+                       for name in ("ZERO", "parse_term", "term_str"))

@@ -1,7 +1,7 @@
 """Weight clamping and depth truncation."""
 
-from totality.callgraph import clamp
-from totality.terms import INF, parse_term
+from totality.callgraph import INF, clamp
+from totality.terms import parse_term
 from totality.testkit import collapse_depth, collapse_weights, compose
 
 

@@ -52,22 +52,27 @@ def test_json_matches_golden(name, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_dumps_need_no_term_path(name, capsys, monkeypatch):
-    """The checker extracts, composes, collapses, sorts and compares calls
-    on their items: with the reference `testkit.compose`,
+    """The checker extracts, composes, collapses, sorts, compares and
+    prints calls on their items: with the reference `testkit.compose`,
     `testkit.substitute`, `testkit.collapse_depth`,
     `testkit.collapse_weights`, `testkit.sqcoh`, `testkit.sleq`,
-    `testkit.extract_calls`, `testkit.clause_term` and
-    `testkit.call_of_term` raising wherever they are bound, and
-    `terms.sort_key`, `terms.sum_of` and `terms.map_children` wherever they
-    are bound outside `terms`, every dump still matches its golden file."""
+    `testkit.extract_calls`, `testkit.clause_term`, `testkit.call_of_term`,
+    `testkit.call_term`, `testkit.plug` and `testkit.tree_term` raising
+    wherever they are bound, and the notation `terms.term_str` and
+    `terms.parse_term`, every smart constructor of `terms`,
+    `terms.sort_key` and `terms.map_children` wherever they are bound
+    outside `terms`, every dump still matches its golden file."""
     def refuse(*args):
         raise AssertionError("the checker used the term path")
 
     originals = [testkit.compose, testkit.substitute, testkit.collapse_depth,
                  testkit.collapse_weights, testkit.sqcoh, testkit.sleq,
                  testkit.extract_calls, testkit.clause_term,
-                 testkit.call_of_term, terms.sort_key, terms.sum_of,
-                 terms.map_children]
+                 testkit.call_of_term, testkit.call_term, testkit.plug,
+                 testkit.tree_term, terms.term_str, terms.parse_term,
+                 terms.sum_of, terms.constr, terms.record, terms.funapp,
+                 terms.constr_dual, terms.project, terms.daimon,
+                 terms.approx, terms.sort_key, terms.map_children]
     for module in list(sys.modules.values()):
         if (module is None or module is terms
                 or not module.__name__.startswith("totality")):

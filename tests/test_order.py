@@ -13,12 +13,14 @@ from totality.callgraph import (
     leaf_paths,
     transitive_closure,
     weigh,
+    weight,
 )
 from totality.scp import check_condition2
-from totality.terms import ZERO, parse_term, weight
+from totality.terms import ZERO, parse_term
 from totality.testkit import (
     arg_tree,
     call_of_term,
+    call_term,
     gen_call,
     gen_term,
     sleq,
@@ -178,7 +180,7 @@ class TestItemSqcoh:
     @staticmethod
     def check(a, b):
         got = callgraph.sqcoh(a, b)
-        assert got == sqcoh(a.term, b.term), (str(a), str(b))
+        assert got == sqcoh(call_term(a), call_term(b)), (str(a), str(b))
         return got
 
     def test_rules(self):

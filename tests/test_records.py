@@ -10,7 +10,7 @@ import pytest
 
 from conftest import corpus_source
 from totality import terms
-from totality.callgraph import Call, CallGraph
+from totality.callgraph import Call, CallGraph, weight
 from totality.checker import (
     Config,
     GroupReport,
@@ -18,7 +18,7 @@ from totality.checker import (
     Verdict,
     analyze_source,
 )
-from totality.records import Frozen, Struct
+from totality.records import Struct
 from totality.scp import GroupOutcome
 from totality.surface import (
     Clause,
@@ -34,14 +34,15 @@ from totality.terms import (
     Constr,
     ConstrDual,
     Daimon,
+    Frozen,
     FunApp,
     Param,
     Project,
     Record,
     Sum,
     Unknown,
-    weight,
 )
+from totality.testkit import call_term
 from totality.typecheck import AVar
 
 
@@ -120,10 +121,14 @@ class TestFrozen:
         with pytest.raises(AttributeError):
             delattr(value, name)
 
-    def test_call_caches_its_term(self):
+    def test_call_is_a_tuple_record(self):
+        """A call is a named tuple without a `__dict__`: it prints from its
+        items, and `testkit.call_term` builds its term."""
         c = call()
-        assert c.term is c.term
+        assert isinstance(c, tuple) and not hasattr(c, "__dict__")
+        assert tuple(c) == (c.caller, c.callee, c.spine, c.args)
         assert str(c) == "f -> g: S@1 g(x1)"
+        assert terms.term_str(call_term(c)) == "S@1 g(x1)"
         assert c == call() and hash(c) == hash(call())
 
     def test_mutable_records_are_unhashable(self):
@@ -259,5 +264,6 @@ class TestBase:
     def test_fields_are_the_slots_in_order(self):
         assert Call._fields == ("caller", "callee", "spine", "args")
         assert Clause._fields == ("fname", "patterns", "body", "line", "col")
-        assert issubclass(Call, Frozen) and issubclass(terms.Term, Frozen)
+        assert issubclass(Call, tuple) and not issubclass(Call, Struct)
+        assert issubclass(terms.Term, Frozen)
         assert issubclass(Clause, Struct) and not issubclass(Clause, Frozen)

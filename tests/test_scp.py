@@ -7,11 +7,14 @@ import pytest
 from conftest import CORPUS, annotated_groups
 from totality.callgraph import (
     DAIMON,
+    ZEROW,
     build_callgraph,
     leaf_paths,
     spine_parts,
     transitive_closure,
     weigh,
+    weight,
+    weight_add,
 )
 from totality.scp import (
     _dominant,
@@ -30,13 +33,11 @@ from totality.terms import (
     Record,
     Sum,
     Unknown,
-    ZEROW,
     parse_term,
-    weight,
-    weight_add,
 )
 from totality.testkit import (
     call_of_term,
+    call_term,
     compose_calls,
     gen_call,
     is_checked_loop,
@@ -62,7 +63,7 @@ def closure_for(name, bound_b, bound_d, index=None):
 def find_loop(closure, text):
     target = t(text)
     for edge in closure.edges:
-        if edge.term == target:
+        if call_term(edge) == target:
             return edge
     raise AssertionError("loop %s not in closure" % text)
 
@@ -223,10 +224,10 @@ def branch_weights(call):
     """The spine's weight (None through a Daimon) and, per argument, the
     weights of the branches that return to its own parameter, read off the
     branch walk of the call's term."""
-    node = call.term
+    node = term = call_term(call)
     while not isinstance(node, FunApp):
         node = node.fields[0][1] if isinstance(node, Record) else node.arg
-    spine = [b[:-1] for b in branches(call.term)]
+    spine = [b[:-1] for b in branches(term)]
     args = [(i, branch_weight(b[:-1]))
             for i, a in enumerate(node.args, start=1)
             for b in branches(a) if b[-1] == Param(i)]

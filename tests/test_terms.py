@@ -2,20 +2,17 @@
 
 import pytest
 
+from totality.callgraph import INF, ZEROW, weight, weight_add
 from totality.terms import (
-    INF,
     NotationError,
     Param,
     ZERO,
-    ZEROW,
     approx,
     daimon,
     parse_term,
     record,
     sum_of,
     term_str,
-    weight,
-    weight_add,
 )
 from totality.testkit import coef_leq, compose, is_normal, nf, substitute
 
