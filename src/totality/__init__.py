@@ -1,10 +1,9 @@
 """Totality checker for a first-order functional language with inductive
 and coinductive types, based on the size-change principle."""
 
-from .callgraph import INF, Weight, weight, weight_add
+from .callgraph import INF, Weight
 from .checker import Config, Report, Verdict, analyze_source
 
 __all__ = [
-    "Config", "Report", "Verdict", "analyze_source",
-    "INF", "Weight", "weight", "weight_add",
+    "Config", "Report", "Verdict", "analyze_source", "INF", "Weight",
 ]

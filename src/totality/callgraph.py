@@ -1,5 +1,10 @@
 """Weights, calls and their notation; from annotated clauses to calls,
-the call multigraph and its closure."""
+the call multigraph and its closure.
+
+Everything here works on the items of calls.  The paper's algebra on
+whole terms, which the tests compare these walks with, is not part of the
+package: it is the test reference `reference.terms`, with the item-path
+reference `reference.items`, both under `tests/`."""
 
 from __future__ import annotations
 
@@ -56,30 +61,6 @@ class Weight(namedtuple("Weight", "items", defaults=((),))):
 ZEROW = Weight()
 
 
-def weight(entries=()) -> Weight:
-    """Build a Weight from a mapping or iterable of (priority, value) pairs."""
-    if isinstance(entries, Weight):
-        return entries
-    if type(entries) is dict:  # distinct keys
-        return Weight(tuple(sorted(
-            (int(p), v) for p, v in entries.items() if v != 0)))
-    if hasattr(entries, "items"):
-        entries = entries.items()
-    kept = sorted((int(p), v) for p, v in entries if v != 0)
-    seen = [p for p, _ in kept]
-    if len(set(seen)) != len(seen):
-        raise ValueError("duplicate priority in weight")
-    return Weight(tuple(kept))
-
-
-def weight_add(a: Weight, b: Weight) -> Weight:
-    """Componentwise addition; INF is absorbing."""
-    acc = {p: v for p, v in a.items}
-    for p, v in b.items:
-        acc[p] = acc.get(p, 0) + v
-    return weight(acc)
-
-
 # ---------------------------------------------------------------------------
 # calls
 #
@@ -101,8 +82,8 @@ class Call(namedtuple("Call", "caller callee spine args")):
     calls are read off the annotated clauses as items (`clause_calls`); the
     checker extracts, composes, collapses, sorts, weighs, compares and
     prints calls on their items, and never builds their terms
-    (`testkit.call_term` does).  A Call is a tuple, so it is built, hashed
-    and compared in C."""
+    (`reference.terms.call_term` does).  A Call is a tuple, so it is built,
+    hashed and compared in C."""
 
     __slots__ = ()
 
@@ -162,10 +143,10 @@ def call_str(call: Call) -> str:
 # call extraction
 #
 # The calls of a clause are read off its annotated nodes as items.  Each
-# walk applies the head reductions that the smart constructors of `terms`
-# apply to the clause's term, in which every call inside an argument is
-# blinded to a Daimon, so the calls are those of the paper's reading
-# (`testkit.extract_calls` on `testkit.clause_term` is the reference).
+# walk applies the head reductions that the smart constructors of
+# `reference.terms` apply to the clause's term, in which every call inside
+# an argument is blinded to a Daimon, so the calls are those of the paper's
+# reading (`extract_calls` on `clause_term` there is the reference).
 
 def numeral_counts(clauses, bound_b: int, bound_d: int) -> dict:
     """The number of `Succ` that each numeral of `clauses` builds, so that
@@ -523,8 +504,9 @@ def head(node: tuple) -> tuple:
 
 
 def daimon_args(node: tuple) -> list:
-    """The arguments of the Daimons that `terms.daimon` makes of the term:
-    constructors, records and weights dissolve, a Daimon stays."""
+    """The arguments of the Daimons that `reference.terms.daimon` makes of
+    the term: constructors, records and weights dissolve, a Daimon
+    stays."""
     top, children = head(node)
     if top[0] in ("c", "r", "w"):
         return [a for c in children for a in daimon_args(c)]
@@ -542,12 +524,12 @@ def strip(node: tuple):
 
 def sqcoh(a, b) -> bool:
     """Weak coherence of two calls, or nodes: the rules of the reference
-    `testkit.sqcoh` on their terms.  Two Daimons cohere when stripping
-    destructors and calls off either one makes them cohere; a weight or a
-    Daimon on either side turns both into Daimons (`daimon_args`), and
-    otherwise the heads must be equal and the children cohere.  Two calls'
-    spines are walked item by item, with nodes only from where a weight or
-    a Daimon starts."""
+    `reference.terms.sqcoh` on their terms.  Two Daimons cohere when
+    stripping destructors and calls off either one makes them cohere; a
+    weight or a Daimon on either side turns both into Daimons
+    (`daimon_args`), and otherwise the heads must be equal and the children
+    cohere.  Two calls' spines are walked item by item, with nodes only from
+    where a weight or a Daimon starts."""
     if isinstance(a, Call):
         sa, sb = a.spine, b.spine
         n, i = min(len(sa), len(sb)), 0
@@ -571,14 +553,15 @@ def sqcoh(a, b) -> bool:
     return ha == hb and all(map(sqcoh, ca, cb))
 
 
-# the leading tag of each kind of head in `item_key`, as `terms._TAGS` has
-# it for the node of the term
+# the leading tag of each kind of head in `item_key`, as
+# `reference.terms._TAGS` has it for the node of the term
 _TAGS = {"x": 0, "_": 1, "c": 2, "r": 3, "d": 4, "j": 5, "call": 6,
          "daimon": 7, "w": 8}
 
 
 def item_key(node: tuple) -> tuple:
-    """A sort key of `node` in the order of `terms.sort_key` on its term."""
+    """A sort key of `node` in the order of `reference.terms.sort_key` on
+    its term."""
     top, children = head(node)
     keys = tuple(map(item_key, children))
     tag = _TAGS[top[0]]
@@ -633,8 +616,9 @@ class CallTables:
     leaf meets the tree bound to its parameter, applying the leaf's
     destructors, innermost first, and then its middle.  `_subst` applies
     their head reductions with an argument's signs (it holds no call), and
-    `_collapse` does to a tree what `testkit.collapse_call_term` does to
-    its term; `testkit.substitute_tree` is the plain walk on weight items.
+    `_collapse` does to a tree what `reference.terms.collapse_call_term`
+    does to its term; `reference.items.substitute_tree` is the plain walk
+    on weight items.
 
     The tables have two lifetimes.  The word ids, the weight ids and the
     memos keyed by those ids alone (`folds`, `sums`, `clamps`, `cancels`,
@@ -717,9 +701,9 @@ class CallTables:
         spine id, argument ids), in order: one row of composites, with its
         row of `composed` looked up once.  A nonzero composite's candidates
         are the product of the summand ids of each of its arguments, in the
-        order `testkit.compose_calls` gives them; a second call without
-        arguments has the one candidate (), found by the `composed` lookup
-        alone."""
+        order `reference.terms.compose_calls` gives them; a second call
+        without arguments has the one candidate (), found by the `composed`
+        lookup alone."""
         ia, ids_a = first
         row, bound, subst = self.composed[ia], self.bound, self.subst
         found = []
@@ -794,7 +778,8 @@ class CallTables:
         """The spine id of Ca Ma Da over Cb Mb Db collapsed, 0 if zero: Ca,
         Ma Da Cb Mb reduced (`_merge` adds weights unclamped) and Db; the D
         outer constructors and D inner destructors stay, the rest fold into
-        the middle, whose weight is clamped once (`testkit.compose_spines`).
+        the middle, whose weight is clamped once
+        (`reference.items.compose_spines`).
         Which items stay and what the rest weigh depends on the words alone
         (`_cut`)."""
         ca, ma, da = self.parts[ia]
@@ -931,7 +916,7 @@ class CallTables:
     def _substitute(self, b: int, ids: tuple) -> tuple:
         """The summand ids, in the order of their terms, of argument b
         collapsed with each parameter j bound to argument ids[j - 1];
-        `testkit.substitute_tree` gives the same summands."""
+        `reference.items.substitute_tree` gives the same summands."""
         trees, collapsed = self.trees, self.collapsed
         bound = (None, *map(trees.__getitem__, ids))
         found = ()
@@ -1009,11 +994,11 @@ class CallTables:
         return [("x", w, tree[2], tree[3])]
 
     def _collapse(self, tree: tuple, budget: int) -> list:
-        """The summands of `tree` collapsed as `testkit.collapse_call_term`
-        collapses its term, with `budget` constructor layers left: past
-        them a zero weight, then each leaf keeps its D innermost
-        destructors, folds the others into its weight and clamps the
-        weight."""
+        """The summands of `tree` collapsed as
+        `reference.terms.collapse_call_term` collapses its term, with
+        `budget` constructor layers left: past them a zero weight, then each
+        leaf keeps its D innermost destructors, folds the others into its
+        weight and clamps the weight."""
         kind = tree[0]
         if kind == "x":
             _, middle, word, end = tree
@@ -1046,8 +1031,8 @@ def transitive_closure(graph: CallGraph,
     candidates flat; where the second call has no arguments, a composite
     is one lookup.  The new edges are added in the order of composing the
     partners one by one: by increasing i, (i, k) before (k, i), each
-    composite's candidates in the order `testkit.compose_calls` gives
-    them.  `compositions` counts the ordered pairs of edges that meet.
+    composite's candidates in the order `reference.terms.compose_calls`
+    gives them.  `compositions` counts the ordered pairs of edges that meet.
     Each loop's composites with itself are kept for the loop check.  The
     caps only guard against bugs.  `tables` are the group's, with its
     bounds, or fresh ones.

@@ -7,7 +7,7 @@ one-file check pays in full, so each is a plain class instead: it lists
 its fields in `__slots__`, sets them in its own `__init__` (making a fresh
 list or dict for a default container), and takes equality, positional
 matching and `repr` from `Struct`, which behaves as a dataclass does
-(`terms.Frozen` adds hashing and immutability, as a frozen dataclass).
+(the tests' `Frozen` adds hashing and immutability, as a frozen dataclass).
 They copy and pickle, but `dataclasses.asdict` and its kin do not apply to
 them.  The hashable records of the checker, calls and weights, are named
 tuples instead.

@@ -680,24 +680,24 @@ def _ctor_arities(decls) -> dict:
     return out
 
 
-def _has_nat(decls) -> bool:
-    for decl in decls:
-        if decl.name == "nat" and not decl.is_codata:
-            names = {n for n, _ in decl.items}
-            if {"Zero", "Succ"} <= names:
-                return True
-    return False
-
-
 _NAT = TApp("nat")
 _NAT_ITEMS = {("Zero", _NAT), ("Succ", TArrow(_NAT, _NAT))}
 
 
-def _usual_nat(decls) -> bool:
-    """Whether `nat` is declared with `Zero : nat` and `Succ : nat -> nat`,
-    so that a numeral types as its expansion does, step for step."""
-    return any(decl.name == "nat" and not decl.is_codata and not decl.params
-               and _NAT_ITEMS <= set(decl.items) for decl in decls)
+def _numeral_mode(decls) -> str:
+    """What `desugar` makes of a numeral: "count" it when some data `nat`
+    is declared with `Zero : nat` and `Succ : nat -> nat`, so that a
+    numeral types as its expansion does, step for step; else "expand" it
+    when some data `nat` has constructors `Zero` and `Succ`; else "keep"
+    it, for validation to flag."""
+    mode = "keep"
+    for decl in decls:
+        if decl.name == "nat" and not decl.is_codata:
+            if not decl.params and _NAT_ITEMS <= set(decl.items):
+                return "count"
+            if {"Zero", "Succ"} <= {n for n, _ in decl.items}:
+                mode = "expand"
+    return mode
 
 
 def _fresh_names(taken: set, names: Names):
@@ -784,8 +784,8 @@ def desugar(program: Program, groups=None) -> Program:
     """Give numerals the argument of their `Zero`, normalise constructor
     arities and remove empty records from every clause, walking patterns and
     bodies alike.  A numeral stays a count over the usual `nat`
-    (`_usual_nat`); over another `nat` it is expanded, so that it fails to
-    type as its expansion does.  An empty record becomes a fresh dummy
+    (`_numeral_mode`); over another `nat` it is expanded, so that it fails
+    to type as its expansion does.  An empty record becomes a fresh dummy
     variable in a pattern and, in the body, the clause's first dummy or
     `empty_record`.  A program that calls `empty_record` gets `unit`, the
     type of its result, as a codata type without fields, unless it declares
@@ -799,8 +799,7 @@ def desugar(program: Program, groups=None) -> Program:
     passes, each is freed once desugared.  `program` itself is never
     changed."""
     arities = _ctor_arities(program.decls)
-    numerals = ("keep" if not _has_nat(program.decls)
-                else "count" if _usual_nat(program.decls) else "expand")
+    numerals = _numeral_mode(program.decls)
     names = program.names or Names()
     # whether a clause calls it: written out, or made by `empty_record`
     calls_empty = "empty_record" in names

@@ -31,13 +31,13 @@ def annotated_groups(name: str):
 
 @pytest.fixture(scope="session")
 def oracle():
-    from totality.testkit import OrderOracle
+    from reference.oracle import OrderOracle
 
     return OrderOracle()
 
 
 @pytest.fixture(scope="session")
 def small_oracle():
-    from totality.testkit import OrderOracle, UniverseConfig
+    from reference.oracle import OrderOracle, UniverseConfig
 
     return OrderOracle(UniverseConfig(constructors=("A",)))

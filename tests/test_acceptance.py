@@ -7,6 +7,19 @@ Each test prints a PASS line when its assertions hold; run with
 import random
 
 from conftest import analyze_corpus, annotated_groups
+from reference.generators import gen_call, gen_term
+from reference.oracle import OrderOracle, UniverseConfig
+from reference.terms import (
+    Sum,
+    call_term,
+    collapse_depth,
+    collapse_weights,
+    compose,
+    is_normal,
+    parse_term,
+    sleq,
+    weight,
+)
 from totality.callgraph import (
     DAIMON,
     build_callgraph,
@@ -14,22 +27,8 @@ from totality.callgraph import (
     spine_parts,
     transitive_closure,
     weigh,
-    weight,
 )
 from totality.scp import check_condition1, check_condition2
-from totality.terms import Sum, parse_term
-from totality.testkit import (
-    OrderOracle,
-    UniverseConfig,
-    call_term,
-    collapse_depth,
-    collapse_weights,
-    compose,
-    gen_call,
-    gen_term,
-    is_normal,
-    sleq,
-)
 
 
 def t(text):

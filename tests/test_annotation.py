@@ -9,6 +9,7 @@ import pytest
 from conftest import CORPUS, corpus_source
 from test_callgraph import many_blocks, stream_ring
 from test_typecheck import random_declarations
+from reference.items import index_clauses
 from totality import typecheck
 from totality.checker import Config, analyze_source
 from totality.surface import (
@@ -27,7 +28,6 @@ from totality.surface import (
     parse_program,
     type_str,
 )
-from totality.testkit import index_clauses
 from totality.typecheck import (
     ACall,
     AConstr,
@@ -102,7 +102,7 @@ def check_recorded(source, checkers):
 
 class TestRecordedWalk:
     """`GroupChecker` records the instance nodes and the calls of each
-    clause as it builds them, as `testkit.index_clauses` finds them."""
+    clause as it builds them, as `reference.items.index_clauses` finds them."""
 
     @pytest.mark.parametrize(
         "name", sorted(p.name for p in CORPUS.glob("*.ch")))

@@ -8,6 +8,38 @@ from collections import Counter
 import pytest
 
 from conftest import CORPUS, annotated_groups, corpus_source
+from reference.generators import GenConfig, gen_call, gen_term
+from reference.items import compose_spines, substitute_tree, weigh
+from reference.terms import (
+    Param,
+    Sum,
+    ZERO,
+    approx,
+    arg_tree,
+    call_of_term,
+    call_term,
+    clause_term,
+    collapse_call_term,
+    compose,
+    compose_calls,
+    constr,
+    constr_dual,
+    definition_term,
+    extract_calls,
+    funapp,
+    parse_term,
+    pattern_bindings,
+    plug,
+    project,
+    record,
+    sort_key,
+    substitute,
+    sum_of,
+    summands,
+    term_str,
+    tree_term,
+    weight,
+)
 from totality import callgraph, checker, scp
 from totality.callgraph import (
     Call,
@@ -26,47 +58,9 @@ from totality.callgraph import (
     pattern_leaves,
     spine_parts,
     transitive_closure,
-    weight,
 )
 from totality.checker import Config, GroupReport, analyze_source
 from totality.surface import TOO_DEEP, desugar, parse_program, type_str
-from totality.terms import (
-    Param,
-    Sum,
-    ZERO,
-    approx,
-    constr,
-    constr_dual,
-    funapp,
-    parse_term,
-    project,
-    record,
-    sort_key,
-    sum_of,
-    summands,
-    term_str,
-)
-from totality.testkit import (
-    GenConfig,
-    arg_tree,
-    call_of_term,
-    call_term,
-    clause_term,
-    collapse_call_term,
-    compose,
-    compose_calls,
-    compose_spines,
-    definition_term,
-    extract_calls,
-    gen_call,
-    gen_term,
-    pattern_bindings,
-    plug,
-    substitute,
-    substitute_tree,
-    tree_term,
-    weigh,
-)
 from totality.typecheck import (
     ACall,
     AClause,
@@ -1002,8 +996,8 @@ class TestArgumentTrees:
 
 def item_composite(a, b, bound_b, bound_d):
     """The spine and the summands of each argument of `b` composed into
-    `a`, on items (`testkit.compose_spines` and `substitute_tree`); None
-    when the composite is zero."""
+    `a`, on items (`compose_spines` and `substitute_tree` of
+    `reference.items`); None when the composite is zero."""
     spine = compose_spines(spine_parts(a.spine), spine_parts(b.spine),
                            bound_b, bound_d)
     if spine is None:
@@ -1422,8 +1416,8 @@ def random_closures():
 class TestItemPrinter:
     """The checker prints a call from its items (`callgraph.call_str`),
     without building its term: the text must be `term_str` of the term
-    that `testkit.call_term` builds through the smart constructors, and a
-    failed loop's reason must be the text of its term."""
+    that `reference.terms.call_term` builds through the smart constructors,
+    and a failed loop's reason must be the text of its term."""
 
     @pytest.mark.parametrize("call, text", [
         (Call("f", "f", (("w", weight({0: -1, 1: INF})),),

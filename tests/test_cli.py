@@ -1,6 +1,7 @@
 """Driver behaviour: exit codes, reports, dumps, determinism."""
 
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -457,9 +458,12 @@ with contextlib.redirect_stdout(io.StringIO()):
               "--dump-closure"])
         main(["check", path, "--json"])
         main(["check", path, "--json", "--dump-callgraph", "--dump-closure"])
-print(sorted(name for name in sys.modules if name.startswith("totality")))
-print([name for name in ("totality.order", "totality.collapse")
+print(sorted(name for name in sys.modules
+             if name.startswith(("totality", "reference"))))
+print([name for name in ("totality.order", "totality.collapse",
+                         "totality.terms", "totality.testkit")
        if importlib.util.find_spec(name) is not None])
+print(importlib.util.find_spec("reference.terms") is not None)
 """
 
 
@@ -498,28 +502,33 @@ print("json" in sys.modules)
 
 def run_over_corpus(script: str) -> list:
     """The lines `script` prints, run in a fresh interpreter with the
-    corpus files as its arguments."""
+    corpus files as its arguments and with the package and the test
+    reference (`reference`) on its path."""
     src = str(pathlib.Path(totality.__file__).resolve().parent.parent)
+    tests = str(pathlib.Path(__file__).resolve().parent)
     done = subprocess.run(
         [sys.executable, "-c", script,
          *sorted(str(p) for p in CORPUS.glob("*.ch"))],
         capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": src, "PATH": ""})
+        env={"PYTHONPATH": os.pathsep.join((src, tests)), "PATH": ""})
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
 
 class TestPackage:
     def test_runtime_leaves_the_reference_alone(self):
-        """The checker never imports `testkit`, which holds the term
-        reference, nor `terms`, which holds the term algebra: it prints
-        calls and verdict reasons from their items, also with `--json` and
-        the dumps.  The modules that held the reference are gone."""
-        imported, present = run_over_corpus(RUNTIME_IMPORTS)
+        """The checker never imports the test reference (`reference`),
+        which holds the term algebra and the term path, although it could
+        find it: it prints calls and verdict reasons from their items, also
+        with `--json` and the dumps.  The modules that held the reference
+        in the package are gone."""
+        imported, present, findable = run_over_corpus(RUNTIME_IMPORTS)
         assert "totality.cli" in imported
+        assert "reference" not in imported
         assert "totality.testkit" not in imported
         assert "totality.terms" not in imported
         assert present == "[]"
+        assert findable == "True"
 
     def test_a_check_loads_no_dataclasses(self):
         """Every record of the package, the result types included, is a
@@ -536,9 +545,11 @@ class TestPackage:
     def test_exports(self):
         assert totality.__all__ == [
             "Config", "Report", "Verdict", "analyze_source",
-            "INF", "Weight", "weight", "weight_add",
+            "INF", "Weight",
         ]
         assert all(hasattr(totality, name) for name in totality.__all__)
-        # the term notation lives with the term algebra in `totality.terms`
+        # the term notation and the weight arithmetic live with the term
+        # algebra, in the test reference
         assert not any(hasattr(totality, name)
-                       for name in ("ZERO", "parse_term", "term_str"))
+                       for name in ("ZERO", "parse_term", "term_str",
+                                    "weight", "weight_add"))

@@ -1,8 +1,12 @@
 """Weight clamping and depth truncation."""
 
+from reference.terms import (
+    collapse_depth,
+    collapse_weights,
+    compose,
+    parse_term,
+)
 from totality.callgraph import INF, clamp
-from totality.terms import parse_term
-from totality.testkit import collapse_depth, collapse_weights, compose
 
 
 def t(text):

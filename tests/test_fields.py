@@ -1,10 +1,14 @@
-"""Every field a class of the package declares in `__slots__` is read."""
+"""Every field a class of the package or of the test reference declares in
+`__slots__` is read."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("src/totality/*.py"))
+# the package and the reference, whose term algebra declares the `Frozen`
+# term nodes
+SOURCES = sorted([*ROOT.glob("src/totality/*.py"),
+                  *ROOT.glob("tests/reference/*.py")])
 
 
 def slot_fields(tree) -> list:

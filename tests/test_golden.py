@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from conftest import CORPUS
-from totality import terms, testkit
+from reference import terms
 from totality.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -53,33 +53,35 @@ def test_json_matches_golden(name, capsys, monkeypatch):
 @pytest.mark.parametrize("name", NAMES)
 def test_dumps_need_no_term_path(name, capsys, monkeypatch):
     """The checker extracts, composes, collapses, sorts, compares and
-    prints calls on their items: with the reference `testkit.compose`,
-    `testkit.substitute`, `testkit.collapse_depth`,
-    `testkit.collapse_weights`, `testkit.sqcoh`, `testkit.sleq`,
-    `testkit.extract_calls`, `testkit.clause_term`, `testkit.call_of_term`,
-    `testkit.call_term`, `testkit.plug` and `testkit.tree_term` raising
-    wherever they are bound, and the notation `terms.term_str` and
-    `terms.parse_term`, every smart constructor of `terms`,
-    `terms.sort_key` and `terms.map_children` wherever they are bound
-    outside `terms`, every dump still matches its golden file."""
+    prints calls on their items: with the reference `compose`,
+    `substitute`, `collapse_depth`, `collapse_weights`, `sqcoh`, `sleq`,
+    `extract_calls`, `clause_term`, `call_of_term`, `call_term`, `plug`
+    and `tree_term`, the notation `term_str` and `parse_term`, every
+    smart constructor, `sort_key` and `map_children` of `reference.terms`
+    raising wherever they are bound, in `reference.terms` itself, in the
+    other reference modules and in the package, every dump still matches
+    its golden file."""
     def refuse(*args):
         raise AssertionError("the checker used the term path")
 
-    originals = [testkit.compose, testkit.substitute, testkit.collapse_depth,
-                 testkit.collapse_weights, testkit.sqcoh, testkit.sleq,
-                 testkit.extract_calls, testkit.clause_term,
-                 testkit.call_of_term, testkit.call_term, testkit.plug,
-                 testkit.tree_term, terms.term_str, terms.parse_term,
+    originals = [terms.compose, terms.substitute, terms.collapse_depth,
+                 terms.collapse_weights, terms.sqcoh, terms.sleq,
+                 terms.extract_calls, terms.clause_term,
+                 terms.call_of_term, terms.call_term, terms.plug,
+                 terms.tree_term, terms.term_str, terms.parse_term,
                  terms.sum_of, terms.constr, terms.record, terms.funapp,
                  terms.constr_dual, terms.project, terms.daimon,
                  terms.approx, terms.sort_key, terms.map_children]
+    patched = 0
     for module in list(sys.modules.values()):
-        if (module is None or module is terms
-                or not module.__name__.startswith("totality")):
+        if module is None or not module.__name__.startswith(
+                ("totality", "reference")):
             continue
         for attr, fn in list(vars(module).items()):
             if any(fn is f for f in originals):
                 monkeypatch.setattr(module, attr, refuse)
+                patched += module is terms
+    assert patched == len(originals)
     for bound in (1, 2, 3, 4):
         out = cli_output(capsys, monkeypatch, "corpus/%s.ch" % name,
                          "--dump-priorities", "--dump-callgraph",

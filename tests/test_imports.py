@@ -6,7 +6,9 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/totality/*.py"), *ROOT.glob("tests/*.py")])
+# the tests and every subdirectory of theirs, such as the reference
+SOURCES = sorted([*ROOT.glob("src/totality/*.py"),
+                  *ROOT.glob("tests/**/*.py")])
 
 
 def unused_imports(source: str) -> list:

@@ -1,6 +1,6 @@
 """The one-pattern lexer against the character-at-a-time reference
-(`testkit.reference_lex`): the same tokens, positions and errors, whatever
-the size of the chunks that the lexer reads the lines in."""
+(`reference.items.reference_lex`): the same tokens, positions and errors,
+whatever the size of the chunks that the lexer reads the lines in."""
 
 import random
 import string
@@ -8,6 +8,7 @@ import string
 import pytest
 
 from conftest import CORPUS, corpus_source
+from reference.items import reference_lex
 from totality.surface import (
     CHUNK,
     Names,
@@ -16,7 +17,6 @@ from totality.surface import (
     _STARTS,
     _lex,
 )
-from totality.testkit import reference_lex
 
 # a chunk of 0 characters is one line, so every line ends one
 SIZES = (0, 1, 7, 100, CHUNK)

@@ -4,8 +4,7 @@ A nested function that calls itself, directly or through functions nested
 beside it, holds itself through the cell of its enclosing scope: each call
 of the enclosing function leaves one reference cycle, which only the cyclic
 collector frees.  The checker runs with that collector paused, so such a
-helper belongs at module level, with its state passed as arguments.
-`testkit.py` is the slow reference and never runs in a check."""
+helper belongs at module level, with its state passed as arguments."""
 
 import ast
 import pathlib
@@ -13,8 +12,7 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for path in ROOT.glob("src/totality/*.py")
-                 if path.name != "testkit.py")
+SOURCES = sorted(ROOT.glob("src/totality/*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -6,6 +6,17 @@ import random
 import pytest
 
 from conftest import CORPUS, annotated_groups
+from reference.generators import gen_call, gen_term
+from reference.terms import (
+    ZERO,
+    arg_tree,
+    call_of_term,
+    call_term,
+    parse_term,
+    sleq,
+    sqcoh,
+    weight,
+)
 from totality import callgraph
 from totality.callgraph import (
     DAIMON,
@@ -13,19 +24,8 @@ from totality.callgraph import (
     leaf_paths,
     transitive_closure,
     weigh,
-    weight,
 )
 from totality.scp import check_condition2
-from totality.terms import ZERO, parse_term
-from totality.testkit import (
-    arg_tree,
-    call_of_term,
-    call_term,
-    gen_call,
-    gen_term,
-    sleq,
-    sqcoh,
-)
 
 
 def t(text):

@@ -9,8 +9,23 @@ import pickle
 import pytest
 
 from conftest import corpus_source
-from totality import terms
-from totality.callgraph import Call, CallGraph, weight
+from reference import terms
+from reference.terms import (
+    Approx,
+    Constr,
+    ConstrDual,
+    Daimon,
+    Frozen,
+    FunApp,
+    Param,
+    Project,
+    Record,
+    Sum,
+    Unknown,
+    call_term,
+    weight,
+)
+from totality.callgraph import Call, CallGraph
 from totality.checker import (
     Config,
     GroupReport,
@@ -29,20 +44,6 @@ from totality.surface import (
     TApp,
     TypeDecl,
 )
-from totality.terms import (
-    Approx,
-    Constr,
-    ConstrDual,
-    Daimon,
-    Frozen,
-    FunApp,
-    Param,
-    Project,
-    Record,
-    Sum,
-    Unknown,
-)
-from totality.testkit import call_term
 from totality.typecheck import AVar
 
 
@@ -123,7 +124,7 @@ class TestFrozen:
 
     def test_call_is_a_tuple_record(self):
         """A call is a named tuple without a `__dict__`: it prints from its
-        items, and `testkit.call_term` builds its term."""
+        items, and `reference.terms.call_term` builds its term."""
         c = call()
         assert isinstance(c, tuple) and not hasattr(c, "__dict__")
         assert tuple(c) == (c.caller, c.callee, c.spine, c.args)

@@ -5,24 +5,8 @@ import random
 import pytest
 
 from conftest import CORPUS, annotated_groups
-from totality.callgraph import (
-    DAIMON,
-    ZEROW,
-    build_callgraph,
-    leaf_paths,
-    spine_parts,
-    transitive_closure,
-    weigh,
-    weight,
-    weight_add,
-)
-from totality.scp import (
-    _dominant,
-    check_condition1,
-    check_condition2,
-    check_loops,
-)
-from totality.terms import (
+from reference.generators import gen_call
+from reference.terms import (
     Approx,
     Constr,
     ConstrDual,
@@ -33,14 +17,28 @@ from totality.terms import (
     Record,
     Sum,
     Unknown,
-    parse_term,
-)
-from totality.testkit import (
     call_of_term,
     call_term,
     compose_calls,
-    gen_call,
     is_checked_loop,
+    parse_term,
+    weight,
+    weight_add,
+)
+from totality.callgraph import (
+    DAIMON,
+    ZEROW,
+    build_callgraph,
+    leaf_paths,
+    spine_parts,
+    transitive_closure,
+    weigh,
+)
+from totality.scp import (
+    _dominant,
+    check_condition1,
+    check_condition2,
+    check_loops,
 )
 
 

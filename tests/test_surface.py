@@ -76,6 +76,7 @@ class TestParse:
 
 
 NAT = "data nat where Zero : nat | Succ : nat -> nat\n"
+OTHER_NAT = "data nat where Zero : nat | Succ : nat -> nat -> nat\n"
 
 
 class TestDesugar:
@@ -120,6 +121,27 @@ class TestDesugar:
         (cl,) = program.groups[0].defs[0].clauses
         assert cl.body == SConstr("Succ", (SConstr(
             "Zero", (SApp("empty_record", (SVar("x"),)),)),))
+
+    @pytest.mark.parametrize("decls, mode", [
+        ("data t where A : t\n", "keep"),
+        (NAT, "count"),
+        (OTHER_NAT, "expand"),
+        (OTHER_NAT + NAT, "count"),
+        (NAT + OTHER_NAT, "count"),
+    ], ids=["no-nat", "usual-nat", "other-nat", "other-then-usual",
+            "usual-then-other"])
+    def test_numeral_modes(self, decls, mode):
+        # a numeral is kept without `nat`, a count over the usual `nat`
+        # (declared anywhere) and expanded over another `nat`
+        program = parse_program(decls + "val f x = 1")
+        assert surface._numeral_mode(program.decls) == mode
+        (cl,) = desugar(program).groups[0].defs[0].clauses
+        empty = SApp("empty_record", (SVar("x"),))
+        assert cl.body == {
+            "keep": SNum(1, None),
+            "count": SNum(1, empty),
+            "expand": SConstr("Succ", (SConstr("Zero", (empty,)),)),
+        }[mode]
 
     def test_zero_arity_clause_uses_plain_empty_record_call(self):
         program = desugar(parse_program(NAT + "val c = 0"))

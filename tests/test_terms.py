@@ -2,19 +2,25 @@
 
 import pytest
 
-from totality.callgraph import INF, ZEROW, weight, weight_add
-from totality.terms import (
+from reference.terms import (
     NotationError,
     Param,
     ZERO,
     approx,
+    coef_leq,
+    compose,
     daimon,
+    is_normal,
+    nf,
     parse_term,
     record,
+    substitute,
     sum_of,
     term_str,
+    weight,
+    weight_add,
 )
-from totality.testkit import coef_leq, compose, is_normal, nf, substitute
+from totality.callgraph import INF, ZEROW
 
 
 def t(text):
@@ -165,7 +171,7 @@ class TestNotation:
         assert parse_term(term_str(term)) == term
 
     def test_round_trip_random(self):
-        from totality.testkit import gen_term
+        from reference.generators import gen_term
 
         import random
         rng = random.Random(7)

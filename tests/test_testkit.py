@@ -1,8 +1,9 @@
 """The property harness itself: reproducibility and bug sensitivity."""
 
-from totality import testkit
-from totality.terms import ZERO, Param, parse_term
-from totality.testkit import gen_term, leq_oracle, run_property_suite
+from reference import terms
+from reference.generators import gen_term, run_property_suite
+from reference.oracle import leq_oracle
+from reference.terms import Param, ZERO, parse_term
 
 
 class TestGenTerm:
@@ -15,7 +16,7 @@ class TestGenTerm:
         assert gen_term(6, seed=42) == gen_term(6, seed=42)
 
     def test_generated_terms_are_canonical(self):
-        from totality.testkit import nf
+        from reference.terms import nf
 
         for seed in range(200):
             term = gen_term(6, seed=seed)
@@ -55,7 +56,7 @@ class TestPropertySuite:
                 return -bound_b
             return value
 
-        monkeypatch.setattr(testkit, "clamp", broken_clamp)
+        monkeypatch.setattr(terms, "clamp", broken_clamp)
         report = run_property_suite(quick=True)
         runs, failures, first = report["collapse_below_composition"]
         assert failures > 0

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import annotated_groups
+from reference.items import index_clauses
 from totality.checker import Config, analyze_source
 from totality.cli import main
 from totality.surface import TApp, TArrow, TVar, TypeDecl, type_str
@@ -22,7 +23,6 @@ from totality.typecheck import (
     assign_priorities,
     dominance,
 )
-from totality.testkit import index_clauses
 
 
 def tapp(name, *args):
