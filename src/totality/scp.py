@@ -46,16 +46,12 @@ class GroupOutcome(Struct):
 
 def _dominant(weight, parity: int):
     """Least priority of the given parity that is strictly negative while
-    nothing above it is; None when there is none.  An infinite component is
-    never negative and always counts as nonnegative."""
-    support = sorted(set(weight.priorities()))
-    for p in support:
-        if p % 2 != parity:
-            continue
-        if not weight.get(p) < 0:
-            continue
-        if all(weight.get(q) >= 0 for q in support if q > p):
-            return p
+    nothing above it is; None when there is none.  Only the highest
+    negative priority can be one, so it is read off the sorted `items`.
+    An infinite component is never negative."""
+    for p, v in reversed(weight.items):
+        if v < 0:
+            return p if p % 2 == parity else None
     return None
 
 

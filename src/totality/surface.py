@@ -194,8 +194,9 @@ class Group(Struct):
 class Names(dict):
     """The name table of one check: each name maps to the one string that
     stands for it in all the check's trees, `types` maps a type name to the
-    one type without arguments of that name in them, and `dummies` holds
-    the dummy variables `_d0`, `_d1`, ... that `desugar` has made so far."""
+    one type without arguments of that name in them and every other type
+    to the one type equal to it there, and `dummies` holds the dummy
+    variables `_d0`, `_d1`, ... that `desugar` has made so far."""
 
     __slots__ = ("types", "dummies")
 
@@ -445,12 +446,14 @@ class _Parser:
         left = self.type_atom()
         if self.at("->"):
             self.take("->")
-            return TArrow(left, self.type_expr())
+            t = TArrow(left, self.type_expr())
+            return self.types.setdefault(t, t)
         return left
 
     def type_atom(self):
         if self.at("tyvar"):
-            return TVar(self.take("tyvar")[1])
+            t = TVar(self.take("tyvar")[1])
+            return self.types.setdefault(t, t)
         if self.at("("):
             self.take("(")
             t = self.type_expr()
@@ -468,7 +471,8 @@ class _Parser:
             self.take(",")
             args.append(self.type_expr())
         self.take(")")
-        return TApp(name, tuple(args))
+        t = TApp(name, tuple(args))
+        return self.types.setdefault(t, t)
 
     def group(self) -> Group:
         start = self.take("val")
@@ -815,23 +819,23 @@ def desugar(program: Program, groups=None) -> Program:
         for p in cl.patterns:
             _pattern_vars(p, existing)
         fresh = _fresh_names(set(existing), names)
-        dummies: list = []
+        dummies: list = []  # one variable each, as the tree never changes
 
         def dummy():
-            dummies.append(next(fresh))
-            return SVar(dummies[-1])
+            dummies.append(SVar(next(fresh)))
+            return dummies[-1]
 
         patterns = tuple(_desugar_node(p, arities, numerals, fresh, dummy)
                          for p in cl.patterns)
-        pvars: list = []
-        for p in patterns:
-            _pattern_vars(p, pvars)
 
         def empty_record():
             nonlocal calls_empty
             if dummies:
-                return SVar(dummies[0])
+                return dummies[0]
             calls_empty = True
+            pvars: list = []
+            for p in patterns:
+                _pattern_vars(p, pvars)
             if pvars:
                 return SApp("empty_record", (SVar(pvars[0]),))
             return SVar("empty_record")  # resolved as a 0-ary library call

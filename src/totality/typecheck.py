@@ -209,9 +209,12 @@ class DeclEnv:
 
     def _register(self, decl: TypeDecl) -> bool:
         """Register the items of `decl`; whether it has a two-argument
-        constructor."""
+        constructor.  Its constructors with equal argument types share one
+        `CtorInfo`, and its destructors with equal result types one
+        `DtorInfo`, as the records are never changed."""
         paired = False
         subject = TApp(decl.name, tuple(TVar(p) for p in decl.params))
+        infos: dict = {}  # argument or result type -> its record
         if decl.is_codata:
             names = []
             for name, ty in decl.items:
@@ -223,7 +226,11 @@ class DeclEnv:
                     raise TypeCheckError(
                         "destructor %r must take %s" % (name, type_str(subject)),
                         decl.line, decl.col)
-                self.dtors[name] = DtorInfo(decl.params, subject, ty.cod)
+                info = infos.get(ty.cod)
+                if info is None:
+                    info = infos[ty.cod] = DtorInfo(decl.params, subject,
+                                                    ty.cod)
+                self.dtors[name] = info
                 names.append(name)
             self.fieldsets[tuple(sorted(set(names)))] = decl.name
             return False
@@ -248,7 +255,11 @@ class DeclEnv:
                 raise TypeCheckError(
                     "constructor %r takes too many arguments" % name,
                     decl.line, decl.col)
-            self.ctors[name] = CtorInfo(decl.params, internal, subject)
+            info = infos.get(internal)
+            if info is None:
+                info = infos[internal] = CtorInfo(decl.params, internal,
+                                                  subject)
+            self.ctors[name] = info
         return paired
 
     def _unit(self) -> TApp:

@@ -1191,9 +1191,10 @@ BLOCK = (
 )
 
 
-def many_blocks(count, pragmas=False, reverse=False):
+def many_blocks(count, pragmas=False, reverse=False, decls_first=False):
     """A program of `count` blocks (`BLOCK`) in varied shapes; with
-    `pragmas`, every third group has bounds of its own, of two kinds."""
+    `pragmas`, every third group has bounds of its own, of two kinds, and
+    with `decls_first`, every declaration comes before every group."""
     blocks = []
     for i in range(count):
         deep = ("B{0} (B{0} x)" if i % 2 else "B{0} x").format(i)
@@ -1209,6 +1210,9 @@ def many_blocks(count, pragmas=False, reverse=False):
         blocks.append(block)
     if reverse:
         blocks.reverse()
+    if decls_first:
+        blocks = [block[:2] for block in blocks] + [
+            block[2:] for block in blocks]
     return "\n".join(["data nat where Zero : nat | Succ : nat -> nat"]
                      + [line for block in blocks for line in block]) + "\n"
 
@@ -1239,14 +1243,23 @@ class TestTableLifetimes:
             else {(2, 2): 180})
 
     def test_reverse_order(self):
-        """Independent groups give the same closures in either order."""
+        """Independent groups give the same closures, priorities and
+        verdicts in either order, and with every declaration ahead of
+        every group: nothing a check shares between them carries order."""
         def by_name(source):
             report = analyze_source(source, Config())
-            return dict(zip([g.names for g in report.groups],
-                            checked_closures(report)))
+            verdicts = {v.fname: v for v in report.verdicts}
+            return {g.names: (closure, g.priorities,
+                              [verdicts[name] for name in g.names])
+                    for g, closure in zip(report.groups,
+                                          checked_closures(report))}
 
-        assert by_name(many_blocks(30, True)) == by_name(
-            many_blocks(30, True, reverse=True))
+        want = by_name(many_blocks(30, True))
+        assert len(want) == 90
+        for reverse in (False, True):
+            for decls_first in (False, True):
+                assert by_name(many_blocks(
+                    30, True, reverse, decls_first)) == want
 
     def test_groups_without_calls(self, monkeypatch):
         """A group whose clauses call none of its members makes no tables,

@@ -27,6 +27,7 @@ from reference.terms import (
 )
 from totality.callgraph import (
     DAIMON,
+    INF,
     ZEROW,
     build_callgraph,
     leaf_paths,
@@ -89,6 +90,29 @@ class TestCondition1:
 
     def test_daimon_on_spine_defeats(self):
         assert check_condition1(loop("? f(<{1:-1}> x1)")) is None
+
+
+def literal_dominant(w, parity):
+    """`_dominant` as its definition reads: the least priority of `parity`
+    whose component is negative while none above it is."""
+    support = sorted(set(w.priorities()))
+    for p in support:
+        if (p % 2 == parity and w.get(p) < 0
+                and all(w.get(q) >= 0 for q in support if q > p)):
+            return p
+    return None
+
+
+def test_dominant_matches_its_definition():
+    """The highest negative priority is the only candidate, so one scan
+    from the top finds what the definition does."""
+    rng = random.Random(20261021)
+    values = [-3, -2, -1, 1, 2, INF]
+    for _ in range(20000):
+        w = weight({p: rng.choice(values)
+                    for p in rng.sample(range(7), rng.randint(0, 6))})
+        parity = rng.randrange(2)
+        assert _dominant(w, parity) == literal_dominant(w, parity), (w, parity)
 
 
 class TestCondition2:

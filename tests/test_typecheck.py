@@ -297,6 +297,44 @@ class TestRecordOwner:
         ]
 
 
+class TestSharedRecords:
+    """A check builds each declared type once, and gives the constructors
+    of one declaration with equal argument types one record, and its
+    destructors with equal result types one: none of them ever changes."""
+
+    def test_equal_items_share_their_records(self):
+        from totality.surface import desugar, parse_program
+
+        program = desugar(parse_program(
+            NAT + "data t where A : t | B : t | C : nat -> t | D : nat -> t\n"
+            "codata r where P : r -> nat | Q : r -> nat | R : r -> t\n"
+            "codata s where S : s -> nat\n"))
+        _, t, r, s = program.decls
+        env = DeclEnv(program.decls)
+        ctors, dtors = env.ctors, env.dtors
+        assert ctors["A"] is ctors["B"] and ctors["C"] is ctors["D"]
+        assert ctors["A"] is not ctors["C"]
+        assert ctors["A"] is not ctors["Zero"]  # another declaration's
+        assert dtors["P"] is dtors["Q"] and dtors["P"] is not dtors["R"]
+        assert dtors["P"] is not dtors["S"]
+        (_, p), (_, q), _ = r.items
+        assert p is q
+        assert t.items[2][1] is t.items[3][1]
+
+    def test_parameterised_types_are_shared(self):
+        from totality.surface import parse_program
+
+        program = parse_program(
+            "data list('a) where Nil : list('a)"
+            " | Cons : 'a -> list('a) -> list('a)\n"
+            "codata two('a) where L : two('a) -> list('a)"
+            " | M : two('a) -> list('a)\n")
+        (_, nil), (_, cons) = program.decls[0].items
+        assert cons.cod.cod is nil and cons.dom is cons.cod.dom.args[0]
+        (_, left), (_, right) = program.decls[1].items
+        assert left is right and left.cod is nil
+
+
 NESTED = ("priority assignment exceeded its type node cap (1000), mostly in "
           "instances of %s; nested datatypes are not supported")
 
