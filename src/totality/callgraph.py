@@ -309,6 +309,56 @@ class CallGraph(Struct):
                                 else self_composites)
 
 
+class _Renamed(dict):
+    """Spines and argument trees with each name n read as `names[n]`, each
+    renamed once."""
+
+    def __init__(self, names):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, part: tuple) -> tuple:
+        got = self[part] = (self.word(part) if not part or type(part[0])
+                            is tuple else self.tree(part))
+        return got
+
+    def word(self, word: tuple) -> tuple:
+        names = self.names
+        return tuple([(item[0], names[item[1]], item[2])
+                      if item[0] in _ABSORBED else item for item in word])
+
+    def tree(self, tree: tuple) -> tuple:
+        if tree[0] == "c":
+            return "c", self.names[tree[1]], tree[2], self.tree(tree[3])
+        if tree[0] == "r":
+            return "r", tree[1], tuple([(self.names[n], self.tree(v))
+                                        for n, v in tree[2]])
+        return tree[:2] + (self.word(tree[2]), tree[3])
+
+
+def renamed(calls, names) -> tuple:
+    """`calls` with each function, constructor and field name n read as
+    `names[n]`, a dict or an `_Ids`."""
+    rename = _Renamed(names)
+    return tuple([tuple.__new__(Call, (
+        names[c.caller], names[c.callee], rename[c.spine],
+        tuple(map(rename.__getitem__, c.args)))) for c in calls])
+
+
+def shape(graph: CallGraph) -> tuple:
+    """The key of `graph` up to an order-keeping renaming of its function,
+    constructor and field names, and its names, sorted: the bounds, the
+    vertex count, the edges with each name read as its id in order of
+    first sight (vertices first) and the ids of the sorted names.  The
+    closure and the loop check commute with such a renaming (README, "How
+    the closure is computed")."""
+    ids = _Ids(*graph.vertices)
+    edges = renamed(graph.edges, ids)
+    names = tuple(sorted(ids.values))
+    return ((graph.bound_b, graph.bound_d, len(graph.vertices), edges,
+             tuple(map(ids.__getitem__, names))), names)
+
+
 def collapsed_calls(calls, bound_b: int, bound_d: int,
                     tables: CallTables | None = None) -> list:
     """The distinct collapsed forms of `calls`, in the order of their terms.
@@ -514,12 +564,18 @@ def daimon_args(node: tuple) -> list:
 
 
 def strip(node: tuple):
-    """`node` and every node below it through destructors and calls."""
-    yield node
-    top, children = head(node)
-    if top[0] in ("d", "j", "call"):
-        for c in children:
-            yield from strip(c)
+    """`node` and every node below it through destructors and calls.  A
+    word's destructors are walked in a loop, not one level each."""
+    while True:
+        yield node
+        top, children = head(node)
+        if top[0] not in ("d", "j", "call"):
+            return
+        if len(children) != 1:
+            for c in children:
+                yield from strip(c)
+            return
+        node = children[0]
 
 
 def sqcoh(a, b) -> bool:
@@ -529,7 +585,8 @@ def sqcoh(a, b) -> bool:
     weight or a Daimon on either side turns both into Daimons
     (`daimon_args`), and otherwise the heads must be equal and the children
     cohere.  Two calls' spines are walked item by item, with nodes only from
-    where a weight or a Daimon starts."""
+    where a weight or a Daimon starts, and a chain of single children, such
+    as a leaf's word, in a loop."""
     if isinstance(a, Call):
         sa, sb = a.spine, b.spine
         n, i = min(len(sa), len(sb)), 0
@@ -544,13 +601,18 @@ def sqcoh(a, b) -> bool:
         else:
             return (a.callee == b.callee and len(a.args) == len(b.args)
                     and all(map(sqcoh, a.args, b.args)))
-    ha, ca = head(a)
-    hb, cb = head(b)
-    if ha[0] in _MIDDLES or hb[0] in _MIDDLES:
-        return any(any(sqcoh(t, v) for t in strip(u))
-                   or any(sqcoh(u, t) for t in strip(v))
-                   for u in daimon_args(a) for v in daimon_args(b))
-    return ha == hb and all(map(sqcoh, ca, cb))
+    while True:
+        ha, ca = head(a)
+        hb, cb = head(b)
+        if ha[0] in _MIDDLES or hb[0] in _MIDDLES:
+            return any(any(sqcoh(t, v) for t in strip(u))
+                       or any(sqcoh(u, t) for t in strip(v))
+                       for u in daimon_args(a) for v in daimon_args(b))
+        if ha != hb:
+            return False
+        if len(ca) != 1:  # equal heads have as many children
+            return all(map(sqcoh, ca, cb))
+        (a,), (b,) = ca, cb
 
 
 # the leading tag of each kind of head in `item_key`, as

@@ -11,6 +11,8 @@ from .callgraph import (
     ClosureCapError,
     InternalError,
     build_callgraph,
+    renamed,
+    shape,
     transitive_closure,
 )
 from .records import Struct
@@ -90,7 +92,12 @@ def analyze_program(program: Program, config: Config,
     bounds.  The groups checked are `groups`, else `program.groups`; from
     an iterable that hands out each group once, as `analyze_source` passes,
     each group is freed once its verdict is out.  `program` itself is never
-    changed."""
+    changed.
+
+    A group whose call graph is an earlier group's up to an order-keeping
+    renaming of names takes that group's closure and loop verdicts,
+    renamed, and is not closed again (`_closed`); the record of closed
+    graphs, like the shared word and weight tables, belongs to this call."""
     report = Report()
     violations, _ = validate_restrictions(program)
     if violations:
@@ -106,6 +113,7 @@ def analyze_program(program: Program, config: Config,
     schemes: dict = {}
     results: dict = {}
     shared: dict = {}  # the word and weight tables of each (B, D)
+    closed: dict = {}  # the closures of the groups so far (`_closed`)
 
     for group in program.groups if groups is None else groups:
         bounds = group.bounds or (config.bound_b, config.bound_d)
@@ -123,10 +131,8 @@ def analyze_program(program: Program, config: Config,
                 tables = CallTables(*bounds, shared)
                 graph = build_callgraph(analyzed.defs, *bounds, tables)
                 greport.callgraph = graph.edges
-                closure = transitive_closure(graph, tables)
-                greport.closure = closure.edges
-                greport.stats = closure.stats
-                outcome = scp.check_loops(closure)
+                greport.closure, greport.stats, outcome = _closed(
+                    graph, tables, closed)
             else:
                 # no call into the group: no edge, so no loop to check
                 greport.stats = {"edges": 0, "compositions": 0}
@@ -155,6 +161,38 @@ def analyze_program(program: Program, config: Config,
             report.verdicts.append(verdict)
 
     return report
+
+
+def _closed(graph, tables, closed: dict) -> tuple:
+    """The closure edges, stats and loop outcome of `graph`, closed through
+    `tables`, or an earlier graph's of its `shape` renamed to its names.
+    `closed` maps (B, D, vertex count, initial edge count) to the first
+    closed graph with them and its results, unshaped, and from the second
+    on to the results by shape, with their names.  A graph whose closure
+    or loop check fails is not recorded."""
+    counts = (graph.bound_b, graph.bound_d, len(graph.vertices),
+              len(graph.edges))
+    found = closed.get(counts)
+    if found is not None:
+        if type(found) is tuple:  # the first graph with these counts
+            key, names = shape(found[0])
+            found = closed[counts] = {key: (names,) + found[1:]}
+        key, names = shape(graph)
+        if key in found:
+            old, edges, stats, outcome = found[key]
+            new = renamed(edges + tuple(f.loop for f in outcome.failures),
+                          dict(zip(old, names)))
+            failures = [scp.LoopFailure(loop, f.explanation) for loop, f
+                        in zip(new[len(edges):], outcome.failures)]
+            return (new[:len(edges)], dict(stats),
+                    scp.GroupOutcome(outcome.total, failures))
+    closure = transitive_closure(graph, tables)
+    outcome = scp.check_loops(closure)
+    if found is None:
+        closed[counts] = (graph, closure.edges, closure.stats, outcome)
+    else:
+        found[key] = (names, closure.edges, closure.stats, outcome)
+    return closure.edges, closure.stats, outcome
 
 
 def _rests_on(defs, results: dict) -> dict:

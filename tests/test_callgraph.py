@@ -56,6 +56,8 @@ from totality.callgraph import (
     item_key,
     numeral_counts,
     pattern_leaves,
+    renamed,
+    shape,
     spine_parts,
     transitive_closure,
 )
@@ -1498,3 +1500,171 @@ class TestReflexiveCoherence:
             reflexive += sum(k in composites for k, composites
                              in closure.self_composites.items())
         assert edges > 5000 and reflexive > 100, (edges, reflexive)
+
+
+# the strings of calls that are not names
+TAGS = {"c", "r", "d", "j", "x", "w", "daimon"}
+
+
+def strings(value):
+    """Every string in a nest of tuples."""
+    if isinstance(value, str):
+        return {value}
+    if isinstance(value, tuple):
+        return set().union(*map(strings, value))
+    return set()
+
+
+def order_keeping(rng, names):
+    """A random bijection of the sorted `names` onto fresh names, none of
+    them a tag or one of `names`, in the same order."""
+    fresh = set()
+    while len(fresh) < len(names):
+        fresh.add("N" + "".join(rng.choice("abcz_0189")
+                                for _ in range(rng.randint(1, 6))))
+    return dict(zip(names, sorted(fresh)))
+
+
+class TestRenamedClosures:
+    """A check closes a group's graph only when no earlier group's graph is
+    it up to an order-keeping renaming of names (`shape`); these rename
+    graphs and compare the closures and loop checks."""
+
+    @staticmethod
+    def check(graph, rng):
+        key, names = shape(graph)
+        assert strings(key) <= TAGS, key
+        renaming = order_keeping(rng, names)
+        twin = CallGraph(tuple(renaming[v] for v in graph.vertices),
+                         renamed(graph.edges, renaming), graph.bound_b,
+                         graph.bound_d)
+        assert strings(twin.edges) <= TAGS | set(renaming.values())
+        assert twin.vertices == tuple(sorted(twin.vertices))
+        assert shape(twin) == (key, tuple(renaming.values()))
+        closure, closed = transitive_closure(graph), transitive_closure(twin)
+        assert closed.edges == renamed(closure.edges, renaming)
+        assert closed.stats == closure.stats
+        assert closed.self_composites == closure.self_composites
+        outcome, got = scp.check_loops(closure), scp.check_loops(closed)
+        assert (got.total, got.checked_loops) == (outcome.total,
+                                                 outcome.checked_loops)
+        assert [(f.loop, f.explanation) for f in got.failures] == [
+            (renamed((f.loop,), renaming)[0], f.explanation)
+            for f in outcome.failures]
+        return len(outcome.failures)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_corpus(self, bound):
+        rng, failures = random.Random(9000 + bound), 0
+        for path in sorted(CORPUS.glob("*.ch")):
+            for analyzed, _ in annotated_groups(path.name):
+                failures += self.check(build_callgraph(
+                    analyzed.defs, bound, bound), rng)
+        assert failures
+
+    def test_stream_rings(self):
+        rng = random.Random(9100)
+        for members in (8, 12, 16):
+            self.check(ring_graph(stream_ring(rng, members)), rng)
+        self.check(ring_graph(BRANCHING), rng)
+
+    def test_many_blocks(self):
+        rng = random.Random(9200)
+        report = analyze_source(many_blocks(30, True), Config())
+        graphs = [CallGraph(tuple(sorted(g.names)), g.callgraph, *g.bounds)
+                  for g in report.groups if g.callgraph]
+        assert len(graphs) == 90
+        # a third of the groups are UNKNOWN, each with a failing loop
+        assert sum(self.check(graph, rng) for graph in graphs) >= 30
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_random_graphs(self, bound):
+        """The random graphs of `TestClosureOrder`."""
+        rng = random.Random(7000 + bound)
+        for n in (4, 5, 6, 7, 8, 4, 6, 8):
+            vertices = ["f%d" % i for i in range(n)]
+            self.check(random_graph(rng, vertices, bound, bound,
+                                    calls=n + 2), rng)
+
+    def test_order_is_in_the_shape(self):
+        """Renaming two names so that their order swaps changes the shape,
+        as it may change the closure's order."""
+        graph = graph_for("half.ch", 2, 2, 0)
+        key, names = shape(graph)
+        assert names == ("Succ", "half1")
+        for twin_names in (("b", "a"), ("half1", "Succ")):
+            renaming = dict(zip(names, twin_names))
+            twin = CallGraph((renaming["half1"],),
+                             renamed(graph.edges, renaming), 2, 2)
+            assert shape(twin)[0] != key
+        assert shape(CallGraph(("b",), renamed(graph.edges, {
+            "Succ": "a", "half1": "b"}), 2, 2))[0] == key
+
+
+class TestClosedOnce:
+    """A check closes one group of each shape and hands the later ones of
+    that shape its closure and loop verdicts, renamed."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = Counter()
+        original = getattr(checker, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(checker, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_half(self, monkeypatch, bound):
+        """`half1` and `half2` are one graph up to names; the closure of
+        `half2` that the check reports is its own, and a second check
+        closes its first group again."""
+        source, config = corpus_source("half.ch"), Config(bound, bound)
+        want = fresh_closures(source, config)
+        calls = self.counted(monkeypatch, "transitive_closure")
+        report = analyze_source(source, config)
+        assert calls["transitive_closure"] == 1
+        assert checked_closures(report) == want
+        assert [g.names for g in report.groups] == [("half1",), ("half2",)]
+        assert analyze_source(source, config) == report
+        assert calls["transitive_closure"] == 2
+
+    def test_full_reports(self, monkeypatch):
+        """Reports and verdicts of many groups, most of them of one shape,
+        as closing and checking each group on its own gives them."""
+        source = many_blocks(30, True)
+        want = full_reports(source, Config())
+        calls = self.counted(monkeypatch, "transitive_closure")
+        report = analyze_source(source, Config())
+        assert calls["transitive_closure"] < 30
+        assert [(g, v.result) for g in report.groups
+                for v in report.verdicts if v.fname in g.names] == want
+
+    @pytest.mark.parametrize("name", ["sums.ch", "ring"])
+    def test_no_shape_without_a_twin(self, monkeypatch, name):
+        """A graph is shaped only once a second with its bounds, vertex
+        count and initial edge count arrives."""
+        source = (stream_ring(random.Random(9300), 16) if name == "ring"
+                  else corpus_source(name))
+        calls = self.counted(monkeypatch, "shape")
+        for bound in (1, 2, 3, 4):
+            analyze_source(source, Config(bound, bound))
+        assert calls["shape"] == 0
+
+    def test_after_a_closure_cap(self, monkeypatch):
+        """A group that reaches a closure cap is not recorded: its twin up to
+        names closes too, and reaches the cap too."""
+        source, config = corpus_source("half.ch"), Config(4, 4)
+        sizes = [len(g.closure) for g in analyze_source(source,
+                                                         config).groups]
+        assert sizes[0] == sizes[1] > 2
+        monkeypatch.setattr(callgraph, "MAX_EDGES", 2)
+        calls = self.counted(monkeypatch, "transitive_closure")
+        report = analyze_source(source, config)
+        assert calls["transitive_closure"] == 2
+        reason = "call graph closure exceeded its edge cap (2)"
+        assert [(v.fname, v.result, v.reasons) for v in report.verdicts] == [
+            ("half1", "error", [reason]), ("half2", "error", [reason])]

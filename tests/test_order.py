@@ -226,6 +226,20 @@ class TestItemSqcoh:
         assert both("C@1 f(x1)", "C@1 <{1:-1}> f(x1)")
         assert both("C@1 f(x1)", "C@1 ? f(x1)")
 
+    def test_long_words(self):
+        """A leaf's word is walked in a loop, not one level per item, so a
+        word far longer than the recursion limit coheres or not at once."""
+        word = (("j", "P", 0),) * 3000
+        a = callgraph.Call("f", "f", (), (("x", None, word, 1),))
+        b = a._replace(args=(("x", None, word[:-1] + (("j", "Q", 0),), 1),))
+        assert callgraph.sqcoh(a, a)
+        assert not callgraph.sqcoh(a, b)
+        weighted = a._replace(args=(("x", ("w", callgraph.Weight(
+            ((1, -1),))), word, 1),))
+        assert callgraph.sqcoh(weighted, weighted)
+        node = (word, 0, 1)
+        assert len(list(callgraph.strip(node))) == 3001
+
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_corpus_loop_pairs(self, bound):
         """Every ordered pair of loops of every closure of the corpus."""
