@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .checker import Config, Report, analyze_source
@@ -71,6 +72,19 @@ def _render_json(report: Report) -> dict:
     }
 
 
+def _print(text: str) -> None:
+    """Prints `text` on stdout and flushes it, unless a reader has closed
+    it: from then on stdout is the null device, so that neither later
+    prints nor the interpreter's final flush raise, and the check goes on
+    to the exit code of its verdicts."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="totality",
@@ -118,15 +132,15 @@ def main(argv=None) -> int:
             documents.append(doc)
         else:
             if len(args.files) > 1:
-                print("-- %s" % path)
+                _print("-- %s" % path)
             text = _render_text(report, args)
             if text:
-                print(text)
+                _print(text)
     if args.json:
         import json  # only here: a text report does not load it
 
         payload = documents[0] if len(documents) == 1 else documents
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print(json.dumps(payload, indent=2, sort_keys=True))
     return worst
 
 

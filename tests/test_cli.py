@@ -6,11 +6,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 
 import totality
 from conftest import CORPUS, corpus_source
+from test_surface import LEXICAL, SYNTAX, long_program
+from test_typecheck import LEN, LIST, USER_PAIR
 from totality import callgraph, checker
 from totality.callgraph import InternalError
 from totality.checker import Config, analyze_source
@@ -303,11 +306,17 @@ class TestPragma:
         assert "-- closure for g (B=2, D=2)" in out.splitlines()
 
 
-RING = ("data nat where Zero : nat | Succ : nat -> nat\n"
-        "codata st where hd : st -> nat | Tail : st -> st\n"
-        "val s0 = s1.Tail\n"
-        + "".join("and s%d = { hd = Zero ; Tail = s%d }\n" % (i, (i + 1) % 8)
-                  for i in range(1, 8)))
+def ring(members: int) -> str:
+    """A ring of `members` mutually recursive streams, `s0` the one
+    consumer."""
+    return ("data nat where Zero : nat | Succ : nat -> nat\n"
+            "codata st where hd : st -> nat | Tail : st -> st\n"
+            "val s0 = s1.Tail\n"
+            + "".join("and s%d = { hd = Zero ; Tail = s%d }\n"
+                      % (i, (i + 1) % members) for i in range(1, members)))
+
+
+RING = ring(8)
 
 
 @pytest.mark.parametrize("cap,value,phrase", [
@@ -500,19 +509,42 @@ print("json" in sys.modules)
 """
 
 
+# the package's directory, under `src` or `site-packages`
+PACKAGE = pathlib.Path(totality.__file__).resolve().parent
+# the checker in a fresh interpreter: the console script when the package
+# is installed, else its module from `src`
+TOTALITY = ([os.path.join(sysconfig.get_path("scripts"), "totality")]
+            if "site-packages" in PACKAGE.parts
+            else [sys.executable, "-m", "totality.cli"])
+# the package and the test reference (`reference`), and nothing else
+FRESH = {"PYTHONPATH": os.pathsep.join(
+    (str(PACKAGE.parent), str(pathlib.Path(__file__).resolve().parent))),
+         "PATH": ""}
+
+
+def fresh(command: list) -> subprocess.CompletedProcess:
+    """`command` run to its end in a fresh interpreter (`FRESH`), its
+    output decoded; it prints no traceback."""
+    done = subprocess.run(command, capture_output=True, encoding="utf-8",
+                          timeout=120, env=FRESH)
+    assert "Traceback" not in done.stdout + done.stderr, done.stderr
+    return done
+
+
 def run_over_corpus(script: str) -> list:
     """The lines `script` prints, run in a fresh interpreter with the
-    corpus files as its arguments and with the package and the test
-    reference (`reference`) on its path."""
-    src = str(pathlib.Path(totality.__file__).resolve().parent.parent)
-    tests = str(pathlib.Path(__file__).resolve().parent)
-    done = subprocess.run(
-        [sys.executable, "-c", script,
-         *sorted(str(p) for p in CORPUS.glob("*.ch"))],
-        capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": os.pathsep.join((src, tests)), "PATH": ""})
+    corpus files as its arguments."""
+    done = fresh([sys.executable, "-c", script,
+                  *sorted(str(p) for p in CORPUS.glob("*.ch"))])
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+def run_totality(*argv) -> tuple:
+    """The exit code and the output of `totality check` on `argv`, run in a
+    fresh interpreter (`TOTALITY`)."""
+    done = fresh([*TOTALITY, "check", *map(str, argv)])
+    return done.returncode, done.stdout
 
 
 class TestPackage:
@@ -542,6 +574,14 @@ class TestPackage:
         """Only `--json` needs `json`, so a text report leaves it out."""
         assert run_over_corpus(TEXT_MODULES) == ["False"]
 
+    def test_package_holds_the_runtime_modules(self):
+        """The package ships the checker alone: the term algebra and the
+        test kit stay under `tests/`."""
+        assert sorted(p.name for p in PACKAGE.iterdir()
+                      if p.name != "__pycache__") == [
+            "__init__.py", "callgraph.py", "checker.py", "cli.py",
+            "records.py", "scp.py", "surface.py", "typecheck.py"]
+
     def test_exports(self):
         assert totality.__all__ == [
             "Config", "Report", "Verdict", "analyze_source",
@@ -553,3 +593,143 @@ class TestPackage:
         assert not any(hasattr(totality, name)
                        for name in ("ZERO", "parse_term", "term_str",
                                     "weight", "weight_add"))
+
+
+NAT = "data nat where Zero : nat | Succ : nat -> nat\n"
+BOX = "codata box where Fst : box -> nat\n"
+FIELDS = r"error: \d+:\d+: field names Fst/Snd are reserved"
+
+
+@pytest.mark.parametrize("source, code, line", [
+    (NAT + "data nest('a) where Nil : nest('a)"
+     " | Cons : 'a -> nest(nest('a)) -> nest('a)\n"
+     "val f : nest('a) -> nat | f Nil = Zero | f (Cons x r) = Zero\n",
+     2, r"ERROR f: priority assignment exceeded"),
+    (NAT + "val f : nat -> nat | f x = \u00b2\n",
+     2, "error: 2:28: unexpected character '\u00b2'$"),
+    # the program's own pair codata, its parameters not named 'a, 'b
+    (USER_PAIR, 0, "TOTAL len$"),
+    # a field Fst declared before and after a two-argument constructor
+    (NAT + BOX + LIST + LEN, 2, FIELDS),
+    (NAT + LIST + BOX + LEN, 2, FIELDS),
+    # the program's own pair with the fields Fst and Snd, no parameters
+    (NAT + "codata pair where Fst : pair -> nat | Snd : pair -> nat\n"
+     + LIST + LEN, 2, r"error: \d+:\d+: type name pair is reserved"),
+    # a syntax error on line 2 and a lexical error on the last, 3,001
+    # lines later: the lexical error wins though the parser stops first
+    (long_program(SYNTAX, LEXICAL, 1500),
+     2, "error: 3003:19: unexpected character '\u00b2'$"),
+], ids=["nest", "superscript", "pair", "box-before", "box-after",
+        "flat-pair", "long"])
+def test_program_in_a_fresh_interpreter(tmp_path, source, code, line):
+    path = tmp_path / "program.ch"
+    path.write_text(source, encoding="utf-8")
+    got, out = run_totality(path)
+    assert got == code, out
+    assert any(re.match(line, text) for text in out.splitlines()), out
+
+
+@pytest.mark.parametrize("argv, code", [
+    *[((name,), 1 if name in ("bad_s.ch", "magic.ch", "nats_list.ch") else 0)
+      for name in sorted(p.name for p in CORPUS.glob("*.ch"))],
+    (("--bound-b", "0", "nats.ch"), 2),
+    (("--bound-d", "-1", "nats.ch"), 2),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_corpus_exit_code_in_a_fresh_interpreter(argv, code):
+    assert run_totality(*argv[:-1], CORPUS / argv[-1])[0] == code
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    """A reader that closes stdout after one line of some 86 KB of dumps
+    changes only what gets printed: no traceback, and the exit code of the
+    verdicts, all of them `TOTAL`."""
+    done = subprocess.Popen(
+        [*TOTALITY, "check", "--bound-b", "4", "--bound-d", "4",
+         "--dump-closure", *[str(CORPUS / "sums.ch")] * 4],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=FRESH)
+    assert done.stdout.readline() == b"-- %s\n" % bytes(CORPUS / "sums.ch")
+    done.stdout.close()
+    err = done.stderr.read()
+    done.stderr.close()
+    assert (done.wait(timeout=120), err) == (0, b"")
+
+
+def test_ring_of_24_streams_in_a_fresh_interpreter(tmp_path):
+    path = tmp_path / "ring.ch"
+    path.write_text(ring(24))
+    code, out = run_totality("--json", path)
+    stats = json.loads(out)["stats"]
+    assert (code, stats["edges"], stats["compositions"]) == (0, 681, 19311)
+
+
+# 50 blocks of a data type, a codata type and one definition over each:
+# 100 groups, each closed with tables of its own
+MANY = NAT + "".join(
+    "data d{0} where A{0} : d{0} | B{0} : d{0} -> d{0}\n"
+    "codata r{0} where P{0} : r{0} -> nat | Q{0} : r{0} -> nat\n"
+    "val f{0} : d{0} -> nat | f{0} A{0} = 0 | f{0} (B{0} x) = f{0} x\n"
+    "val g{0} : r{0} -> nat | g{0} {{ P{0} = 0 ; Q{0} = x }} = x"
+    " | g{0} {{ P{0} = Succ y ; Q{0} = _ }} = y\n".format(i)
+    for i in range(1, 51))
+
+
+def sections(text: str) -> dict:
+    """The lines of each section of a dump, by its header, each header
+    once."""
+    found, lines = {}, None
+    for line in text.splitlines():
+        if line.startswith("-- "):
+            assert line not in found, line
+            lines = found[line] = []
+        elif lines is not None:
+            lines.append(line)
+    return found
+
+
+class TestManyGroups:
+    """`MANY` from a fresh interpreter."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "many.ch"
+        path.write_text(MANY)
+        return path
+
+    def test_json(self, path):
+        code, out = run_totality("--json", path)
+        report = json.loads(out)
+        assert code == 0
+        assert [v["result"] for v in report["definitions"]] == ["total"] * 100
+        assert report["stats"] == {"compositions": 800, "edges": 200,
+                                   "groups": 100}
+
+    def test_dumps(self, path):
+        code, out = run_totality("--dump-priorities", "--dump-callgraph",
+                                 "--dump-closure", path)
+        dumps = sections(out)
+        assert code == 0 and len(dumps) == 300
+        graphs = {header for header in dumps
+                  if header.startswith("-- call graph")}
+        assert graphs == {"-- call graph for %s%d (B=2, D=2)" % (f, i)
+                          for f in "fg" for i in range(1, 51)}
+
+        def closure(name):
+            return dumps["-- closure for %s (B=2, D=2)" % name]
+
+        # the f groups are one graph up to names, so each takes the first
+        # one's closure renamed: f1's with its names' 1 read as its own
+        # number, and no other group's name; the g groups call no member
+        # of theirs and close to nothing
+        assert len(closure("f1")) == 4
+        for i in range(1, 51):
+            assert closure("f%d" % i) == sorted(
+                re.sub(r"\b([ABfg])1\b", r"\g<1>%d" % i, line)
+                for line in closure("f1")), i
+            assert closure("g%d" % i) == [], i
+        # every group's priorities, each group typed with the deconstruction
+        # targets that earlier groups left in the check's environment
+        for i in range(1, 51):
+            assert dumps["-- priorities for f%d" % i] == [
+                "d%d \u21a6 1" % i, "nat \u21a6 1", "unit \u21a6 2"], i
+            assert dumps["-- priorities for g%d" % i] == [
+                "r%d \u21a6 0" % i, "nat \u21a6 1", "unit \u21a6 2"], i

@@ -95,7 +95,6 @@ class TestNoCycles:
 
 class TestPause:
     def test_no_collection_starts_in_a_check(self, collector):
-        source = many_blocks(200)
         starts = []
 
         def hook(phase, info):
@@ -103,14 +102,17 @@ class TestPause:
                 starts.append(info["generation"])
 
         gc.enable()
-        # from zero allocations, the few before the pause cannot start one
-        gc.collect()
-        gc.callbacks.append(hook)
-        try:
-            report = analyze_source(source)
-        finally:
-            gc.callbacks.remove(hook)
-        assert report.verdicts and starts == []
+        for source in [many_blocks(200), *(
+                path.read_text() for path in sorted(CORPUS.glob("*.ch")))]:
+            # from zero allocations, the few before the pause cannot start
+            # one
+            gc.collect()
+            gc.callbacks.append(hook)
+            try:
+                report = analyze_source(source)
+            finally:
+                gc.callbacks.remove(hook)
+            assert report.verdicts and starts == [] and gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("source, config", [

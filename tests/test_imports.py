@@ -1,4 +1,5 @@
-"""Every module-level import of the package and of the tests is read."""
+"""Every module-level import of the package and of the tests is read, and
+every module parses as Python 3.10."""
 
 import ast
 import pathlib
@@ -44,3 +45,12 @@ def test_scan_finds_unused_imports():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    """The package and the tests declare Python 3.10 as their floor, and
+    the interpreter that runs the suite may be newer."""
+    ast.parse(path.read_text(encoding="utf-8"), str(path),
+              feature_version=(3, 10))
