@@ -345,18 +345,32 @@ def renamed(calls, names) -> tuple:
         tuple(map(rename.__getitem__, c.args)))) for c in calls])
 
 
-def shape(graph: CallGraph) -> tuple:
-    """The key of `graph` up to an order-keeping renaming of its function,
-    constructor and field names, and its names, sorted: the bounds, the
-    vertex count, the edges with each name read as its id in order of
-    first sight (vertices first) and the ids of the sorted names.  The
-    closure and the loop check commute with such a renaming (README, "How
-    the closure is computed")."""
-    ids = _Ids(*graph.vertices)
-    edges = renamed(graph.edges, ids)
+def clauses_key(adefs) -> tuple:
+    """The key of the group `adefs`'s clauses that call a member, up to an
+    order-keeping renaming of names, and those names, sorted: the member
+    count, each clause's caller and nodes (`clause_nodes`) as call
+    extraction reads them, names (and `Zero` and `Succ` at a numeral) as
+    ids in order of first sight, members first, and the ids of the sorted
+    names.  Groups of one key build one graph up to that renaming."""
+    group = {d.fname for d in adefs}
+    ids, key = _Ids(*sorted(group)), [len(group)]
+    for caller, cl in [(d.fname, cl) for d in adefs for cl in d.clauses
+                       if not group.isdisjoint(cl.calls)]:
+        key.append(("clause", ids[caller], len(cl.patterns)))
+        for node in clause_nodes(cl):
+            if isinstance(node, AVar):
+                key.append(ids[node.name])
+            elif isinstance(node, (AConstr, AProj)):
+                key.append((type(node).__name__, ids[node.name], node.prio))
+            elif isinstance(node, ANum):
+                key.append((node.value, node.prio, ids["Zero"], ids["Succ"]))
+            elif isinstance(node, ARecord):
+                key.append((node.prio, tuple(ids[n] for n, _ in node.fields)))
+            else:  # a call, to a member or not
+                key.append(("call", ids[node.fname] if node.fname in group
+                            else None, len(node.args)))
     names = tuple(sorted(ids.values))
-    return ((graph.bound_b, graph.bound_d, len(graph.vertices), edges,
-             tuple(map(ids.__getitem__, names))), names)
+    return (tuple(key), tuple(map(ids.__getitem__, names))), names
 
 
 def collapsed_calls(calls, bound_b: int, bound_d: int,
@@ -605,14 +619,36 @@ def sqcoh(a, b) -> bool:
         ha, ca = head(a)
         hb, cb = head(b)
         if ha[0] in _MIDDLES or hb[0] in _MIDDLES:
-            return any(any(sqcoh(t, v) for t in strip(u))
-                       or any(sqcoh(u, t) for t in strip(v))
+            return any(_daimons_cohere(u, v)
                        for u in daimon_args(a) for v in daimon_args(b))
         if ha != hb:
             return False
         if len(ca) != 1:  # equal heads have as many children
             return all(map(sqcoh, ca, cb))
         (a,), (b,) = ca, cb
+
+
+def _leaf_word(node: tuple):
+    """The destructor items and the end of `node`, an argument of a Daimon
+    (`daimon_args`), if it is a leaf's word, else None.  Such an argument
+    is a word or a leaf without a middle, and a word that ends at a leaf
+    holds destructors alone."""
+    if node[0] == "x":
+        return node[2], node[3]
+    return (node[0][node[1]:], node[2]) if type(node[2]) is int else None
+
+
+def _daimons_cohere(u: tuple, v: tuple) -> bool:
+    """Whether Daimons over `u` and `v` cohere: stripping destructors and
+    calls off either one makes them cohere.  Two leaf words cohere when
+    their ends are equal and one ends the other, which is what walking
+    every suffix of each against the other finds."""
+    wu, wv = _leaf_word(u), _leaf_word(v)
+    if wu is not None and wv is not None:
+        (iu, end), (iv, other) = sorted((wu, wv), key=lambda w: len(w[0]))
+        return end == other and iv[len(iv) - len(iu):] == iu
+    return (any(sqcoh(t, v) for t in strip(u))
+            or any(sqcoh(u, t) for t in strip(v)))
 
 
 # the leading tag of each kind of head in `item_key`, as

@@ -11,8 +11,8 @@ from .callgraph import (
     ClosureCapError,
     InternalError,
     build_callgraph,
+    clauses_key,
     renamed,
-    shape,
     transitive_closure,
 )
 from .records import Struct
@@ -94,10 +94,10 @@ def analyze_program(program: Program, config: Config,
     each group is freed once its verdict is out.  `program` itself is never
     changed.
 
-    A group whose call graph is an earlier group's up to an order-keeping
-    renaming of names takes that group's closure and loop verdicts,
-    renamed, and is not closed again (`_closed`); the record of closed
-    graphs, like the shared word and weight tables, belongs to this call."""
+    A group whose calling clauses are an earlier group's up to an
+    order-keeping renaming of names takes that group's graph, closure and
+    loop verdicts, renamed (`_closed`); the record of them, like the shared
+    word and weight tables, belongs to this call."""
     report = Report()
     violations, _ = validate_restrictions(program)
     if violations:
@@ -113,7 +113,7 @@ def analyze_program(program: Program, config: Config,
     schemes: dict = {}
     results: dict = {}
     shared: dict = {}  # the word and weight tables of each (B, D)
-    closed: dict = {}  # the closures of the groups so far (`_closed`)
+    closed: dict = {}  # the results of the groups so far (`_closed`)
 
     for group in program.groups if groups is None else groups:
         bounds = group.bounds or (config.bound_b, config.bound_d)
@@ -128,11 +128,8 @@ def analyze_program(program: Program, config: Config,
             }
             if any(name in names for adef in analyzed.defs
                    for name in adef.calls):
-                tables = CallTables(*bounds, shared)
-                graph = build_callgraph(analyzed.defs, *bounds, tables)
-                greport.callgraph = graph.edges
-                greport.closure, greport.stats, outcome = _closed(
-                    graph, tables, closed)
+                (greport.callgraph, greport.closure, greport.stats,
+                 outcome) = _closed(analyzed.defs, bounds, shared, closed)
             else:
                 # no call into the group: no edge, so no loop to check
                 greport.stats = {"edges": 0, "compositions": 0}
@@ -163,36 +160,39 @@ def analyze_program(program: Program, config: Config,
     return report
 
 
-def _closed(graph, tables, closed: dict) -> tuple:
-    """The closure edges, stats and loop outcome of `graph`, closed through
-    `tables`, or an earlier graph's of its `shape` renamed to its names.
-    `closed` maps (B, D, vertex count, initial edge count) to the first
-    closed graph with them and its results, unshaped, and from the second
-    on to the results by shape, with their names.  A graph whose closure
-    or loop check fails is not recorded."""
-    counts = (graph.bound_b, graph.bound_d, len(graph.vertices),
-              len(graph.edges))
+def _closed(adefs, bounds: tuple, shared: dict, closed: dict) -> tuple:
+    """The initial and closure edges, stats and loop outcome of the group
+    `adefs`, or an earlier group's of its `clauses_key`, renamed.  `closed`
+    maps (B, D, member count, calling clause count) to the first group with
+    them and its results, then to the results by key, with their names.  A
+    group whose build, closure or loop check fails is not kept."""
+    members = {d.fname for d in adefs}
+    counts = bounds + (len(adefs), sum(not members.isdisjoint(cl.calls)
+                                       for d in adefs for cl in d.clauses))
     found = closed.get(counts)
     if found is not None:
-        if type(found) is tuple:  # the first graph with these counts
-            key, names = shape(found[0])
+        if type(found) is tuple:  # the first group with these counts
+            key, names = clauses_key(found[0])
             found = closed[counts] = {key: (names,) + found[1:]}
-        key, names = shape(graph)
+        key, names = clauses_key(adefs)
         if key in found:
-            old, edges, stats, outcome = found[key]
+            old, initial, edges, stats, outcome = found[key]
             new = renamed(edges + tuple(f.loop for f in outcome.failures),
                           dict(zip(old, names)))
             failures = [scp.LoopFailure(loop, f.explanation) for loop, f
                         in zip(new[len(edges):], outcome.failures)]
-            return (new[:len(edges)], dict(stats),
+            return (new[:initial], new[:len(edges)], dict(stats),
                     scp.GroupOutcome(outcome.total, failures))
+    tables = CallTables(*bounds, shared)
+    graph = build_callgraph(adefs, *bounds, tables)
     closure = transitive_closure(graph, tables)
     outcome = scp.check_loops(closure)
+    results = (len(graph.edges), closure.edges, closure.stats, outcome)
     if found is None:
-        closed[counts] = (graph, closure.edges, closure.stats, outcome)
+        closed[counts] = (adefs,) + results
     else:
-        found[key] = (names, closure.edges, closure.stats, outcome)
-    return closure.edges, closure.stats, outcome
+        found[key] = (names,) + results
+    return (graph.edges,) + results[1:]
 
 
 def _rests_on(defs, results: dict) -> dict:
@@ -245,8 +245,9 @@ def analyze_source(src: str, config: Config = None) -> Report:
     group is freed once desugared, and the group loop of `analyze_program`
     takes the desugared ones one at a time, after the whole desugared
     program has been validated and its declarations read, so a group's
-    trees are freed once its verdict is out.  The peak of a check over many
-    groups falls when `DeclEnv` is built."""
+    trees are freed once its verdict is out, or, for the first group with
+    its counts (`_closed`), once a second one comes.  The peak of a check
+    over many groups falls when `DeclEnv` is built."""
     config = config or Config()
     report = Report()
     if config.bound_b < 1:

@@ -52,12 +52,12 @@ from totality.callgraph import (
     build_callgraph,
     call_node,
     clause_calls,
+    clauses_key,
     collapsed_calls,
     item_key,
     numeral_counts,
     pattern_leaves,
     renamed,
-    shape,
     spine_parts,
     transitive_closure,
 )
@@ -73,6 +73,7 @@ from totality.typecheck import (
     AVar,
     DeclEnv,
     annotate_group,
+    clause_nodes,
 )
 
 
@@ -1267,8 +1268,9 @@ class TestTableLifetimes:
         """A group whose clauses call none of its members makes no tables,
         graph, closure or loop check, and reports as if it had: 40 blocks
         of three recursive groups, each followed by a group `k` that only
-        calls `f`."""
-        source = many_blocks(40) + "".join(
+        calls `f`, make as many tables as the blocks alone."""
+        blocks = many_blocks(40)
+        source = blocks + "".join(
             "val k{0} : d{0} -> nat | k{0} x = f{0} (B{0} x)\n".format(i)
             for i in range(40))
         want = full_reports(source, Config())
@@ -1280,8 +1282,10 @@ class TestTableLifetimes:
             return tables(*args)
 
         monkeypatch.setattr(checker, "CallTables", counted)
+        analyze_source(blocks, Config())
+        alone, made["tables"] = made["tables"], 0
         report = analyze_source(source, Config())
-        assert made["tables"] == 120
+        assert made["tables"] == alone > 0
         assert [(g, v.result) for g in report.groups
                 for v in report.verdicts if v.fname in g.names] == want
         assert [g.stats for g in report.groups if g.names[0][0] == "k"] == [
@@ -1526,21 +1530,20 @@ def order_keeping(rng, names):
 
 
 class TestRenamedClosures:
-    """A check closes a group's graph only when no earlier group's graph is
-    it up to an order-keeping renaming of names (`shape`); these rename
-    graphs and compare the closures and loop checks."""
+    """A check closes a group only when no earlier group's calling clauses
+    are its own up to an order-keeping renaming of names (`clauses_key`),
+    as the closure and the loop check commute with such a renaming; these
+    rename graphs and compare the closures and loop checks."""
 
     @staticmethod
     def check(graph, rng):
-        key, names = shape(graph)
-        assert strings(key) <= TAGS, key
+        names = sorted(strings(graph.edges) - TAGS | set(graph.vertices))
         renaming = order_keeping(rng, names)
         twin = CallGraph(tuple(renaming[v] for v in graph.vertices),
                          renamed(graph.edges, renaming), graph.bound_b,
                          graph.bound_d)
         assert strings(twin.edges) <= TAGS | set(renaming.values())
         assert twin.vertices == tuple(sorted(twin.vertices))
-        assert shape(twin) == (key, tuple(renaming.values()))
         closure, closed = transitive_closure(graph), transitive_closure(twin)
         assert closed.edges == renamed(closure.edges, renaming)
         assert closed.stats == closure.stats
@@ -1586,24 +1589,11 @@ class TestRenamedClosures:
             self.check(random_graph(rng, vertices, bound, bound,
                                     calls=n + 2), rng)
 
-    def test_order_is_in_the_shape(self):
-        """Renaming two names so that their order swaps changes the shape,
-        as it may change the closure's order."""
-        graph = graph_for("half.ch", 2, 2, 0)
-        key, names = shape(graph)
-        assert names == ("Succ", "half1")
-        for twin_names in (("b", "a"), ("half1", "Succ")):
-            renaming = dict(zip(names, twin_names))
-            twin = CallGraph((renaming["half1"],),
-                             renamed(graph.edges, renaming), 2, 2)
-            assert shape(twin)[0] != key
-        assert shape(CallGraph(("b",), renamed(graph.edges, {
-            "Succ": "a", "half1": "b"}), 2, 2))[0] == key
-
 
 class TestClosedOnce:
-    """A check closes one group of each shape and hands the later ones of
-    that shape its closure and loop verdicts, renamed."""
+    """A check builds and closes one group of each `clauses_key` and hands
+    the later ones of that key its call graph, closure and loop verdicts,
+    renamed."""
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -1633,7 +1623,7 @@ class TestClosedOnce:
         assert calls["transitive_closure"] == 2
 
     def test_full_reports(self, monkeypatch):
-        """Reports and verdicts of many groups, most of them of one shape,
+        """Reports and verdicts of many groups, most of them of one key,
         as closing and checking each group on its own gives them."""
         source = many_blocks(30, True)
         want = full_reports(source, Config())
@@ -1644,15 +1634,15 @@ class TestClosedOnce:
                 for v in report.verdicts if v.fname in g.names] == want
 
     @pytest.mark.parametrize("name", ["sums.ch", "ring"])
-    def test_no_shape_without_a_twin(self, monkeypatch, name):
-        """A graph is shaped only once a second with its bounds, vertex
-        count and initial edge count arrives."""
+    def test_no_key_without_a_twin(self, monkeypatch, name):
+        """A group is keyed only once a second with its bounds, member
+        count and calling clause count arrives."""
         source = (stream_ring(random.Random(9300), 16) if name == "ring"
                   else corpus_source(name))
-        calls = self.counted(monkeypatch, "shape")
+        calls = self.counted(monkeypatch, "clauses_key")
         for bound in (1, 2, 3, 4):
             analyze_source(source, Config(bound, bound))
-        assert calls["shape"] == 0
+        assert calls["clauses_key"] == 0
 
     def test_after_a_closure_cap(self, monkeypatch):
         """A group that reaches a closure cap is not recorded: its twin up to
@@ -1668,3 +1658,113 @@ class TestClosedOnce:
         reason = "call graph closure exceeded its edge cap (2)"
         assert [(v.fname, v.result, v.reasons) for v in report.verdicts] == [
             ("half1", "error", [reason]), ("half2", "error", [reason])]
+
+
+# pairs of groups equal but for one thing that call extraction reads, each
+# after the declarations it needs; with `twins`, a pair that differs only
+# in a clause that calls no member
+KEY_PAIRS = {
+    # `t` lies inside `box(t)` and gets priority 3; `tt` and `bx` reach
+    # each other and share priority 1
+    "priority": (
+        "data box('a) where Box : 'a -> box('a)\n"
+        "data t where L : t | N : t -> t\n"
+        "data bx where Bx : tt -> bx\n"
+        "data tt where L2 : tt | N2 : tt -> tt | E2 : bx -> tt\n"
+        "val f : box(t) -> nat | f (Box (N x)) = f (Box x)\n"
+        "val g : bx -> nat | g (Bx (N2 x)) = g (Bx x)\n"),
+    "numeral": (
+        "val f : nat -> nat | f (Succ x) = f 0\n"
+        "val g : nat -> nat | g (Succ x) = g 1\n"),
+    "field": (
+        "codata r where P : r -> r | Q : r -> r\n"
+        "val f : r -> r | f { P = x ; Q = y } = { P = f x ; Q = y }\n"
+        "val g : r -> r | g { P = x ; Q = y } = { Q = g x ; P = y }\n"),
+    # `B` sorts before `C` as `Y` before `Z`, but `Z (Y x)` nests them the
+    # other way round
+    "order": (
+        "data d where A : d | B : d -> d | C : d -> d\n"
+        "data e where X : e | Y : e -> e | Z : e -> e\n"
+        "val f : d -> nat | f (B (C x)) = f x\n"
+        "val g : e -> nat | g (Z (Y x)) = g x\n"),
+    # the same three clauses in order, the second one `f`'s in the first
+    # group and `h`'s in the second
+    "caller": (
+        "data d where A : d | B : d -> d | C : d -> d\n"
+        "val f : d -> nat | f (B x) = g x | f (C x) = f x\n"
+        "and g : d -> nat | g (B x) = f x\n"
+        "val h : d -> nat | h (B x) = k x\n"
+        "and k : d -> nat | k (C x) = h x | k (B x) = h x\n"),
+    "twins": (
+        "data d where A : d | B : d -> d | C : d -> d\n"
+        "val f : d -> nat -> nat | f A n = 0 | f (B x) n = f x 2\n"
+        "val g : d -> nat -> nat | g A n = 5 | g (C x) n = 1"
+        " | g (B x) n = g x 2\n"),
+}
+
+
+class TestClausesKey:
+    """`clauses_key` tells apart two groups that differ in any one thing
+    that call extraction reads (`KEY_PAIRS`), so that each is built and
+    closed as on its own, and keys alike two that differ only in a clause
+    that calls no member, so that the second reuses the first's results."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(KEY_PAIRS))
+    def test_pairs(self, monkeypatch, name, bound):
+        source = ("data nat where Zero : nat | Succ : nat -> nat\n"
+                  + KEY_PAIRS[name])
+        config = Config(bound, bound)
+        program = desugar(parse_program(source))
+        env, schemes = DeclEnv(program.decls), {}
+        first, second = [clauses_key(annotate_group(
+            env, schemes, group.defs).defs) for group in program.groups]
+        assert (first[0] == second[0]) is (name == "twins")
+        want = full_reports(source, config)
+        calls = TestClosedOnce.counted(monkeypatch, "build_callgraph")
+        report = analyze_source(source, config)
+        assert calls["build_callgraph"] == (1 if name == "twins" else 2)
+        assert [(g, v.result) for g in report.groups
+                for v in report.verdicts if v.fname in g.names] == want
+
+    def test_each_read_is_in_the_key(self):
+        """A clause with a node of each kind: the key changes with each
+        node's priority, the numeral's value, each `x` read as `s`, and
+        each call turning from the member `f` to `k` outside the group or
+        back (the numeral's argument is a call of `empty_record`)."""
+        source = (
+            "data nat where Zero : nat | Succ : nat -> nat\n"
+            "codata r where P : r -> nat | Q : r -> r\n"
+            "data d where A : d | B : d -> d\n"
+            "val k : nat -> nat | k n = n\n"
+            "val f : d -> r -> r | f (B x) s = { P = k 3 ; Q = f x s.Q }\n")
+        program = desugar(parse_program(source))
+        env, schemes = DeclEnv(program.decls), {}
+        adefs = [annotate_group(env, schemes, group.defs).defs
+                 for group in program.groups][1]
+        (cl,) = adefs[0].clauses
+        key = clauses_key(adefs)[0]
+        changes = Counter()
+
+        def changed(node, slot, value):
+            old = getattr(node, slot)
+            setattr(node, slot, value)
+            assert clauses_key(adefs)[0] != key, (node, slot)
+            setattr(node, slot, old)
+            changes[type(node).__name__, slot] += 1
+
+        for node in clause_nodes(cl):
+            if getattr(node, "prio", None) is not None:
+                changed(node, "prio", node.prio + 2)
+            if isinstance(node, ANum):
+                changed(node, "value", node.value + 1)
+            if isinstance(node, AVar) and node.name == "x":
+                changed(node, "name", "s")
+            if isinstance(node, ACall):
+                changed(node, "fname", "k" if node.fname == "f" else "f")
+        assert clauses_key(adefs)[0] == key
+        assert changes == {
+            ("AConstr", "prio"): 1, ("ANum", "prio"): 1,
+            ("ARecord", "prio"): 1, ("AProj", "prio"): 1,
+            ("ANum", "value"): 1, ("AVar", "name"): 3,
+            ("ACall", "fname"): 3}

@@ -65,8 +65,12 @@ class TestNoCycles:
         assert left == dict.fromkeys(left, 0)
 
     def test_many_groups(self):
-        # some of its blocks loop, so the check gives exit code 1
-        assert check_and_drop(many_blocks(200)) == (1, 0)
+        """At every bound most groups take an earlier group's results
+        (`checker._closed`); some of the blocks loop, so the check gives
+        exit code 1."""
+        source = many_blocks(200)
+        for bound in (1, 2, 3, 4):
+            assert check_and_drop(source, Config(bound, bound)) == (1, 0)
 
     def test_long_stream_ring(self):
         source = stream_ring(random.Random(7), 24, consumers=1)

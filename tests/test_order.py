@@ -240,6 +240,37 @@ class TestItemSqcoh:
         node = (word, 0, 1)
         assert len(list(callgraph.strip(node))) == 3001
 
+    def test_leaf_words(self):
+        """Two calls of one or two arguments, each a leaf word under a
+        weight, a Daimon or neither, about half of the second call's words
+        suffixes of the first's: two Daimons over leaf words cohere when
+        the words end alike and one ends the other.  Some spines hold a
+        Daimon over a destructor, so that the call ends a Daimon's word."""
+        rng = random.Random(11)
+        items = [("d", "A", 1), ("d", "B", 1), ("j", "P", 0), ("j", "Q", 2)]
+        middles = [None, None, DAIMON, ("w", callgraph.Weight(((1, -1),))),
+                   ("w", callgraph.Weight(((0, 2), (1, 1))))]
+        spines = [(), (), (DAIMON,), (DAIMON, ("d", "A", 1))]
+
+        def word():
+            return tuple(rng.choice(items) for _ in range(rng.randint(0, 5)))
+
+        def leaf(items):
+            return "x", rng.choice(middles), items, rng.choice((0, 1, 1, 2))
+
+        compared = coherent = 0
+        for _ in range(3000):
+            words = [word() for _ in range(rng.randint(1, 2))]
+            a = callgraph.Call("f", "f", rng.choice(spines),
+                               tuple(map(leaf, words)))
+            b = a._replace(spine=rng.choice(spines), args=tuple(
+                leaf(w[rng.randint(0, len(w)):] if rng.random() < 0.5
+                     else word()) for w in words))
+            for u, v in ((a, b), (b, a)):
+                compared += 1
+                coherent += self.check(u, v)
+        assert compared // 4 < coherent < 3 * compared // 4, coherent
+
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_corpus_loop_pairs(self, bound):
         """Every ordered pair of loops of every closure of the corpus."""

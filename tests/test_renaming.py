@@ -1,10 +1,12 @@
-"""A verdict does not depend on names.  Each corpus file is checked with
-every identifier renamed, except the keywords and the names the checker
-gives a meaning of its own, at B=D 1 to 4: the verdicts, their
-dependencies, the closures and the dumps are the original's up to the
-renaming.  A renaming that keeps the order of the names keeps the shape
-of each group (`callgraph.shape`), so a renamed copy of a group takes its
-original's closure renamed."""
+"""A verdict does not depend on names, nor on the other groups of the
+program.  Each corpus file is checked with every identifier renamed,
+except the keywords and the names the checker gives a meaning of its own,
+at B=D 1 to 4: the verdicts, their dependencies, the closures and the
+dumps are the original's up to the renaming.  A renaming that keeps the
+order of the names keeps the key of each group's calling clauses
+(`callgraph.clauses_key`), so a renamed copy of a group takes its
+original's call graph and closure renamed.  Reordering the groups, and
+adding a group that calls none of them, changes no verdict."""
 
 import argparse
 import random
@@ -12,7 +14,7 @@ import re
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, annotated_groups
 from totality import checker
 from totality.checker import Config, analyze_source
 from totality.cli import _render_text
@@ -28,6 +30,9 @@ NAME = re.compile(r"[^\W\d][\w']*")
 BLOCK = re.compile(r"(?m)^(?=data |codata |val |-- totality:)")
 DUMPS = argparse.Namespace(dump_priorities=False, dump_callgraph=True,
                            dump_closure=True)
+# a group, with the pragma before it; the names it defines
+GROUP = re.compile(r"(?:-- totality:.*\n)*val ")
+DEFINED = re.compile(r"(?m)^(?:val|and)\s+([^\W\d][\w']*)")
 NAMES = sorted(path.name for path in CORPUS.glob("*.ch"))
 BOUNDS = [1, 2, 3, 4]
 
@@ -165,3 +170,132 @@ def test_renamed_copies_take_their_originals_verdicts(monkeypatch, name,
         == text + [renamed(line, kept) for line in text]
     assert verdicts(report.verdicts[2 * lines:], inverse(mixed)) \
         == verdicts(original.verdicts, {})
+
+
+def top_blocks(source: str) -> list:
+    """The top-level blocks of `source`, which make it up in order, each
+    group with the pragma before it."""
+    blocks, pragma = [], ""
+    for block in BLOCK.split(source):
+        if block.startswith("-- totality:"):
+            pragma += block
+        elif block:
+            blocks.append(pragma + block)
+            pragma = ""
+    return blocks
+
+
+def reordered(source: str, rng) -> str:
+    """`source` with its declarations first, in order, and its groups
+    after them in a random order that keeps each group after the groups it
+    calls."""
+    blocks = top_blocks(source)
+    found = [(block, set(DEFINED.findall(block))) for block in blocks
+             if GROUP.match(block)]
+    defined = set().union(*(names for _, names in found))
+    waiting = [(block, set(NAME.findall(block)) & defined - names, names)
+               for block, names in found]
+    out = [block for block in blocks if not GROUP.match(block)]
+    placed = set()
+    while waiting:
+        ready = [entry for entry in waiting if entry[1] <= placed]
+        block, _, names = entry = rng.choice(ready)
+        waiting.remove(entry)
+        out.append(block)
+        placed |= names
+    return "".join(block if block.endswith("\n") else block + "\n"
+                   for block in out)
+
+
+def counted_keys(monkeypatch) -> list:
+    """The groups keyed (`clauses_key`) by the checks from here on."""
+    keyed, key = [], checker.clauses_key
+
+    def clauses_key(adefs):
+        keyed.append(tuple(d.fname for d in adefs))
+        return key(adefs)
+
+    monkeypatch.setattr(checker, "clauses_key", clauses_key)
+    return keyed
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("name", NAMES)
+def test_reordering_groups_keeps_verdicts(monkeypatch, name, bound):
+    """The program with a copy renamed keeping the order of the names,
+    every declaration first and the groups in seeded random orders that
+    keep each group after the groups it calls.  Each group takes its
+    original's verdict and closure, renamed back.  A copy and its original
+    share their key, so whichever comes first is closed, and the other is
+    keyed against it."""
+    source = (CORPUS / name).read_text()
+    original = check(source, bound)
+    copy, names = copied(source)
+    rng = random.Random("reordered %s %d" % (name, bound))
+    kept = order_kept(names, rng)
+    back = inverse(kept)
+    program = source + renamed(copy, kept, TOKEN)
+    want = verdicts(original.verdicts, {})
+    keyed = counted_keys(monkeypatch)
+    for _ in range(3):
+        report = check(reordered(program, rng), bound)
+        assert report.errors == []
+        mine = [v for v in report.verdicts if v.fname not in back]
+        theirs = [v for v in report.verdicts if v.fname in back]
+        assert verdicts(mine, {}) == verdicts(theirs, back) == want
+        assert sorted(groups(report.groups, back), key=repr) == sorted(
+            groups(original.groups, {}) * 2, key=repr)
+    assert keyed
+
+
+def unrelated(members: int, calling: int) -> str:
+    """A group of fresh names that calls no other group, with `members`
+    members and `calling` clauses that call one; each member calls the
+    next, and `zzw1` also itself."""
+    found = []
+    for i in range(1, members + 1):
+        clauses = ["zzw%d (ZzB x) = zzw%d x" % (i, i % members + 1)]
+        if i == 1:
+            clauses += ["zzw1 %sx%s = zzw1 x" % ("(ZzB " * k, ")" * k)
+                        for k in range(2, calling - members + 2)]
+        found.append("%s zzw%d : zzu -> zzu | %s" % (
+            "val" if i == 1 else "and", i, " | ".join(clauses)))
+    return "\n".join(["data zzu where ZzA : zzu | ZzB : zzu -> zzu"]
+                     + found) + "\n"
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("name", NAMES)
+def test_unrelated_group_changes_no_verdict(monkeypatch, name, bound):
+    """A group of fresh names that calls nothing of the program, put
+    before each group with calls in turn, with that group's member and
+    calling clause counts, so that the group after it is keyed against it:
+    the new group is `TOTAL` and every other verdict and closure stays."""
+    source = (CORPUS / name).read_text()
+    original = check(source, bound)
+    want = verdicts(original.verdicts, {}), groups(original.groups, {})
+    blocks = top_blocks(source)
+    starts = [k for k, block in enumerate(blocks) if GROUP.match(block)]
+    keyed = counted_keys(monkeypatch)
+    inserted = 0
+    for k, (analyzed, _) in zip(starts, annotated_groups(name)):
+        members = {d.fname for d in analyzed.defs}
+        calling = sum(not members.isdisjoint(cl.calls)
+                      for d in analyzed.defs for cl in d.clauses)
+        if not calling:
+            continue
+        added, before = unrelated(len(members), calling), len(keyed)
+        report = check("".join(blocks[:k] + [added] + blocks[k:]), bound)
+        assert report.errors == []
+        new = {v.fname: v.result for v in report.verdicts
+               if v.fname.startswith("zzw")}
+        assert new == {"zzw%d" % i: "total"
+                       for i in range(1, len(members) + 1)}
+        assert (verdicts([v for v in report.verdicts if v.fname not in new],
+                         {}),
+                groups([g for g in report.groups if g.names[0] not in new],
+                       {})) == want
+        assert {tuple(new), tuple(d.fname for d in analyzed.defs)} <= set(
+            keyed[before:])
+        inserted += 1
+    assert inserted
